@@ -48,7 +48,7 @@ func main() {
 	enum := flag.String("enum", "dfs", "path enumeration: dfs or summary")
 	dot := flag.Bool("dot", false, "print the program dependence graph in Graphviz DOT format and exit")
 	absintMode := flag.String("absint", "on", "abstract-interpretation tier: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off (fusion engines and -dot annotations)")
-	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings across a unit's queries) or off (every query solves one-shot — the oracle). Never changes verdicts, only cost")
+	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings across a unit's queries) or off (every query runs on a one-shot session: fresh stack, no warm state — the oracle). Never changes verdicts, only cost")
 	workers := flag.Int("workers", 1, "worker count for enumeration and checking (output is identical for any count)")
 	timeout := flag.Duration("timeout", 0, "overall analysis budget; on expiry remaining candidates are reported as undecided (0 = none)")
 	failFast := flag.Bool("fail-fast", false, "stop at the first contained unit failure instead of completing the batch")
@@ -56,7 +56,7 @@ func main() {
 	budgetConflicts := flag.Int64("budget-conflicts", 0, "per-candidate SAT conflict budget (0 = unbounded)")
 	budgetDeadline := flag.Duration("budget-deadline", 0, "per-candidate wall-clock budget (0 = none)")
 	budgetHeap := flag.Int64("budget-heap", 0, "per-candidate formula-construction byte budget (0 = unbounded)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed or was abandoned up to N times, escalating from the warm session to a fresh cold session to a one-shot solve (0 = single attempt)")
+	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed or was abandoned up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
 	watchdogGrace := flag.Duration("watchdog-grace", 0, "hard-abandon a candidate whose solver heartbeat stays flat this long at or past its deadline (0 = watchdog off)")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this file")
@@ -215,6 +215,9 @@ func newEngine(name string) (engines.Engine, error) {
 
 func run(cfg config) (outcome, error) {
 	var res outcome
+	if cfg.retries < 0 {
+		return res, fmt.Errorf("-retries must be >= 0, got %d", cfg.retries)
+	}
 	ctx := context.Background()
 	if cfg.timeout > 0 {
 		var cancel context.CancelFunc

@@ -115,6 +115,13 @@ func TestRunErrors(t *testing.T) {
 	if _, err := run(config{path: semabad, checker: "all", engine: "fusion", prelude: true, out: &bytes.Buffer{}}); err == nil {
 		t.Error("expected sema error")
 	}
+	// A negative -retries is a usage error (exit 2), not a run whose every
+	// candidate crashes or degrades.
+	for _, engine := range []string{"fusion", "pinpoint"} {
+		if _, err := run(config{path: path, checker: "null-deref", engine: engine, prelude: true, retries: -1, out: &bytes.Buffer{}}); err == nil {
+			t.Errorf("%s: expected -retries error", engine)
+		}
+	}
 }
 
 func TestEngineFactory(t *testing.T) {

@@ -37,12 +37,11 @@ func main() {
 	budget := flag.Duration("budget", 5*time.Minute, "per-engine-run time budget")
 	smt2dir := flag.String("smt2dir", "", "dump every SMT instance as SMT-LIB v2 files into this directory and exit")
 	workers := flag.Int("workers", 0, "worker count for compilation, enumeration, and checking (0 = sequential; output is identical for any count)")
-	parallel := flag.Int("parallel", 0, "deprecated alias for -workers")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none)")
 	absint := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
-	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings) or off (every query solves one-shot — the oracle)")
+	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings) or off (every query runs on a one-shot session: fresh stack, no warm state — the oracle)")
 	failFast := flag.Bool("fail-fast", false, "stop after the first experiment whose runs contained a unit crash (default: run all experiments, summarize at the end)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed or was abandoned up to N times, escalating from the warm session to a fresh cold session to a one-shot solve (0 = single attempt)")
+	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed or was abandoned up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
 	watchdogGrace := flag.Duration("watchdog-grace", 0, "hard-abandon a candidate whose solver heartbeat stays flat this long at or past its deadline (0 = watchdog off)")
 	checkpoint := flag.String("checkpoint", "", "journal completed engine runs to this file (append-only JSONL, fsync'd per record) so a crashed invocation can resume")
 	resume := flag.Bool("resume", false, "replay runs a previous crashed invocation completed in the -checkpoint journal instead of re-running them")
@@ -62,8 +61,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fusionbench: -session must be on or off, got %q\n", *session)
 		os.Exit(2)
 	}
-	if *workers == 0 {
-		*workers = *parallel
+	if *retries < 0 {
+		fmt.Fprintf(os.Stderr, "fusionbench: -retries must be >= 0, got %d\n", *retries)
+		os.Exit(2)
 	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "fusionbench: -resume requires -checkpoint")

@@ -394,13 +394,12 @@ func (j *Journal) Close() error { return j.f.Close() }
 func engineFingerprint(eng engines.Engine) string {
 	switch x := eng.(type) {
 	case *engines.Fusion:
-		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=%t timeout=%s conflicts=%d budget=%d/%d/%s/%d",
+		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=%t budget=%d/%d/%s/%d",
 			x.UseAbsint, x.IntervalsOnly, x.NoStride, x.NoSimplify, x.NoSession,
-			x.Cfg.Timeout, x.Cfg.MaxConflicts,
 			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
 	case *engines.Pinpoint:
-		return fmt.Sprintf("%s nosession=%t timeout=%s conflicts=%d qe=%d budget=%d/%d/%s/%d",
-			x.Name(), x.NoSession, x.Cfg.Timeout, x.Cfg.MaxConflicts, x.QEBudget,
+		return fmt.Sprintf("%s nosession=%t qe=%d budget=%d/%d/%s/%d",
+			x.Name(), x.NoSession, x.QEBudget,
 			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
 	case *engines.Infer:
 		return fmt.Sprintf("infer depth=%d specbudget=%d", x.MaxSummaryDepth, x.SpecBudget)

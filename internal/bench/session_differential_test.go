@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fusion/internal/bitblast"
 	"fusion/internal/checker"
 	"fusion/internal/cond"
 	"fusion/internal/pdg"
@@ -17,11 +18,13 @@ import (
 
 // TestSessionWarmVsColdCorpus is the differential acceptance test for the
 // incremental sessions: every SMT query of the progen corpus is answered
-// twice — once by a single warm Session reused across all of a subject's
-// candidates (clauses, phases, and encodings accumulating), once by the
-// cold one-shot solver on a fresh stack — and the verdicts must agree on
-// every instance. The corpus must also actually exercise reuse, or the
-// agreement is vacuous.
+// three times — once by a single warm Session reused across all of a
+// subject's candidates (clauses, phases, and encodings accumulating), once
+// by the one-shot solver.Solve, and once by a bare cold stack built here
+// (probe, preprocess, then assert directly into a fresh SAT solver) that
+// shares no session code with the other two — and the verdicts must agree on every
+// instance. The corpus must also actually exercise reuse, or the agreement
+// is vacuous.
 func TestSessionWarmVsColdCorpus(t *testing.T) {
 	ctx := context.Background()
 	subs, err := CompileAll(ctx, progen.Subjects, 0.002, 4)
@@ -29,7 +32,7 @@ func TestSessionWarmVsColdCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []*sparse.Spec{checker.NullDeref(), checker.DivByZero()}
-	queries, undecided := 0, 0
+	queries, undecided, bareSearches := 0, 0, 0
 	var hits, reusedClauses int64
 	for _, sub := range subs {
 		// One warm session per subject, shared across specs and candidates
@@ -50,18 +53,23 @@ func TestSessionWarmVsColdCorpus(t *testing.T) {
 				cb := smt.NewBuilder()
 				csl := pdg.ComputeSlice(sub.Graph, []pdg.Path{c.Path})
 				c.ApplyConstraint(csl, 0)
-				cold := solver.Solve(cb, cond.Translate(cb, csl).Phi, opts)
+				cphi := cond.Translate(cb, csl).Phi
+				cold := solver.Solve(cb, cphi, opts)
+				bare, searched := bareSolve(cb, cphi)
+				if searched {
+					bareSearches++
+				}
 
 				queries++
 				hits += warm.CacheHits
 				reusedClauses += warm.ReusedClauses
-				if warm.Status == sat.Unknown || cold.Status == sat.Unknown {
+				if warm.Status == sat.Unknown || cold.Status == sat.Unknown || bare == sat.Unknown {
 					undecided++
 					continue
 				}
-				if warm.Status != cold.Status {
-					t.Errorf("%s/%s candidate %d: warm session says %v, cold solve says %v",
-						sub.Info.Name, spec.Name, i, warm.Status, cold.Status)
+				if warm.Status != cold.Status || cold.Status != bare {
+					t.Errorf("%s/%s candidate %d: warm session says %v, one-shot solve says %v, bare stack says %v",
+						sub.Info.Name, spec.Name, i, warm.Status, cold.Status, bare)
 				}
 			}
 		}
@@ -75,6 +83,34 @@ func TestSessionWarmVsColdCorpus(t *testing.T) {
 	if hits == 0 {
 		t.Error("warm sessions never reused a term encoding across the corpus")
 	}
-	t.Logf("%d queries, %d warm cache hits, %d reused learned clauses, %d undecided",
-		queries, hits, reusedClauses, undecided)
+	if bareSearches == 0 {
+		t.Error("no query reached the bare stack's SAT core; the direct-assertion reference never ran")
+	}
+	t.Logf("%d queries, %d warm cache hits, %d reused learned clauses, %d undecided, %d bare SAT searches",
+		queries, hits, reusedClauses, undecided, bareSearches)
+}
+
+// bareSolve decides phi without a solver Session: the model probe, default
+// preprocessing, then a direct assertion into a fresh SAT solver under the
+// paper's 10-second limit. Unknown when the search runs out of budget;
+// searched reports that the SAT core ran.
+func bareSolve(b *smt.Builder, phi *smt.Term) (st sat.Status, searched bool) {
+	if _, ok := solver.Probe(phi, 32); ok {
+		return sat.Sat, false
+	}
+	phi = smt.Preprocess(b, phi, smt.DefaultPasses())
+	if phi.IsTrue() {
+		return sat.Sat, false
+	}
+	if phi.IsFalse() {
+		return sat.Unsat, false
+	}
+	s := sat.New()
+	s.Deadline = time.Now().Add(10 * time.Second)
+	bitblast.New(s).AssertTrue(phi)
+	st, err := s.Solve()
+	if err != nil {
+		return sat.Unknown, true
+	}
+	return st, true
 }

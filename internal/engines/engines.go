@@ -20,7 +20,6 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -116,25 +115,19 @@ type Engine interface {
 	ConditionBytes() int64
 }
 
-// SolverConfig carries the per-query solver budget (the paper limits each
-// SMT call to 10 seconds).
+// callTimeout bounds each SAT search by wall clock: the paper limits
+// every SMT call to 10 seconds.
+const callTimeout = 10 * time.Second
+
+// SolverConfig carries the per-candidate solver budget and supervision.
 type SolverConfig struct {
-	Timeout      time.Duration
-	MaxConflicts int64
-	// Deadline bounds each candidate's whole check (translation included,
-	// unlike Timeout which only bounds the SAT search) via a derived
-	// context, so one adversarial instance cannot eat the run's budget.
-	// Zero means none.
-	Deadline time.Duration
-	// Budget is the deterministic per-candidate resource budget; on
-	// exhaustion inside the bit-precise tier the engine degrades to the
-	// zone-then-interval refuters instead of reporting bare Unknown.
-	// Budget.Conflicts and Budget.Deadline override MaxConflicts and
-	// Deadline when set.
+	// Budget is the per-candidate resource budget; on exhaustion inside
+	// the bit-precise tier the engine degrades to the zone-then-interval
+	// refuters instead of reporting bare Unknown.
 	Budget Budget
 	// Retries is how many times a candidate whose attempt crashed or was
-	// abandoned is re-run, with escalating strategy (warm session →
-	// fresh cold session → one-shot stack). 0 means a single attempt.
+	// abandoned is re-run: the first attempt uses the warm session, every
+	// retry a fresh one. 0 means a single attempt.
 	Retries int
 	// WatchdogGrace arms the per-worker watchdog: an attempt whose solver
 	// heartbeat stays flat for this long at or past its deadline is
@@ -168,17 +161,8 @@ func SortVerdicts(vs []Verdict) {
 }
 
 func (c SolverConfig) options() solver.Options {
-	o := solver.Options{Timeout: c.Timeout, MaxConflicts: c.MaxConflicts}
-	if c.Budget.Conflicts > 0 {
-		o.MaxConflicts = c.Budget.Conflicts
-	}
-	if c.Budget.Steps > 0 {
-		o.MaxDecisions = c.Budget.Steps
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 10 * time.Second
-	}
-	return o
+	return solver.Options{Timeout: callTimeout,
+		MaxConflicts: c.Budget.Conflicts, MaxDecisions: c.Budget.Steps}
 }
 
 // --- Fusion ---
@@ -206,9 +190,9 @@ type Fusion struct {
 	// pre-simplification of local conditions — the `-absint=nosimplify`
 	// ablation. Refutation and fact export are unaffected.
 	NoSimplify bool
-	// NoSession disables the warm incremental solver sessions, rebuilding
-	// the whole solving stack per candidate — the `-session=off` ablation
-	// (and the oracle the differential tests compare against).
+	// NoSession disables the warm incremental solver sessions: every query
+	// runs on a fresh session — the `-session=off` ablation (and the oracle
+	// the differential tests compare against).
 	NoSession bool
 	// Parallel is the worker count for Check; 0 or 1 means sequential.
 	Parallel int
@@ -293,8 +277,25 @@ func (e *Fusion) sessionPool(n int) *driver.Sessions {
 func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
 	e.Absint(g) // build the shared analysis once, outside the pool
 	pool := e.sessionPool(driver.PoolSize(len(cands), e.Parallel))
+	l := &ladder{
+		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
+		watchdog: driver.Watchdog{Grace: e.Cfg.WatchdogGrace},
+		deadline: e.Cfg.Budget.Deadline,
+		attempt:  func(at rung) Verdict { return e.attempt(at, pool) },
+		abandoned: func(w int) {
+			if pool != nil {
+				pool.Replace(w)
+			}
+		},
+		fallback: func(g *pdg.Graph) *absint.Analysis {
+			if an := e.Absint(g); an != nil {
+				return an
+			}
+			return e.fb.analysis(g)
+		},
+	}
 	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := e.checkSupervised(ctx, g, cands[i], pool, w)
+		v := l.check(ctx, g, cands[i], w)
 		if e.OnVerdict != nil {
 			e.OnVerdict(i, v)
 		}
@@ -305,120 +306,23 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 	return vs
 }
 
-// checkSupervised is the retry ladder for one candidate: run an attempt
-// under the watchdog; on a contained panic or an abandonment, re-run up
-// to Cfg.Retries times with escalating strategy — attempt 1 uses the
-// worker's warm session, attempt 2 a fresh cold session in the same
-// slot, attempt 3+ the one-shot stack with no warm state at all. A
-// ladder exhausted on crashes records exactly one UnitFailure carrying
-// the attempt count; one exhausted on abandonment yields an Abandoned
-// verdict. Either way the cheap refutation tiers get a last look, so a
-// persistently crashing unit can still end with a sound Unsat.
-func (e *Fusion) checkSupervised(parent context.Context, g *pdg.Graph, c sparse.Candidate, pool *driver.Sessions, w int) Verdict {
-	if rec := e.Telemetry; rec != nil {
-		t0 := time.Now()
-		// The ladder span encloses every attempt span on the same track, so
-		// the trace nests attempts under their candidate by containment.
-		defer func() { rec.Span(w+1, "candidate", UnitLabel(c), t0, time.Now()) }()
-	}
-	attempts := 1 + e.Cfg.Retries
-	var lastFail *failure.UnitFailure
-	abandoned := false
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if parent.Err() != nil {
-			return Verdict{Cand: c, Status: sat.Unknown, Attempts: attempt - 1}
-		}
-		v, fail, ab := e.checkAttempt(parent, g, c, pool, w, attempt)
-		if fail == nil && !ab {
-			v.Attempts = attempt
-			return v
-		}
-		if fail != nil {
-			lastFail = fail
-		}
-		abandoned = ab
-	}
-	if lastFail != nil {
-		lastFail.Attempts = attempts
-	}
-	v := Verdict{Cand: c, Status: sat.Unknown, Attempts: attempts,
-		Abandoned: abandoned, Failure: lastFail}
-	// Final ladder rung: the abstract refuters run outside the crashed or
-	// wedged solving stack and may still produce a sound Unsat.
-	an := e.Absint(g)
-	if an == nil {
-		an = e.fb.analysis(g)
-	}
-	degradeVerdict(parent, an, g, c, &v)
-	return v
-}
-
-// checkAttempt runs one attempt of the ladder under the watchdog. On
-// abandonment the attempt's context is cancelled — the orphaned
-// goroutine unwinds through the solver's cooperative polling — and the
-// worker's session slot is replaced, because the orphan still owns the
-// old session's solving stack.
-func (e *Fusion) checkAttempt(parent context.Context, g *pdg.Graph, c sparse.Candidate, pool *driver.Sessions, w, attempt int) (Verdict, *failure.UnitFailure, bool) {
-	var sess *solver.Session
-	if pool != nil {
-		switch attempt {
-		case 1:
-			sess = pool.At(w)
-		case 2:
-			sess = pool.Replace(w)
-		}
-		// attempt 3+: one-shot, no warm state at all.
-	}
-	ctx, cancel := e.Cfg.candidateCtx(parent)
-	defer cancel()
-	// The injected stall.solve wedge gets a cancellation-only context: a
-	// real wedge ignores deadlines, so the simulated one must not release
-	// when the attempt's deadline merely expires — only when this attempt
-	// is torn down (watchdog abandonment or run cancellation).
-	stallCtx, stallCancel := context.WithCancel(parent)
-	defer stallCancel()
-	deadline, _ := ctx.Deadline()
-	var hb atomic.Int64
-	var t0 time.Time
-	if e.Telemetry != nil {
-		t0 = time.Now()
-	}
-	v, fail, abandoned := driver.Supervise(ctx, driver.Watchdog{Grace: e.Cfg.WatchdogGrace},
-		deadline, &hb, UnitLabel(c), "check", func() Verdict {
-			return e.checkOne(parent, ctx, stallCtx, g, c, sess, &hb, attempt)
-		})
-	if abandoned && pool != nil {
-		pool.Replace(w)
-	}
-	if rec := e.Telemetry; rec != nil {
-		rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
-			Unit: UnitLabel(c), Engine: e.Name(),
-			Tier: v.Tier.String(), Status: v.Status.String(),
-			Attempt: attempt, Abandoned: abandoned,
-		})
-		if abandoned {
-			// Per-attempt tally: timing-dependent (an earlier rung may or
-			// may not have been abandoned before a retry succeeded), so it
-			// lives in Sched; the final-verdict Abandoned flag feeds the
-			// deterministic watchdog.abandoned counter in recordVerdicts.
-			rec.Sched("watchdog.abandoned_attempts", 1)
-		}
-	}
-	return v, fail, abandoned
-}
-
-// checkOne runs a single attempt: parent is the caller's context, ctx
-// the attempt's own (per-candidate deadline applied); distinguishing
-// the two is what tells budget exhaustion from outside cancellation.
-func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c sparse.Candidate, sess *solver.Session, hb *atomic.Int64, attempt int) Verdict {
-	// Bail on the parent only: an already-expired per-candidate deadline
-	// (ctx) must still reach the exhaustion path below so the
-	// degradation ladder gets its look.
-	if parent.Err() != nil {
+// attempt runs one rung of the ladder: the worker's warm session first,
+// a fresh one in the same slot on every retry.
+func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
+	c := at.c
+	// Bail on cancellation only: an already-expired deadline (at.ctx) must
+	// still reach the exhaustion path below so the degradation ladder
+	// gets its look.
+	if at.base.Err() != nil {
 		return Verdict{Cand: c, Status: sat.Unknown}
 	}
 	var b *smt.Builder
-	if sess != nil {
+	var sess *solver.Session
+	if pool != nil {
+		sess = pool.At(at.w)
+		if at.n > 1 {
+			sess = pool.Replace(at.w)
+		}
 		// Begin before the fault-injection point: a contained panic below
 		// must leave the session marked in-flight so its next Begin
 		// rebuilds the (possibly corrupted) warm state.
@@ -434,17 +338,19 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
-		faultinject.FireSolveAttempt(unit, attempt)
+		faultinject.FireSolveAttempt(unit, at.n)
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	opts := e.Opts
 	opts.Solver = e.Cfg.options()
 	opts.Solver.Unit = UnitLabel(c)
-	opts.Solver.Heartbeat = hb
-	opts.Solver.StallCtx = stallCtx
+	opts.Solver.Heartbeat = at.hb
+	// The injected stall.solve wedge ignores deadlines like a real one: it
+	// releases only when the attempt is torn down.
+	opts.Solver.StallCtx = at.base
 	opts.Session = sess
 	opts.Constraints = c.Constraints(0)
-	opts.Absint = e.Absint(g)
+	opts.Absint = e.Absint(at.g)
 	if e.NoSimplify {
 		opts.DisableAbsintSimplify = true
 	}
@@ -457,7 +363,7 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 		opts.Solver.MaxDecisions = 1
 	}
 	t0 := time.Now()
-	r := fusioncore.Solve(ctx, b, g, []pdg.Path{c.Path}, opts)
+	r := fusioncore.Solve(at.ctx, b, at.g, []pdg.Path{c.Path}, opts)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		DecidedByAbsint: r.DecidedByAbsint,
@@ -484,10 +390,10 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 		rec.Wall("solve.search", r.SearchTime)
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
-	// The per-candidate deadline firing (parent still alive) is budget
+	// The per-candidate deadline firing (run still alive) is budget
 	// exhaustion too, even though the solver saw it as ctx cancellation.
 	exhausted := r.Exhausted ||
-		(r.Status == sat.Unknown && ctx.Err() != nil && parent.Err() == nil)
+		(r.Status == sat.Unknown && at.ctx.Err() != nil && at.base.Err() == nil)
 	if exhausted {
 		// Degradation ladder: when the engine's own absint tier already
 		// failed to refute before the solve, re-running it cannot help —
@@ -496,7 +402,7 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 		if opts.Absint != nil {
 			v.Degraded, v.Tier = true, TierUnknown
 		} else {
-			degradeVerdict(parent, e.fb.analysis(g), g, c, &v)
+			degradeVerdict(at.base, e.fb.analysis(at.g), at.g, c, &v)
 		}
 	}
 	e.mu.Lock()
@@ -510,19 +416,6 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 		sess.Finish()
 	}
 	return v
-}
-
-// candidateCtx derives the per-candidate deadline context from ctx,
-// honoring the tighter of Deadline and Budget.Deadline.
-func (c SolverConfig) candidateCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	d := c.Deadline
-	if c.Budget.Deadline > 0 && (d == 0 || c.Budget.Deadline < d) {
-		d = c.Budget.Deadline
-	}
-	if d > 0 {
-		return context.WithTimeout(ctx, d)
-	}
-	return ctx, func() {}
 }
 
 // ConditionBytes implements Engine: the fused design caches nothing, so
@@ -571,8 +464,8 @@ type Pinpoint struct {
 	// the per-candidate slicing with a running solve, faithfully to the
 	// design's memory behaviour.
 	Parallel int
-	// NoSession disables the warm incremental solver session, rebuilding
-	// the solving stack per query — the `-session=off` ablation.
+	// NoSession disables the warm incremental solver session: every query
+	// runs on a fresh session — the `-session=off` ablation.
 	NoSession bool
 	// Telemetry and OnVerdict mirror the Fusion fields: per-candidate and
 	// per-attempt spans plus verdict counters, and a concurrent
@@ -606,10 +499,19 @@ func (e *Pinpoint) Name() string { return e.Variant.String() }
 // ConditionBytes implements Engine.
 func (e *Pinpoint) ConditionBytes() int64 { return e.cache.EstimatedBytes() }
 
-// Check implements Engine.
+// Check implements Engine. Pinpoint's ladder runs its attempts inline,
+// with no watchdog: candidates serialize on the summary-cache lock, so a
+// supervised abandonment would strand the lock-holding goroutine and
+// deadlock every other candidate. For the same reason the per-candidate
+// deadline starts only once the lock is held (see checkOne).
 func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
+	l := &ladder{
+		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
+		attempt:  e.attempt,
+		fallback: e.fb.analysis,
+	}
 	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := e.checkSupervised(ctx, g, cands[i], w)
+		v := l.check(ctx, g, cands[i], w)
 		if e.OnVerdict != nil {
 			e.OnVerdict(i, v)
 		}
@@ -620,63 +522,21 @@ func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candi
 	return vs
 }
 
-// checkSupervised is Pinpoint's retry ladder. It runs attempts inline —
-// no watchdog goroutine: candidates serialize on the summary-cache
-// lock, so a supervised abandonment would strand the lock-holding
-// goroutine and deadlock every other candidate. The warm session still
-// self-heals: a contained panic skips Finish, so the next attempt's
-// Begin rebuilds the solving stack (attempt 2's "fresh cold session"),
-// and attempt 3+ bypasses the session entirely for a one-shot solve.
-func (e *Pinpoint) checkSupervised(parent context.Context, g *pdg.Graph, c sparse.Candidate, w int) Verdict {
-	if rec := e.Telemetry; rec != nil {
-		t0 := time.Now()
-		defer func() { rec.Span(w+1, "candidate", UnitLabel(c), t0, time.Now()) }()
-	}
-	attempts := 1 + e.Cfg.Retries
-	var lastFail *failure.UnitFailure
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if parent.Err() != nil {
-			return Verdict{Cand: c, Status: sat.Unknown, Attempts: attempt - 1}
-		}
-		var t0 time.Time
-		if e.Telemetry != nil {
-			t0 = time.Now()
-		}
-		v, fail, _ := driver.Supervise(parent, driver.Watchdog{}, time.Time{}, nil,
-			UnitLabel(c), "check", func() Verdict {
-				return e.checkOneVerdict(parent, g, c, attempt)
-			})
-		if rec := e.Telemetry; rec != nil {
-			rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
-				Unit: UnitLabel(c), Engine: e.Name(),
-				Tier: v.Tier.String(), Status: v.Status.String(),
-				Attempt: attempt,
-			})
-		}
-		if fail == nil {
-			v.Attempts = attempt
-			return v
-		}
-		lastFail = fail
-	}
-	lastFail.Attempts = attempts
-	v := Verdict{Cand: c, Status: sat.Unknown, Attempts: attempts, Failure: lastFail}
-	degradeVerdict(parent, e.fb.analysis(g), g, c, &v)
-	return v
-}
-
-func (e *Pinpoint) checkOneVerdict(ctx context.Context, g *pdg.Graph, c sparse.Candidate, attempt int) Verdict {
-	if ctx.Err() != nil {
+// attempt runs one rung of the ladder: the warm session first; on every
+// retry the session is reset, keeping the summary-cache builder.
+func (e *Pinpoint) attempt(at rung) Verdict {
+	c := at.c
+	if at.base.Err() != nil {
 		return Verdict{Cand: c, Status: sat.Unknown}
 	}
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
-		faultinject.FireSolveAttempt(unit, attempt)
+		faultinject.FireSolveAttempt(unit, at.n)
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	t0 := time.Now()
-	r, size := e.checkOne(ctx, g, c, attempt)
+	r, size := e.checkOne(at.base, at.g, c, at.n)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		CacheHits:     r.CacheHits,
@@ -694,7 +554,7 @@ func (e *Pinpoint) checkOneVerdict(ctx context.Context, g *pdg.Graph, c sparse.C
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
 	if r.Status == sat.Unknown && r.Exhausted {
-		degradeVerdict(ctx, e.fb.analysis(g), g, c, &v)
+		degradeVerdict(at.base, e.fb.analysis(at.g), at.g, c, &v)
 	}
 	return v
 }
@@ -722,30 +582,33 @@ func (e *Pinpoint) SessionStats() (queries, cacheHits, evictions, resets int64) 
 	return e.warm.Queries, e.warm.CacheHits, e.warm.Evictions, e.warm.Resets
 }
 
-func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate, attempt int) (solver.Result, int) {
-	ctx, cancel := e.Cfg.candidateCtx(parent)
-	defer cancel()
+// checkOne decides one candidate on attempt n of its ladder. parent is
+// cancelled only with the run (or the attempt's teardown); the
+// per-candidate deadline is derived from it once the cache lock is held,
+// so time spent queued behind other candidates' solves is not charged to
+// this one.
+func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate, n int) (solver.Result, int) {
 	sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
 	c.ApplyConstraint(sl, 0)
+
+	// The shared summary cache is a single-writer term store: everything
+	// from translation on runs under the cache lock.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ctx, cancel := withDeadline(parent, e.Cfg.Budget.Deadline)
+	defer cancel()
 	opts := e.Cfg.options()
 	opts.Ctx = ctx
 	opts.Unit = UnitLabel(c)
 	if faultinject.Exhaust(opts.Unit) {
 		opts.MaxDecisions = 1
 	}
-
-	// The shared summary cache is a single-writer term store: everything
-	// from translation on runs under the cache lock.
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	b := e.cache
 	sess := e.session()
-	if attempt >= 3 {
-		// Ladder escalation: past the warm and rebuilt-session rungs,
-		// solve one-shot with no warm state at all.
-		sess = nil
-	}
 	if sess != nil {
+		if n > 1 {
+			sess.Reset() // fresh rung; the summary-cache builder survives
+		}
 		sess.Begin()
 	}
 	// solve routes every query of this candidate — final solves and the
@@ -771,16 +634,8 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 			phi = smt.SimplifyLocal(b, phi)
 		case HFS:
 			cs := &smt.ContextSimplifier{
-				Solve: func(bb *smt.Builder, q *smt.Term) (bool, bool) {
-					r := solve(q, opts)
-					switch r.Status {
-					case sat.Sat:
-						return true, false
-					case sat.Unsat:
-						return false, false
-					default:
-						return false, true
-					}
+				Solve: func(_ *smt.Builder, q *smt.Term) (bool, bool) {
+					return solver.Decide(solve(q, opts))
 				},
 				MaxQueries: 32,
 			}

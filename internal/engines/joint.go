@@ -166,11 +166,11 @@ func jointUnitLabel(grp JointGroup) string {
 }
 
 // CheckJoint decides every multi-argument sink group with the given
-// engine, under the same containment and retry ladder as per-candidate
-// checks: a contained panic poisons the engine's warm session (the next
-// Begin rebuilds it, which is the cold-retry rung) and the group is
-// re-run up to the engine's retries. A cancelled ctx yields Unknown for
-// the remaining groups.
+// engine, under the same warm → fresh containment as per-candidate checks:
+// a contained panic poisons the engine's warm session, so the next
+// attempt's Begin runs on a fresh stack, and the group gets at least one
+// attempt plus up to the engine's retries. A cancelled ctx yields Unknown
+// for the remaining groups.
 func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []sparse.Candidate) []JointVerdict {
 	groups := GroupBySink(cands)
 	retries := jointRetries(eng)
@@ -186,7 +186,7 @@ func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []spa
 		}
 		jv := JointVerdict{Group: grp, Status: sat.Unknown}
 		t0 := time.Now()
-		for attempt := 1; attempt <= 1+retries; attempt++ {
+		for attempt := 1; attempt <= 1+max(retries, 0); attempt++ {
 			if ctx.Err() != nil {
 				break
 			}

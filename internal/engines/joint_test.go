@@ -114,3 +114,22 @@ fun f(a: int) {
 		t.Errorf("same-argument flows formed %d groups", len(got))
 	}
 }
+
+// A negative retry count from a library caller still gets one attempt per
+// joint group, the same floor the per-candidate ladder keeps.
+func TestJointNegativeRetriesStillAttempts(t *testing.T) {
+	fu := engines.NewFusion()
+	fu.Cfg.Retries = -1
+	pp := engines.NewPinpoint(engines.Plain)
+	pp.Cfg.Retries = -1
+	for _, eng := range []engines.JointChecker{fu, pp} {
+		vs := jointVerdicts(t, jointFeasibleSrc, eng)
+		if len(vs) != 1 {
+			t.Fatalf("got %d joint groups, want 1", len(vs))
+		}
+		if vs[0].Attempts != 1 || vs[0].Status != sat.Sat {
+			t.Errorf("%T: attempts=%d status=%s, want 1 attempt deciding sat",
+				eng, vs[0].Attempts, vs[0].Status)
+		}
+	}
+}

@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fusion/internal/absint"
+	"fusion/internal/driver"
 	"fusion/internal/failure"
 	"fusion/internal/pdg"
 	"fusion/internal/sat"
 	"fusion/internal/sparse"
+	"fusion/internal/telemetry"
 )
 
 // Tier labels the precision of the procedure that produced a verdict,
@@ -183,4 +186,126 @@ func degradeVerdict(ctx context.Context, an *absint.Analysis, g *pdg.Graph, c sp
 			v.Tier = TierInterval
 		}
 	}
+}
+
+// rung is one attempt of the retry ladder, as an engine's attempt
+// function sees it.
+type rung struct {
+	g *pdg.Graph
+	c sparse.Candidate
+	// w is the worker slot and n the attempt number: attempt 1 runs on
+	// the worker's warm state, every later one on fresh state.
+	w, n int
+	// base is cancelled with the run or when the attempt is torn down,
+	// never by a deadline: the injected stall.solve wedge blocks on it,
+	// and an attempt tells budget exhaustion from outside cancellation by
+	// it. ctx is base under the ladder's per-attempt deadline.
+	base, ctx context.Context
+	// hb is the heartbeat the watchdog samples.
+	hb *atomic.Int64
+}
+
+// ladder is the retry ladder both solving engines run every candidate
+// through: up to 1+retries attempts, warm then fresh, each under panic
+// containment and, when the watchdog is armed, supervision. A ladder
+// exhausted on crashes records exactly one UnitFailure carrying the
+// attempt count; one exhausted on abandonment yields an Abandoned
+// verdict. Either way the cheap refutation tiers get a last look, so a
+// persistently crashing unit can still end with a sound Unsat.
+type ladder struct {
+	engine   string
+	rec      *telemetry.Recorder
+	retries  int
+	watchdog driver.Watchdog
+	// deadline bounds each attempt from its start; 0 leaves the clock to
+	// the attempt itself.
+	deadline time.Duration
+	attempt  func(at rung) Verdict
+	// abandoned, when set, runs after the watchdog cuts worker w's
+	// attempt loose: the orphan still owns that attempt's solving state.
+	abandoned func(w int)
+	// fallback returns the analysis the final degradation rung consults.
+	fallback func(g *pdg.Graph) *absint.Analysis
+}
+
+// check climbs the ladder for candidate c on worker w. It always runs at
+// least one attempt.
+func (l *ladder) check(parent context.Context, g *pdg.Graph, c sparse.Candidate, w int) Verdict {
+	unit := UnitLabel(c)
+	if l.rec != nil {
+		t0 := time.Now()
+		// The ladder span encloses every attempt span on the same track, so
+		// the trace nests attempts under their candidate by containment.
+		defer func() { l.rec.Span(w+1, "candidate", unit, t0, time.Now()) }()
+	}
+	attempts := 1 + max(l.retries, 0)
+	var lastFail *failure.UnitFailure
+	abandoned := false
+	for n := 1; n <= attempts; n++ {
+		if parent.Err() != nil {
+			return Verdict{Cand: c, Status: sat.Unknown, Attempts: n - 1}
+		}
+		v, fail, ab := l.try(parent, unit, rung{g: g, c: c, w: w, n: n})
+		if fail == nil && !ab {
+			v.Attempts = n
+			return v
+		}
+		if fail != nil {
+			lastFail = fail
+		}
+		abandoned = ab
+	}
+	if lastFail != nil {
+		lastFail.Attempts = attempts
+	}
+	v := Verdict{Cand: c, Status: sat.Unknown, Attempts: attempts,
+		Abandoned: abandoned, Failure: lastFail}
+	// Final rung: the abstract refuters run outside the crashed or wedged
+	// solving stack and may still produce a sound Unsat.
+	degradeVerdict(parent, l.fallback(g), g, c, &v)
+	return v
+}
+
+// try runs one attempt under the watchdog. On abandonment the attempt's
+// contexts are cancelled, so the orphaned goroutine unwinds through the
+// solver's cooperative polling.
+func (l *ladder) try(parent context.Context, unit string, r rung) (Verdict, *failure.UnitFailure, bool) {
+	base, release := context.WithCancel(parent)
+	defer release()
+	ctx, cancel := withDeadline(base, l.deadline)
+	defer cancel()
+	r.base, r.ctx, r.hb = base, ctx, new(atomic.Int64)
+	deadline, _ := ctx.Deadline()
+	var t0 time.Time
+	if l.rec != nil {
+		t0 = time.Now()
+	}
+	v, fail, abandoned := driver.Supervise(ctx, l.watchdog, deadline, r.hb, unit, "check",
+		func() Verdict { return l.attempt(r) })
+	if abandoned && l.abandoned != nil {
+		l.abandoned(r.w)
+	}
+	if rec := l.rec; rec != nil {
+		rec.SolveSpan(r.w+1, t0, time.Now(), telemetry.SolveInfo{
+			Unit: unit, Engine: l.engine,
+			Tier: v.Tier.String(), Status: v.Status.String(),
+			Attempt: r.n, Abandoned: abandoned,
+		})
+		if abandoned {
+			// Per-attempt tally: timing-dependent (an earlier rung may or
+			// may not have been abandoned before a retry succeeded), so it
+			// lives in Sched; the final-verdict Abandoned flag feeds the
+			// deterministic watchdog.abandoned counter in recordVerdicts.
+			rec.Sched("watchdog.abandoned_attempts", 1)
+		}
+	}
+	return v, fail, abandoned
+}
+
+// withDeadline bounds ctx by d from now; d <= 0 leaves it unbounded.
+func withDeadline(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
 }

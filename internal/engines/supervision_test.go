@@ -133,7 +133,7 @@ func TestRetryRecoversInjectedSolvePanic(t *testing.T) {
 }
 
 // TestRepeatedPoisoningExhaustsLadder arms a panic that fires on every
-// attempt of one unit: the full ladder (warm, cold, one-shot) is
+// attempt of one unit: the full ladder (warm, fresh, fresh) is
 // climbed and exhausted, yielding exactly one UnitFailure that records
 // the attempt count — and no goroutine outlives the batch.
 func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
@@ -213,6 +213,82 @@ func TestSupervisionConfigNeverChangesVerdicts(t *testing.T) {
 					t.Errorf("workers=%d retries=%d grace=%v: verdicts differ:\n%s\nvs baseline\n%s",
 						workers, retries, grace, rows, base)
 				}
+			}
+		}
+	}
+}
+
+// resQueueSrc has four feasible null-deref candidates; only the first,
+// guarded like resHardSrc, reaches CDCL search.
+const resQueueSrc = `
+fun f(a: int, b: int) {
+    var p: ptr = null;
+    if (a * a == 1442401) {
+        deref(p);
+    }
+    var q: ptr = null;
+    if (a > 3) {
+        deref(q);
+    }
+    var r: ptr = null;
+    if (b < 7) {
+        deref(r);
+    }
+    var s: ptr = null;
+    if (a + b == 12) {
+        deref(s);
+    }
+}
+`
+
+// TestPinpointDeadlineStartsAfterCacheLock: Pinpoint's candidates
+// serialize on the summary-cache lock, so a candidate queued behind a
+// slow solve must not be charged for the wait. stall.solve wedges the
+// hard candidate's search until its deadline expires, with the lock
+// held; at workers 4 the other candidates queue behind it, and they must
+// still be decided exactly as at workers 1.
+func TestPinpointDeadlineStartsAfterCacheLock(t *testing.T) {
+	g := resGraph(t, resQueueSrc)
+	cands := resCands(t, g, 4)
+	// The hard candidate's sink comes first in the source; check it first
+	// so that parallel workers queue behind its stalled solve.
+	hard := 0
+	for i, c := range cands {
+		if c.Sink.Pos.Line < cands[hard].Sink.Pos.Line {
+			hard = i
+		}
+	}
+	cands[0], cands[hard] = cands[hard], cands[0]
+	if err := faultinject.ArmSpec("stall.solve:" + UnitLabel(cands[0])); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	defer faultinject.SetStallCap(faultinject.SetStallCap(10 * time.Second))
+
+	check := func(workers int) []Verdict {
+		e := NewPinpoint(Plain)
+		e.Cfg.Budget.Deadline = 300 * time.Millisecond
+		e.Parallel = workers
+		return e.Check(context.Background(), g, cands)
+	}
+	base := check(1)
+	if base[0].Status == sat.Sat || !base[0].Degraded {
+		t.Fatalf("stalled candidate was not degraded: %+v", base[0])
+	}
+	for i := 1; i < len(base); i++ {
+		if base[i].Status != sat.Sat || base[i].Tier != TierExact || base[i].Degraded {
+			t.Fatalf("workers=1 slot %d: want sat/exact, got %+v", i, base[i])
+		}
+	}
+	// Which worker wins the lock first is up to the scheduler; a few
+	// rounds make queueing behind the stalled solve all but certain.
+	for round := 0; round < 3; round++ {
+		vs := check(4)
+		for i := 1; i < len(vs); i++ {
+			if vs[i].Status != base[i].Status || vs[i].Tier != base[i].Tier || vs[i].Degraded != base[i].Degraded {
+				t.Errorf("round %d slot %d: workers=4 (%v, %s, degraded=%v) vs workers=1 (%v, %s, degraded=%v)",
+					round, i, vs[i].Status, vs[i].Tier, vs[i].Degraded,
+					base[i].Status, base[i].Tier, base[i].Degraded)
 			}
 		}
 	}

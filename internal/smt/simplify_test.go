@@ -92,7 +92,7 @@ func TestContextSimplifier(t *testing.T) {
 	)
 	cs := &smt.ContextSimplifier{
 		Solve: func(bb *smt.Builder, q *smt.Term) (bool, bool) {
-			return solver.Decide(bb, q, solver.Options{})
+			return solver.Decide(solver.Solve(bb, q, solver.Options{}))
 		},
 	}
 	got := cs.Simplify(b, phi)

@@ -35,6 +35,12 @@ type SessionConfig struct {
 	// builder doubles as a summary cache (Pinpoint) must keep it: swapping
 	// would orphan every cached term.
 	KeepBuilder bool
+	// OneShot makes the session stateless between queries: each query
+	// that reaches the SAT core starts on a fresh solver and blaster and
+	// asserts phi directly instead of under an activation literal. This
+	// is the standalone solver of Algorithm 3, and the cold reference the
+	// warm path is diffed against.
+	OneShot bool
 }
 
 const (
@@ -154,10 +160,13 @@ func (ss *Session) gc() {
 // for tests asserting that GC keeps it from growing monotonically.
 func (ss *Session) Learnts() int { return ss.s.NumLearnts() }
 
-// Solve answers phi over the warm stack, with the same contract as the
-// package-level Solve: preprocessing with early exit, probe, then the CDCL
-// core — reached through an assumption on phi's activation literal, so the
-// query can be retired afterwards without destroying anything learned.
+// Solve answers phi over the warm stack: probe, preprocessing with early
+// exit, then the CDCL core — reached through an assumption on phi's
+// activation literal, so the query can be retired afterwards without
+// destroying anything learned (under OneShot, through a direct assertion
+// on a fresh stack). With WantModel, a model that preprocessing
+// left partial is completed by a second, pass-free solve of phi;
+// equisatisfiability guarantees one exists.
 func (ss *Session) Solve(phi *smt.Term, opts Options) Result {
 	res := ss.solveOnce(phi, opts)
 	if opts.WantModel && res.Status == sat.Sat && !modelCovers(res.Model, phi) {
@@ -169,6 +178,15 @@ func (ss *Session) Solve(phi *smt.Term, opts Options) Result {
 		}
 	}
 	return res
+}
+
+func modelCovers(m smt.Assignment, phi *smt.Term) bool {
+	for _, v := range smt.Vars(phi) {
+		if _, ok := m[v]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
@@ -224,6 +242,8 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	if ss.s.NumVars() > ss.cfg.MaxVars || ss.s.NumLearnts() > ss.cfg.MaxLearnts || !ss.s.Okay() {
 		ss.evictSolver()
 		ss.Evictions++
+	} else if ss.cfg.OneShot && ss.s.NumVars() > 0 {
+		ss.evictSolver() // an earlier query's assertion is permanent
 	}
 
 	t1 := time.Now()
@@ -249,16 +269,22 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	reusedBefore := ss.bl.Reused
 	before := s.Stats()
 
-	ss.bl.BeginQuery()
-	act := ss.bl.Assume(phi)
-	st, err := s.SolveAssuming([]sat.Lit{act})
+	var st sat.Status
+	var err error
+	if ss.cfg.OneShot {
+		ss.bl.AssertTrue(phi)
+		st, err = s.Solve()
+	} else {
+		ss.bl.BeginQuery()
+		st, err = s.SolveAssuming([]sat.Lit{ss.bl.Assume(phi)})
+		res.CacheVars = s.NumVars() // retained for later queries
+	}
 	res.SearchTime = time.Since(t1)
 	after := s.Stats()
 	res.Conflicts = after.Conflicts - before.Conflicts
 	res.Decisions = after.Decisions - before.Decisions
 	res.Props = after.Props - before.Props
 	res.CacheHits = ss.bl.Reused - reusedBefore
-	res.CacheVars = s.NumVars()
 	ss.CacheHits += res.CacheHits
 	if err != nil {
 		res.Status = sat.Unknown
@@ -274,17 +300,4 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 		}
 	}
 	return res
-}
-
-// Decide mirrors the package-level Decide over the warm stack.
-func (ss *Session) Decide(phi *smt.Term, opts Options) (isSat bool, unknown bool) {
-	r := ss.Solve(phi, opts)
-	switch r.Status {
-	case sat.Sat:
-		return true, false
-	case sat.Unsat:
-		return false, false
-	default:
-		return false, true
-	}
 }

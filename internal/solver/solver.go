@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fusion/internal/bitblast"
 	"fusion/internal/faultinject"
 	"fusion/internal/sat"
 	"fusion/internal/smt"
@@ -107,112 +106,11 @@ type Result struct {
 
 // Solve implements the conventional SMT solution of Algorithm 3: apply the
 // equisatisfiable preprocessing pipeline, return early when it decides the
-// formula, and otherwise bit-blast into the CDCL solver.
+// formula, and otherwise bit-blast into the CDCL solver. It is a throwaway
+// one-shot Session over b: the standalone solver and the warm path run the
+// same pipeline, so they cannot drift apart.
 func Solve(b *smt.Builder, phi *smt.Term, opts Options) Result {
-	res := solveOnce(b, phi, opts)
-	if opts.WantModel && res.Status == sat.Sat && !modelCovers(res.Model, phi) {
-		raw := opts
-		raw.Passes = NoPasses
-		raw.WantModel = false
-		if full := solveOnce(b, phi, raw); full.Status == sat.Sat {
-			res.Model = full.Model
-		}
-	}
-	return res
-}
-
-func modelCovers(m smt.Assignment, phi *smt.Term) bool {
-	for _, v := range smt.Vars(phi) {
-		if _, ok := m[v]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func solveOnce(b *smt.Builder, phi *smt.Term, opts Options) Result {
-	var res Result
-	res.SizeBefore = smt.Size(phi)
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return res // Status zero value is Unknown
-	}
-	// Cheap model probing first, on the original formula: path conditions
-	// are mostly systems of definitions, and concrete execution over
-	// sampled inputs decides many satisfiable instances without paying
-	// for preprocessing or bit-blasting. Probing never misclassifies: a
-	// model is verified by evaluation.
-	if !opts.NoProbe && !phi.IsConst() {
-		t0 := time.Now()
-		m, ok := Probe(phi, 32)
-		res.ProbeTime = time.Since(t0)
-		if ok {
-			res.Status = sat.Sat
-			res.DecidedByProbe = true
-			res.Model = m
-			return res
-		}
-	}
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return res // cancelled between probe and preprocessing
-	}
-	passes := opts.Passes
-	if passes == nil {
-		passes = smt.DefaultPasses()
-	}
-	t0 := time.Now()
-	phi = smt.Preprocess(b, phi, passes)
-	res.PreprocessTime = time.Since(t0)
-	res.SizeAfter = smt.Size(phi)
-	if phi.IsTrue() {
-		res.Status = sat.Sat
-		res.Preprocessed = true
-		return res
-	}
-	if phi.IsFalse() {
-		res.Status = sat.Unsat
-		res.Preprocessed = true
-		return res
-	}
-
-	t1 := time.Now()
-	s := sat.New()
-	if opts.MaxConflicts > 0 {
-		s.MaxConflicts = opts.MaxConflicts
-	} else {
-		s.MaxConflicts = 4_000_000
-	}
-	if opts.MaxDecisions > 0 {
-		s.MaxDecisions = opts.MaxDecisions
-	}
-	if opts.Timeout > 0 {
-		s.Deadline = time.Now().Add(opts.Timeout)
-	}
-	s.Ctx = opts.Ctx
-	s.Progress = opts.Heartbeat
-	installStallHook(s, opts)
-	bl := bitblast.New(s)
-	bl.AssertTrue(phi)
-	st, err := s.Solve()
-	res.SearchTime = time.Since(t1)
-	res.Conflicts = s.Conflicts
-	res.Decisions = s.Decisions
-	res.Props = s.Props
-	if err != nil {
-		res.Status = sat.Unknown
-		// Budget exhaustion inside the search is distinct from outside
-		// cancellation: only the former invites a degraded re-check.
-		res.Exhausted = err == sat.ErrBudget &&
-			(opts.Ctx == nil || opts.Ctx.Err() == nil)
-		return res
-	}
-	res.Status = st
-	if st == sat.Sat {
-		res.Model = smt.Assignment{}
-		for _, v := range smt.Vars(phi) {
-			res.Model[v] = bl.ModelValue(v)
-		}
-	}
-	return res
+	return NewSessionWith(b, SessionConfig{KeepBuilder: true, OneShot: true}).Solve(phi, opts)
 }
 
 // installStallHook arms the stall.solve fault point on the search: when
@@ -229,16 +127,8 @@ func installStallHook(s *sat.Solver, opts Options) {
 	}
 }
 
-// Decide is a convenience wrapper returning (sat, unknown) for use by the
-// context simplifier and the abstraction-refinement loop.
-func Decide(b *smt.Builder, phi *smt.Term, opts Options) (isSat bool, unknown bool) {
-	r := Solve(b, phi, opts)
-	switch r.Status {
-	case sat.Sat:
-		return true, false
-	case sat.Unsat:
-		return false, false
-	default:
-		return false, true
-	}
+// Decide maps a solve outcome to (sat, unknown), the shape the context
+// simplifier and the abstraction-refinement loop consume.
+func Decide(r Result) (isSat bool, unknown bool) {
+	return r.Status == sat.Sat, r.Status == sat.Unknown
 }

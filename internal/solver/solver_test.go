@@ -170,10 +170,10 @@ func TestWantModelAfterPreprocessing(t *testing.T) {
 func TestDecide(t *testing.T) {
 	b := smt.NewBuilder()
 	x := b.Var("x", 32)
-	if isSat, unknown := solver.Decide(b, b.Eq(x, x), solver.Options{}); !isSat || unknown {
+	if isSat, unknown := solver.Decide(solver.Solve(b, b.Eq(x, x), solver.Options{})); !isSat || unknown {
 		t.Error("x = x must be sat")
 	}
-	if isSat, unknown := solver.Decide(b, b.False(), solver.Options{}); isSat || unknown {
+	if isSat, unknown := solver.Decide(solver.Solve(b, b.False(), solver.Options{})); isSat || unknown {
 		t.Error("false must be unsat")
 	}
 }
