@@ -8,7 +8,7 @@
 //	       [-workers N] [-timeout D] [-no-prelude]
 //	       [-fail-fast] [-budget-steps N] [-budget-conflicts N]
 //	       [-budget-deadline D] [-budget-heap N]
-//	       [-retries N] [-watchdog-grace D]
+//	       [-retries N]
 //	       [-metrics FILE] [-trace FILE] [-pprof-addr ADDR] file.fl
 //
 // Engines: fusion (default), fusion-unopt, pinpoint, pinpoint+qe,
@@ -50,14 +50,13 @@ func main() {
 	absintMode := flag.String("absint", "on", "abstract-interpretation tier: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off (fusion engines and -dot annotations)")
 	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings across a unit's queries) or off (every query runs on a one-shot session: fresh stack, no warm state — the oracle). Never changes verdicts, only cost")
 	workers := flag.Int("workers", 1, "worker count for enumeration and checking (output is identical for any count)")
-	timeout := flag.Duration("timeout", 0, "overall analysis budget; on expiry remaining candidates are reported as undecided (0 = none)")
+	timeout := flag.Duration("timeout", 0, "overall analysis budget; on expiry remaining candidates are reported as undecided (0 = none; must be >= 0)")
 	failFast := flag.Bool("fail-fast", false, "stop at the first contained unit failure instead of completing the batch")
-	budgetSteps := flag.Int64("budget-steps", 0, "per-candidate SAT decision budget; on exhaustion the verdict degrades to the zone/interval tiers (0 = unbounded)")
-	budgetConflicts := flag.Int64("budget-conflicts", 0, "per-candidate SAT conflict budget (0 = unbounded)")
-	budgetDeadline := flag.Duration("budget-deadline", 0, "per-candidate wall-clock budget (0 = none)")
-	budgetHeap := flag.Int64("budget-heap", 0, "per-candidate formula-construction byte budget (0 = unbounded)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed or was abandoned up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
-	watchdogGrace := flag.Duration("watchdog-grace", 0, "hard-abandon a candidate whose solver heartbeat stays flat this long at or past its deadline (0 = watchdog off)")
+	budgetSteps := flag.Int64("budget-steps", 0, "per-candidate SAT decision budget; on exhaustion the verdict degrades to the zone/interval tiers (0 = unbounded; must be >= 0)")
+	budgetConflicts := flag.Int64("budget-conflicts", 0, "per-candidate SAT conflict budget (0 = unbounded; must be >= 0)")
+	budgetDeadline := flag.Duration("budget-deadline", 0, "per-candidate wall-clock budget; every solve phase stops within a bounded interval of it (0 = none; must be >= 0)")
+	budgetHeap := flag.Int64("budget-heap", 0, "per-candidate formula-construction byte budget (0 = unbounded; must be >= 0)")
+	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this file")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
@@ -87,7 +86,7 @@ func main() {
 		noSession: *session == "off",
 		workers:   *workers, timeout: *timeout,
 		failFast: *failFast,
-		retries:  *retries, watchdogGrace: *watchdogGrace,
+		retries:  *retries,
 		budget: engines.Budget{
 			Steps: *budgetSteps, Conflicts: *budgetConflicts,
 			Deadline: *budgetDeadline, MaxHeapDelta: *budgetHeap,
@@ -144,42 +143,39 @@ func writeTelemetry(rec *telemetry.Recorder, metrics, trace string) {
 }
 
 type config struct {
-	path          string
-	checker       string
-	engine        string
-	prelude       bool
-	showPaths     bool
-	joint         bool
-	enum          string
-	dot           bool
-	absint        driver.AbsintMode
-	noSession     bool
-	workers       int
-	timeout       time.Duration
-	failFast      bool
-	retries       int
-	watchdogGrace time.Duration
-	budget        engines.Budget
-	rec           *telemetry.Recorder
-	out           interface{ Write([]byte) (int, error) }
+	path      string
+	checker   string
+	engine    string
+	prelude   bool
+	showPaths bool
+	joint     bool
+	enum      string
+	dot       bool
+	absint    driver.AbsintMode
+	noSession bool
+	workers   int
+	timeout   time.Duration
+	failFast  bool
+	retries   int
+	budget    engines.Budget
+	rec       *telemetry.Recorder
+	out       interface{ Write([]byte) (int, error) }
 }
 
 // outcome is what a completed (even impaired) run reports.
 type outcome struct {
 	findings  int
 	degraded  int
-	abandoned int
 	recovered int
 	failures  []*failure.UnitFailure
 }
 
 // exitCode maps the run outcome to the documented exit status: impaired
 // runs trump findings, findings trump a clean pass. A candidate the
-// retry ladder recovered is not an impairment; one the watchdog
-// abandoned for good is.
+// retry ladder recovered is not an impairment.
 func (o outcome) exitCode() int {
 	switch {
-	case len(o.failures) > 0 || o.degraded > 0 || o.abandoned > 0:
+	case len(o.failures) > 0 || o.degraded > 0:
 		return 2
 	case o.findings > 0:
 		return 1
@@ -213,10 +209,32 @@ func newEngine(name string) (engines.Engine, error) {
 	}
 }
 
+// checkNonNegative rejects a negative count or duration as a usage
+// error: none of them has a meaning below zero, and treating one as
+// "unbounded" would silently drop the bound the user asked for.
+func checkNonNegative(cfg config) error {
+	b := cfg.budget
+	switch {
+	case cfg.retries < 0:
+		return fmt.Errorf("-retries must be >= 0, got %d", cfg.retries)
+	case cfg.timeout < 0:
+		return fmt.Errorf("-timeout must be >= 0, got %v", cfg.timeout)
+	case b.Steps < 0:
+		return fmt.Errorf("-budget-steps must be >= 0, got %d", b.Steps)
+	case b.Conflicts < 0:
+		return fmt.Errorf("-budget-conflicts must be >= 0, got %d", b.Conflicts)
+	case b.Deadline < 0:
+		return fmt.Errorf("-budget-deadline must be >= 0, got %v", b.Deadline)
+	case b.MaxHeapDelta < 0:
+		return fmt.Errorf("-budget-heap must be >= 0, got %d", b.MaxHeapDelta)
+	}
+	return nil
+}
+
 func run(cfg config) (outcome, error) {
 	var res outcome
-	if cfg.retries < 0 {
-		return res, fmt.Errorf("-retries must be >= 0, got %d", cfg.retries)
+	if err := checkNonNegative(cfg); err != nil {
+		return res, err
 	}
 	ctx := context.Background()
 	if cfg.timeout > 0 {
@@ -256,7 +274,7 @@ func run(cfg config) (outcome, error) {
 	engines.SetParallel(eng, cfg.workers)
 	engines.SetBudget(eng, cfg.budget)
 	engines.SetNoSession(eng, cfg.noSession)
-	engines.SetSupervision(eng, cfg.retries, cfg.watchdogGrace)
+	engines.SetSupervision(eng, cfg.retries)
 	if cfg.rec != nil {
 		engines.SetTelemetry(eng, cfg.rec)
 	}
@@ -311,20 +329,12 @@ specs:
 				byZone++
 			}
 			simplified += v.Simplified
-			if v.Attempts > 1 && v.Failure == nil && !v.Abandoned {
+			if v.Attempts > 1 && v.Failure == nil {
 				res.recovered++
 			}
 			if v.Failure != nil {
 				res.failures = append(res.failures, v.Failure)
 				continue
-			}
-			if v.Abandoned {
-				res.abandoned++
-				fmt.Fprintf(cfg.out, "[%s] abandoned by watchdog after %d attempt(s) (heartbeat stalled past deadline): %s\n",
-					spec.Name, v.Attempts, v.Cand.Path)
-				if v.Status != sat.Unsat {
-					continue
-				}
 			}
 			if v.Degraded {
 				res.degraded++
@@ -378,9 +388,6 @@ specs:
 	printFailures(cfg.out, res.failures)
 	if res.recovered > 0 {
 		fmt.Fprintf(cfg.out, "%d candidate(s) recovered by the retry ladder\n", res.recovered)
-	}
-	if res.abandoned > 0 {
-		fmt.Fprintf(cfg.out, "%d candidate(s) abandoned by the watchdog\n", res.abandoned)
 	}
 	if res.degraded > 0 {
 		fmt.Fprintf(cfg.out, "%d verdict(s) degraded after budget exhaustion\n", res.degraded)

@@ -122,6 +122,19 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%s: expected -retries error", engine)
 		}
 	}
+	// Likewise a negative budget or timeout: it used to mean "unbounded".
+	for flag, cfg := range map[string]config{
+		"-timeout":          {timeout: -time.Second},
+		"-budget-steps":     {budget: engines.Budget{Steps: -1}},
+		"-budget-conflicts": {budget: engines.Budget{Conflicts: -1}},
+		"-budget-deadline":  {budget: engines.Budget{Deadline: -time.Second}},
+		"-budget-heap":      {budget: engines.Budget{MaxHeapDelta: -1}},
+	} {
+		cfg.path, cfg.checker, cfg.engine, cfg.prelude, cfg.out = path, "null-deref", "fusion", true, &bytes.Buffer{}
+		if _, err := run(cfg); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("negative %s: got error %v", flag, err)
+		}
+	}
 }
 
 func TestEngineFactory(t *testing.T) {

@@ -5,7 +5,7 @@
 //
 //	fusionbench [-experiment NAME|all] [-scale F] [-subjects a,b,c] [-budget D]
 //	            [-workers N] [-timeout D] [-absint MODE] [-session on|off] [-fail-fast]
-//	            [-retries N] [-watchdog-grace D] [-checkpoint FILE [-resume]]
+//	            [-retries N] [-checkpoint FILE [-resume]]
 //	            [-metrics FILE] [-trace FILE] [-pprof-addr ADDR]
 //
 // Exit status: 0 when every experiment ran to completion, 1 on a harness
@@ -34,15 +34,14 @@ func main() {
 	exp := flag.String("experiment", "all", "experiment to run: "+strings.Join(bench.ExperimentNames, ", ")+", or all")
 	scale := flag.Float64("scale", 0.002, "scale factor applied to the paper's subject sizes")
 	subjects := flag.String("subjects", "", "comma-separated subject names (default: per experiment)")
-	budget := flag.Duration("budget", 5*time.Minute, "per-engine-run time budget")
+	budget := flag.Duration("budget", 5*time.Minute, "per-engine-run time budget (must be >= 0)")
 	smt2dir := flag.String("smt2dir", "", "dump every SMT instance as SMT-LIB v2 files into this directory and exit")
 	workers := flag.Int("workers", 0, "worker count for compilation, enumeration, and checking (0 = sequential; output is identical for any count)")
-	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none)")
+	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none; must be >= 0)")
 	absint := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
 	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings) or off (every query runs on a one-shot session: fresh stack, no warm state — the oracle)")
 	failFast := flag.Bool("fail-fast", false, "stop after the first experiment whose runs contained a unit crash (default: run all experiments, summarize at the end)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed or was abandoned up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
-	watchdogGrace := flag.Duration("watchdog-grace", 0, "hard-abandon a candidate whose solver heartbeat stays flat this long at or past its deadline (0 = watchdog off)")
+	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
 	checkpoint := flag.String("checkpoint", "", "journal completed engine runs to this file (append-only JSONL, fsync'd per record) so a crashed invocation can resume")
 	resume := flag.Bool("resume", false, "replay runs a previous crashed invocation completed in the -checkpoint journal instead of re-running them")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
@@ -64,6 +63,12 @@ func main() {
 	if *retries < 0 {
 		fmt.Fprintf(os.Stderr, "fusionbench: -retries must be >= 0, got %d\n", *retries)
 		os.Exit(2)
+	}
+	for name, d := range map[string]time.Duration{"-timeout": *timeout, "-budget": *budget} {
+		if d < 0 {
+			fmt.Fprintf(os.Stderr, "fusionbench: %s must be >= 0, got %v\n", name, d)
+			os.Exit(2)
+		}
 	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "fusionbench: -resume requires -checkpoint")
@@ -90,8 +95,7 @@ func main() {
 		OnCost: func(c bench.Cost) {
 			unitFailures = append(unitFailures, c.Failures...)
 		},
-		Retries:       *retries,
-		WatchdogGrace: *watchdogGrace,
+		Retries: *retries,
 	}
 	var rec *telemetry.Recorder
 	if *metrics != "" || *trace != "" {

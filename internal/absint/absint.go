@@ -8,6 +8,7 @@ import (
 
 	"fusion/internal/lang"
 	"fusion/internal/pdg"
+	"fusion/internal/poll"
 	"fusion/internal/ssa"
 )
 
@@ -120,7 +121,7 @@ func AnalyzeWith(g *pdg.Graph, cfg Config) *Analysis {
 		stride:      !cfg.DisableStride,
 		strides:     map[*ssa.Value]Stride{},
 		stSummaries: map[*ssa.Function]Stride{},
-		stop:        pollStop(cfg.Ctx),
+		stop:        poll.Stop(cfg.Ctx, 64),
 	}
 	// Bottom-up call-graph order.
 	done := map[*ssa.Function]bool{}
@@ -166,28 +167,6 @@ func AnalyzeWith(g *pdg.Graph, cfg Config) *Analysis {
 // RemainingBudget exposes the instantiation budget left after analysis,
 // for tests asserting that no-information calls do not consume it.
 func (a *Analysis) RemainingBudget() int { return a.budget }
-
-// pollStop builds a cheap latching stop predicate over ctx: the context
-// is consulted every 64th call, and once cancellation is observed the
-// predicate stays true without touching the context again. Nil ctx
-// yields a nil predicate (never stop).
-func pollStop(ctx context.Context) func() bool {
-	if ctx == nil {
-		return nil
-	}
-	n, hit := 0, false
-	return func() bool {
-		if hit {
-			return true
-		}
-		n++
-		if n&63 != 0 {
-			return false
-		}
-		hit = ctx.Err() != nil
-		return hit
-	}
-}
 
 // zoneOf returns the zone valid whenever v's guard chain holds: the
 // environment of v's innermost guard, or the function root zone for

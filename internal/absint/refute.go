@@ -6,6 +6,7 @@ import (
 	"fusion/internal/cond"
 	"fusion/internal/lang"
 	"fusion/internal/pdg"
+	"fusion/internal/poll"
 	"fusion/internal/ssa"
 )
 
@@ -81,7 +82,7 @@ func (a *Analysis) RefuteSliceTiered(sl *pdg.Slice) (refuted, byStride, byZone b
 // cancellation: once ctx expires the refuter stops deriving and decides
 // nothing further (an incomplete refutation is simply a failed one).
 func (a *Analysis) RefuteSliceTieredCtx(ctx context.Context, sl *pdg.Slice) (refuted, byStride, byZone bool) {
-	return a.refuteTiered(sl, pollStop(ctx))
+	return a.refuteTiered(sl, poll.Stop(ctx, 64))
 }
 
 func (a *Analysis) refuteTiered(sl *pdg.Slice, stop func() bool) (refuted, byStride, byZone bool) {

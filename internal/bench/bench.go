@@ -114,12 +114,10 @@ type Cost struct {
 	Failures     []*failure.UnitFailure
 	// Retried counts candidates that needed more than one attempt of the
 	// retry ladder; Recovered is the subset whose final attempt produced
-	// a clean verdict (no failure, not abandoned); Abandoned counts
-	// candidates the watchdog hard-abandoned on their final attempt. All
-	// zero when no fault fires, whatever -retries is set to.
+	// a clean verdict. Both zero when no fault fires, whatever -retries
+	// is set to.
 	Retried   int
 	Recovered int
-	Abandoned int
 	// CacheHits totals the term encodings candidate solves reused from
 	// their warm sessions; ReusedClauses totals the learned clauses they
 	// inherited; CacheVars is the largest retained SAT variable map any
@@ -235,12 +233,9 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 		}
 		if v.Attempts > 1 {
 			cost.Retried++
-			if v.Failure == nil && !v.Abandoned {
+			if v.Failure == nil {
 				cost.Recovered++
 			}
-		}
-		if v.Abandoned {
-			cost.Abandoned++
 		}
 		cost.Simplified += v.Simplified
 		cost.PrunedGuards += v.PrunedGuards

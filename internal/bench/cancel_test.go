@@ -50,7 +50,9 @@ func TestRunBudgetCooperativeCancellation(t *testing.T) {
 
 // TestRunPartialVerdictsUnderShortBudget: a budget long enough to
 // enumerate but too short to check everything still yields one verdict
-// per candidate, with the undecided remainder scored as Unknown.
+// per candidate, with the undecided remainder scored as Unknown. The
+// short run wedges every CDCL search (stall.solve) until the run's
+// budget expires, so it times out on any machine, however fast.
 func TestRunPartialVerdictsUnderShortBudget(t *testing.T) {
 	ctx := context.Background()
 	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
@@ -63,9 +65,16 @@ func TestRunPartialVerdictsUnderShortBudget(t *testing.T) {
 	if total == 0 {
 		t.Skip("subject yields no candidates at this scale")
 	}
-	short := Run(ctx, sub, checker.NullDeref(), engines.NewFusion(), Budget{Time: 2 * time.Millisecond, CondBytes: 1 << 30})
-	if !short.Failed {
-		t.Skip("machine fast enough to finish in 2ms; nothing to assert")
+	if err := faultinject.ArmSpec("stall.solve"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	short := Run(ctx, sub, checker.NullDeref(), engines.NewFusion(), Budget{Time: 500 * time.Millisecond, CondBytes: 1 << 30})
+	if !short.Failed || short.FailNote != "time out" {
+		t.Fatalf("a run wedged past its budget must be scored as a timeout: %+v", short)
+	}
+	if short.Unknown == 0 {
+		t.Errorf("the wedged candidate must be scored Unknown: %+v", short)
 	}
 	if short.Reports > full.Reports {
 		t.Errorf("partial run reported more than the full run: %d > %d", short.Reports, full.Reports)

@@ -4,9 +4,8 @@
 // instead of re-solving them. Records are keyed by a digest over
 // everything that determines a run's verdicts — experiment, subject,
 // checker, engine configuration, scale, budget — plus a per-key
-// occurrence counter; worker count, retries, and the watchdog grace
-// window are deliberately excluded, since they may only change cost,
-// never verdicts. Replayed Costs feed the same table renderers as live
+// occurrence counter; worker count and retries are deliberately
+// excluded, since they may only change cost, never verdicts. Replayed Costs feed the same table renderers as live
 // ones, so a resumed run's merged output is byte-identical to the
 // original's.
 //
@@ -74,7 +73,6 @@ type unitRecord struct {
 	DecidedByStride bool `json:"stride,omitempty"`
 	DecidedByZone   bool `json:"zone,omitempty"`
 	Degraded        bool `json:"deg,omitempty"`
-	Abandoned       bool `json:"aband,omitempty"`
 
 	Simplified    int   `json:"simp,omitempty"`
 	PrunedGuards  int   `json:"guards,omitempty"`
@@ -101,7 +99,6 @@ func unitRecordOf(idx int, v engines.Verdict) unitRecord {
 		DecidedByStride: v.DecidedByStride,
 		DecidedByZone:   v.DecidedByZone,
 		Degraded:        v.Degraded,
-		Abandoned:       v.Abandoned,
 		Simplified:      v.Simplified,
 		PrunedGuards:    v.PrunedGuards,
 		ConditionSize:   v.ConditionSize,
@@ -127,7 +124,6 @@ func (u *unitRecord) verdict(c sparse.Candidate) engines.Verdict {
 		DecidedByStride: u.DecidedByStride,
 		DecidedByZone:   u.DecidedByZone,
 		Degraded:        u.Degraded,
-		Abandoned:       u.Abandoned,
 		Simplified:      u.Simplified,
 		PrunedGuards:    u.PrunedGuards,
 		ConditionSize:   u.ConditionSize,

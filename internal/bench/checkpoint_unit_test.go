@@ -152,7 +152,7 @@ func TestUnitRecordRoundTrip(t *testing.T) {
 	fail.Attempts = 2
 	orig := engines.Verdict{
 		Cand: c, Status: sat.Sat, Tier: engines.TierExact,
-		Preprocessed: true, Degraded: true, Abandoned: true,
+		Preprocessed: true, Degraded: true,
 		Simplified: 7, PrunedGuards: 3, ConditionSize: 41, Attempts: 2,
 		CacheHits: 11, CacheVars: 5, ReusedClauses: 13,
 		Conflicts: 17, Decisions: 19, Props: 23,
@@ -317,5 +317,28 @@ func TestMetricsCountersWorkerInvariant(t *testing.T) {
 	seq, par := run(1), run(8)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("counters differ between workers 1 and 8:\n%s\nvs\n%s", seq, par)
+	}
+}
+
+// TestJournalReplaysRecordsWithRetiredFields: journals written before the
+// abandonment flag was removed carry an "aband" key in their unit
+// records; they must still load and replay the rest of the record.
+func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.jsonl")
+	line := `{"key":"k1:u0","kind":"unit","unit":{"idx":0,"u":"null-deref 9:5<-3:9#0","st":2,"deg":true,"aband":true,"att":1}}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	u, ok := j.LookupUnit("k1", 0)
+	if !ok {
+		t.Fatal("a record with a retired field was dropped")
+	}
+	if u.Unit != "null-deref 9:5<-3:9#0" || u.Status != 2 || !u.Degraded || u.Attempts != 1 {
+		t.Errorf("record fields lost: %+v", u)
 	}
 }

@@ -60,11 +60,9 @@ type Options struct {
 	// observed too, so exit-status accounting survives a resume.
 	OnCost func(Cost)
 	// Retries is the retry-ladder height for every engine the experiments
-	// construct; WatchdogGrace arms the per-worker watchdog. Neither may
-	// change verdicts when no fault fires (a clean first attempt never
-	// re-runs), so neither enters checkpoint keys.
-	Retries       int
-	WatchdogGrace time.Duration
+	// construct. It may not change verdicts when no fault fires (a clean
+	// first attempt never re-runs), so it does not enter checkpoint keys.
+	Retries int
 	// Journal, when non-nil, checkpoints every scored engine run at two
 	// granularities: each candidate's verdict as it settles (kind "unit")
 	// and the whole run's summary when it completes. Completed records
@@ -101,14 +99,14 @@ func (o Options) fusion() *engines.Fusion {
 	e.NoStride = o.NoStride
 	e.NoSimplify = o.NoSimplify
 	e.NoSession = o.NoSession
-	e.Cfg.Retries, e.Cfg.WatchdogGrace = o.Retries, o.WatchdogGrace
+	e.Cfg.Retries = o.Retries
 	return e
 }
 
 func (o Options) pinpoint(v engines.Variant) *engines.Pinpoint {
 	e := engines.NewPinpoint(v)
 	e.NoSession = o.NoSession
-	e.Cfg.Retries, e.Cfg.WatchdogGrace = o.Retries, o.WatchdogGrace
+	e.Cfg.Retries = o.Retries
 	return e
 }
 

@@ -95,10 +95,10 @@ func TestSessionWarmVsColdCorpus(t *testing.T) {
 // paper's 10-second limit. Unknown when the search runs out of budget;
 // searched reports that the SAT core ran.
 func bareSolve(b *smt.Builder, phi *smt.Term) (st sat.Status, searched bool) {
-	if _, ok := solver.Probe(phi, 32); ok {
+	if _, ok := solver.Probe(context.Background(), phi, 32); ok {
 		return sat.Sat, false
 	}
-	phi = smt.Preprocess(b, phi, smt.DefaultPasses())
+	phi = smt.Preprocess(context.Background(), b, phi, smt.DefaultPasses())
 	if phi.IsTrue() {
 		return sat.Sat, false
 	}

@@ -5,6 +5,7 @@
 package bitblast
 
 import (
+	"errors"
 	"fmt"
 
 	"fusion/internal/sat"
@@ -40,6 +41,41 @@ type Blaster struct {
 	// query and hit again by a later one — each distinct term at most once
 	// per query. It is the cross-query amortization a session buys.
 	Reused int64
+	// Stop, when non-nil, is polled between the operands of every And and
+	// Or while blasting; once it reports true the blast unwinds and
+	// AssertTrue or Assume returns ErrStopped. Every encoding finished
+	// before the stop stays cached — it is complete and correct — but the
+	// terms on the unwound path are never memoized and an unfinished query
+	// root gets no clause and no activation literal, so the Blaster stays
+	// reusable. A nil Stop leaves the gate sequence untouched.
+	Stop func() bool
+}
+
+// ErrStopped reports a blast cut short by the Blaster's Stop predicate.
+var ErrStopped = errors.New("bitblast: stopped")
+
+// stopped is the panic value that unwinds a stopped blast to its entry
+// point; it never escapes the package.
+type stopped struct{}
+
+// guarded runs one blast entry point, turning the unwinding of a stopped
+// blast into ErrStopped. Without a Stop predicate nothing can unwind, so
+// fn runs bare and a genuine panic keeps its original stack.
+func (b *Blaster) guarded(fn func()) (err error) {
+	if b.Stop == nil {
+		fn()
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stopped); !ok {
+				panic(r)
+			}
+			err = ErrStopped
+		}
+	}()
+	fn()
+	return nil
 }
 
 type entry struct {
@@ -314,8 +350,8 @@ func (b *Blaster) divmod(num, den []sat.Lit) (q, r []sat.Lit) {
 	return q, r
 }
 
-// Blast returns the literal vector (LSB first) representing t.
-func (b *Blaster) Blast(t *smt.Term) []sat.Lit {
+// blast returns the literal vector (LSB first) representing t.
+func (b *Blaster) blast(t *smt.Term) []sat.Lit {
 	if e, ok := b.bits[t]; ok {
 		if e.epoch != b.epoch {
 			b.Reused++
@@ -337,14 +373,17 @@ func (b *Blaster) Blast(t *smt.Term) []sat.Lit {
 	case smt.OpConst:
 		out = b.constVec(t.Const, t.Width)
 	case smt.OpNot:
-		out = b.notVec(b.Blast(t.Args[0]))
+		out = b.notVec(b.blast(t.Args[0]))
 	case smt.OpNeg:
-		x := b.Blast(t.Args[0])
+		x := b.blast(t.Args[0])
 		out, _ = b.addVec(b.constVec(0, t.Width), b.notVec(x), b.lTrue)
 	case smt.OpAnd, smt.OpOr:
-		out = b.Blast(t.Args[0])
+		out = b.blast(t.Args[0])
 		for _, a := range t.Args[1:] {
-			y := b.Blast(a)
+			if b.Stop != nil && b.Stop() {
+				panic(stopped{})
+			}
+			y := b.blast(a)
 			nxt := make([]sat.Lit, t.Width)
 			for i := 0; i < t.Width; i++ {
 				if t.Op == smt.OpAnd {
@@ -356,19 +395,19 @@ func (b *Blaster) Blast(t *smt.Term) []sat.Lit {
 			out = nxt
 		}
 	case smt.OpXor:
-		x, y := b.Blast(t.Args[0]), b.Blast(t.Args[1])
+		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
 		out = make([]sat.Lit, t.Width)
 		for i := range out {
 			out[i] = b.xor2(x[i], y[i])
 		}
 	case smt.OpAdd:
-		x, y := b.Blast(t.Args[0]), b.Blast(t.Args[1])
+		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
 		out, _ = b.addVec(x, y, b.litFalse())
 	case smt.OpSub:
-		x, y := b.Blast(t.Args[0]), b.Blast(t.Args[1])
+		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
 		out, _ = b.addVec(x, b.notVec(y), b.lTrue)
 	case smt.OpMul:
-		x, y := b.Blast(t.Args[0]), b.Blast(t.Args[1])
+		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
 		w := t.Width
 		acc := b.constVec(0, w)
 		for i := 0; i < w; i++ {
@@ -385,7 +424,7 @@ func (b *Blaster) Blast(t *smt.Term) []sat.Lit {
 		}
 		out = acc
 	case smt.OpUDiv, smt.OpURem:
-		x, y := b.Blast(t.Args[0]), b.Blast(t.Args[1])
+		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
 		q, r := b.divmod(x, y)
 		dz := b.isZero(y)
 		if t.Op == smt.OpUDiv {
@@ -394,17 +433,17 @@ func (b *Blaster) Blast(t *smt.Term) []sat.Lit {
 			out = b.muxVec(dz, x, r)
 		}
 	case smt.OpShl:
-		out = b.shifter(b.Blast(t.Args[0]), b.Blast(t.Args[1]), true)
+		out = b.shifter(b.blast(t.Args[0]), b.blast(t.Args[1]), true)
 	case smt.OpLshr:
-		out = b.shifter(b.Blast(t.Args[0]), b.Blast(t.Args[1]), false)
+		out = b.shifter(b.blast(t.Args[0]), b.blast(t.Args[1]), false)
 	case smt.OpEq:
-		out = []sat.Lit{b.eqVec(b.Blast(t.Args[0]), b.Blast(t.Args[1]))}
+		out = []sat.Lit{b.eqVec(b.blast(t.Args[0]), b.blast(t.Args[1]))}
 	case smt.OpUlt:
-		out = []sat.Lit{b.ult(b.Blast(t.Args[0]), b.Blast(t.Args[1]))}
+		out = []sat.Lit{b.ult(b.blast(t.Args[0]), b.blast(t.Args[1]))}
 	case smt.OpUle:
-		out = []sat.Lit{b.ult(b.Blast(t.Args[1]), b.Blast(t.Args[0])).Flip()}
+		out = []sat.Lit{b.ult(b.blast(t.Args[1]), b.blast(t.Args[0])).Flip()}
 	case smt.OpSlt, smt.OpSle:
-		x, y := b.Blast(t.Args[0]), b.Blast(t.Args[1])
+		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
 		w := len(x)
 		// Flip sign bits to map signed comparison onto unsigned.
 		fx := append(append([]sat.Lit(nil), x[:w-1]...), x[w-1].Flip())
@@ -415,8 +454,8 @@ func (b *Blaster) Blast(t *smt.Term) []sat.Lit {
 			out = []sat.Lit{b.ult(fy, fx).Flip()}
 		}
 	case smt.OpIte:
-		c := b.Blast(t.Args[0])[0]
-		out = b.muxVec(c, b.Blast(t.Args[1]), b.Blast(t.Args[2]))
+		c := b.blast(t.Args[0])[0]
+		out = b.muxVec(c, b.blast(t.Args[1]), b.blast(t.Args[2]))
 	default:
 		panic(fmt.Sprintf("bitblast: unhandled operator %s", t.Op))
 	}
@@ -427,32 +466,37 @@ func (b *Blaster) Blast(t *smt.Term) []sat.Lit {
 	return out
 }
 
-// AssertTrue constrains the width-1 term t to be true, permanently.
-func (b *Blaster) AssertTrue(t *smt.Term) {
+// AssertTrue constrains the width-1 term t to be true, permanently. A
+// stopped blast asserts nothing and returns ErrStopped.
+func (b *Blaster) AssertTrue(t *smt.Term) error {
 	if t.Width != 1 {
 		panic("bitblast: AssertTrue requires a width-1 term")
 	}
-	b.S.AddClause(b.Blast(t)[0])
+	return b.guarded(func() { b.S.AddClause(b.blast(t)[0]) })
 }
 
 // Assume blasts the width-1 query root t guarded by an activation literal
 // act via the clause (¬act ∨ t): solving under the assumption act enforces
 // t, and a call that stops assuming act retires the query — the solver is
 // free to set act false, which satisfies the guard clause vacuously.
-// Repeated assumptions of the same root reuse its guard.
-func (b *Blaster) Assume(t *smt.Term) sat.Lit {
+// Repeated assumptions of the same root reuse its guard. A stopped blast
+// registers no activation literal and returns ErrStopped.
+func (b *Blaster) Assume(t *smt.Term) (sat.Lit, error) {
 	if t.Width != 1 {
 		panic("bitblast: Assume requires a width-1 term")
 	}
 	if act, ok := b.acts[t]; ok {
 		b.stampVar(act.Var())
-		return act
+		return act, nil
 	}
-	root := b.Blast(t)[0]
+	var root sat.Lit
+	if err := b.guarded(func() { root = b.blast(t)[0] }); err != nil {
+		return 0, err
+	}
 	act := b.fresh()
 	b.S.AddClause(act.Flip(), root)
 	b.acts[t] = act
-	return act
+	return act, nil
 }
 
 // RetiredVars returns a predicate over solver variables that holds for
@@ -475,7 +519,7 @@ func (b *Blaster) RetiredVars() func(v int) bool {
 // ModelValue extracts the value of a blasted term from the solver's model
 // after a Sat verdict.
 func (b *Blaster) ModelValue(t *smt.Term) uint32 {
-	bits := b.Blast(t)
+	bits := b.blast(t)
 	var v uint32
 	for i, l := range bits {
 		bit := b.S.ValueOf(l.Var())

@@ -233,7 +233,7 @@ func TestBlastSharedSubterms(t *testing.T) {
 	bl := New(s)
 	bl.AssertTrue(phi)
 	before := s.NumVars()
-	bl.Blast(sum) // must be cached
+	bl.blast(sum) // must be cached
 	if s.NumVars() != before {
 		t.Error("re-blasting a cached term allocated variables")
 	}

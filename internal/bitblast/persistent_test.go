@@ -11,7 +11,7 @@ import (
 func solveAssumed(t *testing.T, s *sat.Solver, bl *Blaster, phi *smt.Term) sat.Status {
 	t.Helper()
 	bl.BeginQuery()
-	act := bl.Assume(phi)
+	act, _ := bl.Assume(phi)
 	st, err := s.SolveAssuming([]sat.Lit{act})
 	if err != nil {
 		t.Fatalf("solve %s: %v", phi, err)
@@ -88,9 +88,9 @@ func TestRepeatedIdenticalQuerySharesGuard(t *testing.T) {
 	bl := New(s)
 
 	bl.BeginQuery()
-	a1 := bl.Assume(phi)
+	a1, _ := bl.Assume(phi)
 	bl.BeginQuery()
-	a2 := bl.Assume(phi)
+	a2, _ := bl.Assume(phi)
 	if a1 != a2 {
 		t.Fatalf("identical root got two activation literals %v, %v", a1, a2)
 	}
@@ -128,5 +128,49 @@ func TestWarmMatchesColdVerdicts(t *testing.T) {
 		if warm != coldSt {
 			t.Fatalf("query %d (%s): warm %s != cold %s", i, q, warm, coldSt)
 		}
+	}
+}
+
+// TestStoppedBlastLeavesNoTrace: a blast stopped between the operands of
+// a conjunction unwinds with ErrStopped, memoizes no unfinished term, and
+// registers no activation literal or clause for the root — so asking the
+// same query again, unstopped, gets the right answer. A Stop that never
+// fires leaves the encoding variable-for-variable identical to no Stop.
+func TestStoppedBlastLeavesNoTrace(t *testing.T) {
+	b := smt.NewBuilder()
+	x := b.Var("x", 8)
+	// Unsat only through its second conjunct: memoizing the first alone
+	// as the whole conjunction would turn the answer to sat.
+	contra := b.And(b.Ult(x, b.Const(5, 8)), b.Ult(b.Const(9, 8), x))
+
+	s := sat.New()
+	bl := New(s)
+	bl.Stop = func() bool { return true }
+	bl.BeginQuery()
+	if _, err := bl.Assume(contra); err != ErrStopped {
+		t.Fatalf("stopped Assume returned %v, want ErrStopped", err)
+	}
+	if err := bl.AssertTrue(contra); err != ErrStopped {
+		t.Fatalf("stopped AssertTrue returned %v, want ErrStopped", err)
+	}
+	if _, memo := bl.bits[contra]; memo || len(bl.acts) != 0 {
+		t.Fatalf("stopped blast left a trace: memoized=%v activations=%d", memo, len(bl.acts))
+	}
+	bl.Stop = nil
+	if st := solveAssumed(t, s, bl, contra); st != sat.Unsat {
+		t.Fatalf("after a stopped blast the same query answered %s, want unsat", st)
+	}
+
+	vars := func(stop func() bool) int {
+		s := sat.New()
+		bl := New(s)
+		bl.Stop = stop
+		if err := bl.AssertTrue(contra); err != nil {
+			t.Fatal(err)
+		}
+		return s.NumVars()
+	}
+	if never, none := vars(func() bool { return false }), vars(nil); never != none {
+		t.Errorf("a Stop that never fires changed the encoding: %d variables vs %d", never, none)
 	}
 }

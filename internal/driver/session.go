@@ -1,10 +1,6 @@
 package driver
 
-import (
-	"sync/atomic"
-
-	"fusion/internal/solver"
-)
+import "fusion/internal/solver"
 
 // Sessions is a pool of warm solver sessions sized for a ParallelCheck
 // worker pool: slot w belongs exclusively to worker w (pool-affine, never
@@ -16,9 +12,6 @@ import (
 type Sessions struct {
 	pool []*solver.Session
 	cfg  solver.SessionConfig
-	// Replaced counts slots rebuilt by Replace (retry escalation or
-	// watchdog abandonment).
-	Replaced atomic.Int64
 }
 
 // NewSessions builds n sessions with the given config. Size n with
@@ -37,14 +30,11 @@ func (s *Sessions) Len() int { return len(s.pool) }
 // At returns worker w's session.
 func (s *Sessions) At(w int) *solver.Session { return s.pool[w] }
 
-// Replace installs a fresh cold session in slot w and returns it. The
-// retry ladder uses it both for cold-retry escalation and after a
-// watchdog abandonment: the abandoned goroutine still owns the old
-// session's solving stack, so the slot must not merely Reset — it needs
-// a stack no other goroutine can touch.
+// Replace installs a fresh cold session in slot w and returns it: the
+// retry ladder's fresh rung, which must not trust anything the crashed
+// attempt left behind.
 func (s *Sessions) Replace(w int) *solver.Session {
 	s.pool[w] = solver.NewSession(s.cfg)
-	s.Replaced.Add(1)
 	return s.pool[w]
 }
 

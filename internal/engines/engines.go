@@ -91,11 +91,6 @@ type Verdict struct {
 	// for cancellation). When no fault fires every attempt is 1, so the
 	// field stays byte-identical across -retries settings.
 	Attempts int
-	// Abandoned reports the watchdog hard-abandoned the final attempt:
-	// its heartbeat stayed flat past the deadline plus grace window, the
-	// unit's goroutine was cut loose, and its session slot was replaced.
-	// Status is then Unknown (or a degraded refutation).
-	Abandoned bool
 	// Failure records a contained crash while checking this candidate;
 	// Status is then Unknown and every other field is zero.
 	Failure *failure.UnitFailure
@@ -119,20 +114,16 @@ type Engine interface {
 // every SMT call to 10 seconds.
 const callTimeout = 10 * time.Second
 
-// SolverConfig carries the per-candidate solver budget and supervision.
+// SolverConfig carries the per-candidate solver budget and retry ladder.
 type SolverConfig struct {
 	// Budget is the per-candidate resource budget; on exhaustion inside
 	// the bit-precise tier the engine degrades to the zone-then-interval
 	// refuters instead of reporting bare Unknown.
 	Budget Budget
-	// Retries is how many times a candidate whose attempt crashed or was
-	// abandoned is re-run: the first attempt uses the warm session, every
-	// retry a fresh one. 0 means a single attempt.
+	// Retries is how many times a candidate whose attempt crashed is
+	// re-run: the first attempt uses the warm session, every retry a
+	// fresh one. 0 means a single attempt.
 	Retries int
-	// WatchdogGrace arms the per-worker watchdog: an attempt whose solver
-	// heartbeat stays flat for this long at or past its deadline is
-	// hard-abandoned. 0 disables the watchdog (attempts run inline).
-	WatchdogGrace time.Duration
 }
 
 // SortVerdicts orders verdicts by source position — sink line/column
@@ -279,14 +270,8 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 	pool := e.sessionPool(driver.PoolSize(len(cands), e.Parallel))
 	l := &ladder{
 		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
-		watchdog: driver.Watchdog{Grace: e.Cfg.WatchdogGrace},
 		deadline: e.Cfg.Budget.Deadline,
 		attempt:  func(at rung) Verdict { return e.attempt(at, pool) },
-		abandoned: func(w int) {
-			if pool != nil {
-				pool.Replace(w)
-			}
-		},
 		fallback: func(g *pdg.Graph) *absint.Analysis {
 			if an := e.Absint(g); an != nil {
 				return an
@@ -310,12 +295,6 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 // a fresh one in the same slot on every retry.
 func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 	c := at.c
-	// Bail on cancellation only: an already-expired deadline (at.ctx) must
-	// still reach the exhaustion path below so the degradation ladder
-	// gets its look.
-	if at.base.Err() != nil {
-		return Verdict{Cand: c, Status: sat.Unknown}
-	}
 	var b *smt.Builder
 	var sess *solver.Session
 	if pool != nil {
@@ -344,10 +323,6 @@ func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 	opts := e.Opts
 	opts.Solver = e.Cfg.options()
 	opts.Solver.Unit = UnitLabel(c)
-	opts.Solver.Heartbeat = at.hb
-	// The injected stall.solve wedge ignores deadlines like a real one: it
-	// releases only when the attempt is torn down.
-	opts.Solver.StallCtx = at.base
 	opts.Session = sess
 	opts.Constraints = c.Constraints(0)
 	opts.Absint = e.Absint(at.g)
@@ -393,7 +368,7 @@ func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 	// The per-candidate deadline firing (run still alive) is budget
 	// exhaustion too, even though the solver saw it as ctx cancellation.
 	exhausted := r.Exhausted ||
-		(r.Status == sat.Unknown && at.ctx.Err() != nil && at.base.Err() == nil)
+		(r.Status == sat.Unknown && at.ctx.Err() != nil && at.parent.Err() == nil)
 	if exhausted {
 		// Degradation ladder: when the engine's own absint tier already
 		// failed to refute before the solve, re-running it cannot help —
@@ -402,7 +377,7 @@ func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 		if opts.Absint != nil {
 			v.Degraded, v.Tier = true, TierUnknown
 		} else {
-			degradeVerdict(at.base, e.fb.analysis(at.g), at.g, c, &v)
+			degradeVerdict(at.parent, e.fb.analysis, at.g, c, &v)
 		}
 	}
 	e.mu.Lock()
@@ -499,11 +474,10 @@ func (e *Pinpoint) Name() string { return e.Variant.String() }
 // ConditionBytes implements Engine.
 func (e *Pinpoint) ConditionBytes() int64 { return e.cache.EstimatedBytes() }
 
-// Check implements Engine. Pinpoint's ladder runs its attempts inline,
-// with no watchdog: candidates serialize on the summary-cache lock, so a
-// supervised abandonment would strand the lock-holding goroutine and
-// deadlock every other candidate. For the same reason the per-candidate
-// deadline starts only once the lock is held (see checkOne).
+// Check implements Engine. Candidates serialize on the summary-cache
+// lock, so the per-candidate deadline starts only once the lock is held
+// (see checkOne): time queued behind another candidate's solve is not
+// charged to this one.
 func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
 	l := &ladder{
 		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
@@ -526,9 +500,6 @@ func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candi
 // retry the session is reset, keeping the summary-cache builder.
 func (e *Pinpoint) attempt(at rung) Verdict {
 	c := at.c
-	if at.base.Err() != nil {
-		return Verdict{Cand: c, Status: sat.Unknown}
-	}
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
@@ -536,7 +507,7 @@ func (e *Pinpoint) attempt(at rung) Verdict {
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	t0 := time.Now()
-	r, size := e.checkOne(at.base, at.g, c, at.n)
+	r, size := e.checkOne(at.parent, at.g, c, at.n)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		CacheHits:     r.CacheHits,
@@ -554,7 +525,7 @@ func (e *Pinpoint) attempt(at rung) Verdict {
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
 	if r.Status == sat.Unknown && r.Exhausted {
-		degradeVerdict(at.base, e.fb.analysis(at.g), at.g, c, &v)
+		degradeVerdict(at.parent, e.fb.analysis, at.g, c, &v)
 	}
 	return v
 }
@@ -583,10 +554,9 @@ func (e *Pinpoint) SessionStats() (queries, cacheHits, evictions, resets int64) 
 }
 
 // checkOne decides one candidate on attempt n of its ladder. parent is
-// cancelled only with the run (or the attempt's teardown); the
-// per-candidate deadline is derived from it once the cache lock is held,
-// so time spent queued behind other candidates' solves is not charged to
-// this one.
+// the run's context; the per-candidate deadline is derived from it once
+// the cache lock is held, so time spent queued behind other candidates'
+// solves is not charged to this one.
 func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate, n int) (solver.Result, int) {
 	sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
 	c.ApplyConstraint(sl, 0)
@@ -912,12 +882,9 @@ func recordVerdicts(r *telemetry.Recorder, vs []Verdict) {
 		}
 		if v.Attempts > 1 {
 			r.Count("retry.retried", 1)
-			if v.Failure == nil && !v.Abandoned {
+			if v.Failure == nil {
 				r.Count("retry.recovered", 1)
 			}
-		}
-		if v.Abandoned {
-			r.Count("watchdog.abandoned", 1)
 		}
 		if v.Failure != nil {
 			r.Count("failures.total", 1)

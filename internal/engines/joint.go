@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fusion/internal/cond"
-	"fusion/internal/driver"
 	"fusion/internal/failure"
 	"fusion/internal/fusioncore"
 	"fusion/internal/pdg"
@@ -166,8 +165,8 @@ func jointUnitLabel(grp JointGroup) string {
 }
 
 // CheckJoint decides every multi-argument sink group with the given
-// engine, under the same warm → fresh containment as per-candidate checks:
-// a contained panic poisons the engine's warm session, so the next
+// engine, through the same retry loop as per-candidate checks: a
+// contained panic poisons the engine's warm session, so the next
 // attempt's Begin runs on a fresh stack, and the group gets at least one
 // attempt plus up to the engine's retries. A cancelled ctx yields Unknown
 // for the remaining groups.
@@ -176,33 +175,17 @@ func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []spa
 	retries := jointRetries(eng)
 	out := make([]JointVerdict, 0, len(groups))
 	for _, grp := range groups {
-		if ctx.Err() != nil {
-			out = append(out, JointVerdict{Group: grp, Status: sat.Unknown})
-			continue
-		}
 		paths := make([]pdg.Path, len(grp.Flows))
 		for i, f := range grp.Flows {
 			paths[i] = f.Path
 		}
-		jv := JointVerdict{Group: grp, Status: sat.Unknown}
 		t0 := time.Now()
-		for attempt := 1; attempt <= 1+max(retries, 0); attempt++ {
-			if ctx.Err() != nil {
-				break
-			}
-			st, fail, _ := driver.Supervise(ctx, driver.Watchdog{}, time.Time{}, nil,
-				jointUnitLabel(grp), "joint", func() sat.Status {
-					return eng.CheckJointPaths(ctx, g, paths)
-				})
-			jv.Attempts, jv.Failure = attempt, fail
-			if fail == nil {
-				jv.Status = st
-				break
-			}
-			jv.Failure.Attempts = attempt
-		}
-		jv.Time = time.Since(t0)
-		out = append(out, jv)
+		st, n, fail := retry(ctx, retries, jointUnitLabel(grp), "joint", func(int) sat.Status {
+			return eng.CheckJointPaths(ctx, g, paths)
+		})
+		// A crashed or never-run group keeps the zero status, Unknown.
+		out = append(out, JointVerdict{Group: grp, Status: st, Time: time.Since(t0),
+			Attempts: n, Failure: fail})
 	}
 	return out
 }

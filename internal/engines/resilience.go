@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fusion/internal/absint"
@@ -85,16 +84,16 @@ func SetBudget(e Engine, b Budget) {
 	}
 }
 
-// SetSupervision configures the retry ladder and watchdog grace window
-// on engines that solve; other engines are left unchanged. With no
-// fault armed, verdicts are byte-identical for any retries value: a
-// clean first attempt never re-runs.
-func SetSupervision(e Engine, retries int, grace time.Duration) {
+// SetSupervision configures the retry ladder on engines that solve;
+// other engines are left unchanged. With no fault armed, verdicts are
+// byte-identical for any retries value: a clean first attempt never
+// re-runs.
+func SetSupervision(e Engine, retries int) {
 	switch x := e.(type) {
 	case *Fusion:
-		x.Cfg.Retries, x.Cfg.WatchdogGrace = retries, grace
+		x.Cfg.Retries = retries
 	case *Pinpoint:
-		x.Cfg.Retries, x.Cfg.WatchdogGrace = retries, grace
+		x.Cfg.Retries = retries
 	}
 }
 
@@ -167,10 +166,19 @@ func (f *fallbackTier) analysis(g *pdg.Graph) *absint.Analysis {
 // degraded Unsat is still a real Unsat — it is tagged with the tier
 // that earned it instead of collapsing to a bare Unknown. The ladder
 // never reports Sat: feasibility claims stay with the exact tier.
-func degradeVerdict(ctx context.Context, an *absint.Analysis, g *pdg.Graph, c sparse.Candidate, v *Verdict) {
+//
+// The analysis comes from fallback(g), called only once ctx is known to
+// be live: building it is a whole-program fixpoint, which a cancelled run
+// must not pay for. ctx is the run's context, not the candidate's
+// deadline, which has already expired when this rung runs.
+func degradeVerdict(ctx context.Context, fallback func(*pdg.Graph) *absint.Analysis, g *pdg.Graph, c sparse.Candidate, v *Verdict) {
 	v.Degraded = true
 	v.Tier = TierUnknown
-	if an == nil || ctx.Err() != nil {
+	if ctx.Err() != nil {
+		return
+	}
+	an := fallback(g)
+	if an == nil {
 		return
 	}
 	sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
@@ -196,40 +204,48 @@ type rung struct {
 	// w is the worker slot and n the attempt number: attempt 1 runs on
 	// the worker's warm state, every later one on fresh state.
 	w, n int
-	// base is cancelled with the run or when the attempt is torn down,
-	// never by a deadline: the injected stall.solve wedge blocks on it,
-	// and an attempt tells budget exhaustion from outside cancellation by
-	// it. ctx is base under the ladder's per-attempt deadline.
-	base, ctx context.Context
-	// hb is the heartbeat the watchdog samples.
-	hb *atomic.Int64
+	// parent is the run's context; ctx is parent under the ladder's
+	// per-attempt deadline. An attempt tells budget exhaustion (ctx done,
+	// parent live) from outside cancellation by comparing the two.
+	parent, ctx context.Context
+}
+
+// retry runs attempt n = 1, 2, … under panic containment until one
+// returns without crashing, 1+retries attempts (at least one) have
+// crashed, or parent is cancelled before the next attempt starts. It
+// returns the last attempt's value, how many attempts ran, and — when
+// none succeeded — the last failure, which carries that count.
+func retry[T any](parent context.Context, retries int, unit, stage string, attempt func(n int) T) (v T, n int, fail *failure.UnitFailure) {
+	for n < 1+max(retries, 0) && parent.Err() == nil {
+		n++
+		if v, fail = driver.Contain(unit, stage, func() T { return attempt(n) }); fail == nil {
+			return v, n, nil
+		}
+		fail.Attempts = n
+	}
+	return v, n, fail
 }
 
 // ladder is the retry ladder both solving engines run every candidate
 // through: up to 1+retries attempts, warm then fresh, each under panic
-// containment and, when the watchdog is armed, supervision. A ladder
-// exhausted on crashes records exactly one UnitFailure carrying the
-// attempt count; one exhausted on abandonment yields an Abandoned
-// verdict. Either way the cheap refutation tiers get a last look, so a
-// persistently crashing unit can still end with a sound Unsat.
+// containment and the per-attempt deadline. A ladder exhausted on
+// crashes records exactly one UnitFailure carrying the attempt count,
+// and the cheap refutation tiers get a last look, so a persistently
+// crashing unit can still end with a sound Unsat.
 type ladder struct {
-	engine   string
-	rec      *telemetry.Recorder
-	retries  int
-	watchdog driver.Watchdog
+	engine  string
+	rec     *telemetry.Recorder
+	retries int
 	// deadline bounds each attempt from its start; 0 leaves the clock to
 	// the attempt itself.
 	deadline time.Duration
 	attempt  func(at rung) Verdict
-	// abandoned, when set, runs after the watchdog cuts worker w's
-	// attempt loose: the orphan still owns that attempt's solving state.
-	abandoned func(w int)
 	// fallback returns the analysis the final degradation rung consults.
 	fallback func(g *pdg.Graph) *absint.Analysis
 }
 
 // check climbs the ladder for candidate c on worker w. It always runs at
-// least one attempt.
+// least one attempt unless parent is already cancelled.
 func (l *ladder) check(parent context.Context, g *pdg.Graph, c sparse.Candidate, w int) Verdict {
 	unit := UnitLabel(c)
 	if l.rec != nil {
@@ -238,68 +254,41 @@ func (l *ladder) check(parent context.Context, g *pdg.Graph, c sparse.Candidate,
 		// the trace nests attempts under their candidate by containment.
 		defer func() { l.rec.Span(w+1, "candidate", unit, t0, time.Now()) }()
 	}
-	attempts := 1 + max(l.retries, 0)
-	var lastFail *failure.UnitFailure
-	abandoned := false
-	for n := 1; n <= attempts; n++ {
-		if parent.Err() != nil {
-			return Verdict{Cand: c, Status: sat.Unknown, Attempts: n - 1}
-		}
-		v, fail, ab := l.try(parent, unit, rung{g: g, c: c, w: w, n: n})
-		if fail == nil && !ab {
-			v.Attempts = n
-			return v
-		}
-		if fail != nil {
-			lastFail = fail
-		}
-		abandoned = ab
+	v, n, fail := retry(parent, l.retries, unit, "check", func(n int) Verdict {
+		return l.try(unit, rung{g: g, c: c, w: w, n: n, parent: parent})
+	})
+	if n > 0 && fail == nil {
+		v.Attempts = n
+		return v
 	}
-	if lastFail != nil {
-		lastFail.Attempts = attempts
+	v = Verdict{Cand: c, Status: sat.Unknown, Attempts: n}
+	if n < 1+max(l.retries, 0) {
+		return v // cancelled before the ladder ran out
 	}
-	v := Verdict{Cand: c, Status: sat.Unknown, Attempts: attempts,
-		Abandoned: abandoned, Failure: lastFail}
-	// Final rung: the abstract refuters run outside the crashed or wedged
-	// solving stack and may still produce a sound Unsat.
-	degradeVerdict(parent, l.fallback(g), g, c, &v)
+	v.Failure = fail
+	// Final rung: the abstract refuters run outside the crashed solving
+	// stack and may still produce a sound Unsat.
+	degradeVerdict(parent, l.fallback, g, c, &v)
 	return v
 }
 
-// try runs one attempt under the watchdog. On abandonment the attempt's
-// contexts are cancelled, so the orphaned goroutine unwinds through the
-// solver's cooperative polling.
-func (l *ladder) try(parent context.Context, unit string, r rung) (Verdict, *failure.UnitFailure, bool) {
-	base, release := context.WithCancel(parent)
-	defer release()
-	ctx, cancel := withDeadline(base, l.deadline)
+// try runs one attempt under the ladder's per-attempt deadline. Its solve
+// span is recorded even when the attempt crashes (with an unknown status).
+func (l *ladder) try(unit string, r rung) (v Verdict) {
+	ctx, cancel := withDeadline(r.parent, l.deadline)
 	defer cancel()
-	r.base, r.ctx, r.hb = base, ctx, new(atomic.Int64)
-	deadline, _ := ctx.Deadline()
-	var t0 time.Time
-	if l.rec != nil {
-		t0 = time.Now()
-	}
-	v, fail, abandoned := driver.Supervise(ctx, l.watchdog, deadline, r.hb, unit, "check",
-		func() Verdict { return l.attempt(r) })
-	if abandoned && l.abandoned != nil {
-		l.abandoned(r.w)
-	}
+	r.ctx = ctx
 	if rec := l.rec; rec != nil {
-		rec.SolveSpan(r.w+1, t0, time.Now(), telemetry.SolveInfo{
-			Unit: unit, Engine: l.engine,
-			Tier: v.Tier.String(), Status: v.Status.String(),
-			Attempt: r.n, Abandoned: abandoned,
-		})
-		if abandoned {
-			// Per-attempt tally: timing-dependent (an earlier rung may or
-			// may not have been abandoned before a retry succeeded), so it
-			// lives in Sched; the final-verdict Abandoned flag feeds the
-			// deterministic watchdog.abandoned counter in recordVerdicts.
-			rec.Sched("watchdog.abandoned_attempts", 1)
-		}
+		t0 := time.Now()
+		defer func() {
+			rec.SolveSpan(r.w+1, t0, time.Now(), telemetry.SolveInfo{
+				Unit: unit, Engine: l.engine,
+				Tier: v.Tier.String(), Status: v.Status.String(),
+				Attempt: r.n,
+			})
+		}()
 	}
-	return v, fail, abandoned
+	return l.attempt(r)
 }
 
 // withDeadline bounds ctx by d from now; d <= 0 leaves it unbounded.

@@ -128,7 +128,7 @@ func TestDegradeVerdictLadder(t *testing.T) {
 	an := absint.Analyze(g)
 
 	v := Verdict{Cand: c, Status: sat.Unknown}
-	degradeVerdict(context.Background(), an, g, c, &v)
+	degradeVerdict(context.Background(), func(*pdg.Graph) *absint.Analysis { return an }, g, c, &v)
 	if !v.Degraded {
 		t.Fatal("ladder must tag the verdict degraded")
 	}
@@ -141,7 +141,7 @@ func TestDegradeVerdictLadder(t *testing.T) {
 
 	// Without an analysis the verdict stays honest Unknown.
 	v2 := Verdict{Cand: c, Status: sat.Unknown}
-	degradeVerdict(context.Background(), nil, g, c, &v2)
+	degradeVerdict(context.Background(), func(*pdg.Graph) *absint.Analysis { return nil }, g, c, &v2)
 	if !v2.Degraded || v2.Status != sat.Unknown || v2.Tier != TierUnknown {
 		t.Errorf("nil analysis: %+v", v2)
 	}
@@ -150,9 +150,55 @@ func TestDegradeVerdictLadder(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	v3 := Verdict{Cand: c, Status: sat.Unknown}
-	degradeVerdict(ctx, an, g, c, &v3)
+	degradeVerdict(ctx, func(*pdg.Graph) *absint.Analysis { return an }, g, c, &v3)
 	if !v3.Degraded || v3.Status != sat.Unknown {
 		t.Errorf("cancelled ctx: %+v", v3)
+	}
+}
+
+// TestDegradeCancelledNeverBuildsFallback: the fallback analysis is a
+// whole-program fixpoint, so a cancelled run must never build it — not
+// in degradeVerdict itself, and not in the ladder's final rung when the
+// run is cancelled while its last attempt crashes.
+func TestDegradeCancelledNeverBuildsFallback(t *testing.T) {
+	g := resGraph(t, resInfeasibleSrc)
+	c := resCands(t, g, 1)[0]
+	built := 0
+	fallback := func(*pdg.Graph) *absint.Analysis {
+		built++
+		return absint.Analyze(g)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	v := Verdict{Cand: c, Status: sat.Unknown}
+	degradeVerdict(ctx, fallback, g, c, &v)
+	if built != 0 || !v.Degraded || v.Status != sat.Unknown {
+		t.Errorf("cancelled degradeVerdict: built %d fallback(s), verdict %+v", built, v)
+	}
+
+	run, stop := context.WithCancel(context.Background())
+	defer stop()
+	l := &ladder{
+		engine: "test",
+		attempt: func(rung) Verdict {
+			stop()
+			panic("crash while the run is torn down")
+		},
+		fallback: fallback,
+	}
+	v = l.check(run, g, c, 0)
+	if built != 0 {
+		t.Errorf("ladder's final rung built the fallback %d time(s) for a cancelled run", built)
+	}
+	if v.Failure == nil || v.Attempts != 1 || v.Status != sat.Unknown {
+		t.Errorf("crashed attempt must leave an Unknown verdict with its failure: %+v", v)
+	}
+
+	// The live path still consults the fallback, exactly once.
+	l.attempt = func(rung) Verdict { panic("crash") }
+	if v = l.check(context.Background(), g, c, 0); built != 1 || v.Status != sat.Unsat {
+		t.Errorf("live final rung: built %d fallback(s), verdict %+v", built, v)
 	}
 }
 

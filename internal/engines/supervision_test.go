@@ -14,7 +14,7 @@ import (
 // resHardSrc guards its deref with a*a == 1201²: satisfiable, but the
 // concrete probe cannot guess a square root and unit propagation cannot
 // build one, so the query reliably enters the CDCL search loop — which
-// is where stall.solve wedges and where heartbeats are published.
+// is where stall.solve wedges.
 const resHardSrc = `
 fun f(a: int) {
     var p: ptr = null;
@@ -39,12 +39,12 @@ func waitGoroutines(t *testing.T, before int) {
 	}
 }
 
-// TestWatchdogAbandonsStalledSolve wedges the solve with stall.solve:
-// the search blocks without heartbeat progress, and the watchdog must
-// hard-abandon the unit roughly Grace past its deadline instead of
-// waiting out the full stall. The orphaned goroutine unwinds once the
-// attempt's context is cancelled.
-func TestWatchdogAbandonsStalledSolve(t *testing.T) {
+// TestDeadlineReleasesStalledSolve wedges the search with stall.solve:
+// the wedge waits on the solve's own context, so the per-candidate
+// deadline alone must end it — long before the stall's safety cap —
+// and the candidate falls to the degradation ladder. Nothing outlives
+// the batch.
+func TestDeadlineReleasesStalledSolve(t *testing.T) {
 	g := resGraph(t, resHardSrc)
 	cands := resCands(t, g, 1)
 	if err := faultinject.ArmSpec("stall.solve"); err != nil {
@@ -54,30 +54,20 @@ func TestWatchdogAbandonsStalledSolve(t *testing.T) {
 	defer faultinject.SetStallCap(faultinject.SetStallCap(10 * time.Second))
 	before := runtime.NumGoroutine()
 
-	e := NewFusion()
-	e.Cfg.Budget.Deadline = 150 * time.Millisecond
-	e.Cfg.WatchdogGrace = 60 * time.Millisecond
-	start := time.Now()
-	vs := e.Check(context.Background(), g, cands)
-	elapsed := time.Since(start)
-
-	if len(vs) != 1 {
-		t.Fatalf("%d verdicts", len(vs))
-	}
-	v := vs[0]
-	if !v.Abandoned || v.Failure != nil {
-		t.Fatalf("stalled unit not abandoned: %+v", v)
-	}
-	if v.Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1 (no retries configured)", v.Attempts)
-	}
-	if !v.Degraded || v.Status == sat.Sat {
-		t.Errorf("abandoned unit must fall to the degradation ladder: %+v", v)
-	}
-	// Deadline 150ms + grace 60ms: abandonment must land well before the
-	// 10s stall cap would have released the solve on its own.
-	if elapsed > 5*time.Second {
-		t.Errorf("abandonment took %v, want deadline+grace order", elapsed)
+	for name, e := range map[string]Engine{"fusion": NewFusion(), "pinpoint": NewPinpoint(Plain)} {
+		SetBudget(e, Budget{Deadline: 150 * time.Millisecond})
+		start := time.Now()
+		vs := e.Check(context.Background(), g, cands)
+		elapsed := time.Since(start)
+		if len(vs) != 1 {
+			t.Fatalf("%s: %d verdicts", name, len(vs))
+		}
+		if v := vs[0]; !v.Degraded || v.Status == sat.Sat || v.Failure != nil || v.Attempts != 1 {
+			t.Errorf("%s: stalled unit must degrade after one attempt: %+v", name, v)
+		}
+		if elapsed > 5*time.Second {
+			t.Errorf("%s: stalled solve took %v, want the 150ms deadline's order", name, elapsed)
+		}
 	}
 	waitGoroutines(t, before)
 }
@@ -115,7 +105,7 @@ func TestRetryRecoversInjectedSolvePanic(t *testing.T) {
 		e.Parallel = workers
 		vs := e.Check(context.Background(), g, cands)
 		for i, v := range vs {
-			if v.Failure != nil || v.Abandoned {
+			if v.Failure != nil {
 				t.Fatalf("workers=%d slot %d: retry did not recover: %+v", workers, i, v)
 			}
 			wantAttempts := 1
@@ -154,7 +144,7 @@ func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			e := fresh()
 			SetParallel(e, workers)
-			SetSupervision(e, 2, 0)
+			SetSupervision(e, 2)
 			vs := e.Check(context.Background(), g, cands)
 			failures := 0
 			for i, v := range vs {
@@ -185,34 +175,32 @@ func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
 }
 
 // TestSupervisionConfigNeverChangesVerdicts: with no fault armed, every
-// combination of worker count, retry budget, and watchdog grace must
-// produce byte-identical verdicts — clean first attempts never re-run,
-// so the supervision machinery is invisible until something breaks.
+// combination of worker count and retry budget must produce
+// byte-identical verdicts — clean first attempts never re-run, so the
+// retry ladder is invisible until something breaks.
 func TestSupervisionConfigNeverChangesVerdicts(t *testing.T) {
 	g := resGraph(t, resMixedSrc)
 	cands := resCands(t, g, 2)
 	var base string
 	for _, workers := range []int{1, 8} {
 		for _, retries := range []int{0, 2} {
-			for _, grace := range []time.Duration{0, 20 * time.Millisecond} {
-				e := NewFusion()
-				e.Parallel = workers
-				SetSupervision(e, retries, grace)
-				var rows string
-				for _, v := range e.Check(context.Background(), g, cands) {
-					if v.Failure != nil {
-						t.Fatalf("workers=%d retries=%d grace=%v: unexpected failure %v",
-							workers, retries, grace, v.Failure)
-					}
-					rows += fmt.Sprintf("%s %s degraded=%v attempts=%d abandoned=%v\n",
-						v.Status, v.Tier, v.Degraded, v.Attempts, v.Abandoned)
+			e := NewFusion()
+			e.Parallel = workers
+			SetSupervision(e, retries)
+			var rows string
+			for _, v := range e.Check(context.Background(), g, cands) {
+				if v.Failure != nil {
+					t.Fatalf("workers=%d retries=%d: unexpected failure %v",
+						workers, retries, v.Failure)
 				}
-				if base == "" {
-					base = rows
-				} else if rows != base {
-					t.Errorf("workers=%d retries=%d grace=%v: verdicts differ:\n%s\nvs baseline\n%s",
-						workers, retries, grace, rows, base)
-				}
+				rows += fmt.Sprintf("%s %s degraded=%v attempts=%d\n",
+					v.Status, v.Tier, v.Degraded, v.Attempts)
+			}
+			if base == "" {
+				base = rows
+			} else if rows != base {
+				t.Errorf("workers=%d retries=%d: verdicts differ:\n%s\nvs baseline\n%s",
+					workers, retries, rows, base)
 			}
 		}
 	}

@@ -22,12 +22,12 @@
 // Two points exercise the supervision layer:
 //
 //   - "stall.solve[:match]" wedges the CDCL search of every matching
-//     unit's solve: the search blocks without publishing heartbeat
-//     progress until the attempt is explicitly cancelled — the watchdog
-//     abandoning it, or the run being torn down; like a real wedge, it
-//     does not notice a merely expired deadline — or until a safety cap
-//     expires. This is exactly the failure mode the per-worker watchdog
-//     abandons on.
+//     unit's solve until the solve's context is done — its per-candidate
+//     deadline expiring, or the run being torn down — or until a safety
+//     cap expires. Without a deadline the wedge holds its worker for the
+//     whole cap, which is what the crash-resume smoke uses to land a
+//     kill mid-corpus; with one, the deadline is the only thing that
+//     frees it.
 //   - "panic.solve:<n>[:match]" panics on a matching unit's solve for
 //     its first n attempts and succeeds from attempt n+1 on, so
 //     "panic.solve:1" is recovered by a single retry. The attempt
@@ -195,7 +195,7 @@ var (
 )
 
 // SetStallCap bounds how long StallSolve may block when its context is
-// never cancelled (a run without a watchdog); tests shorten it. It
+// never done (a run without a deadline); tests shorten it. It
 // returns the previous cap so a deferred call can restore it.
 func SetStallCap(d time.Duration) time.Duration {
 	stallMu.Lock()
@@ -206,10 +206,9 @@ func SetStallCap(d time.Duration) time.Duration {
 }
 
 // StallSolve blocks if "stall.solve" is armed for unit, simulating a
-// solve that wedges without making heartbeat progress. The stall ends
-// when ctx is cancelled — the watchdog abandoning the unit cancels its
-// context, which releases the orphaned goroutine — or after the safety
-// cap, whichever comes first.
+// solve that wedges mid-search. The stall ends when ctx is done — the
+// solve's deadline expiring or the run being cancelled — or after the
+// safety cap, whichever comes first.
 func StallSolve(ctx context.Context, unit string) {
 	if !Armed("stall.solve", unit) {
 		return

@@ -173,8 +173,10 @@ type state struct {
 }
 
 // Solve decides the feasibility of a set of data-dependence paths directly
-// on the program dependence graph. It honors ctx cooperatively: the
-// residual's SAT search polls it, and a cancelled ctx yields Unknown.
+// on the program dependence graph. It honors ctx cooperatively: the absint
+// refuters, the graph probe, local preprocessing, and every phase of the
+// residual's solve poll it, Solve checks it between those stages, and a
+// cancelled ctx yields Unknown.
 func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, opts Options) Result {
 	opts.Solver.Ctx = ctx
 	sl := pdg.ComputeSlice(g, paths)
@@ -229,8 +231,11 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		// conjuncts only slow the concrete execution down.
 		rawOpts.Absint = nil
 		rawSt := buildResidual(b, g, sl, rawOpts)
+		if ctx.Err() != nil {
+			return res
+		}
 		t0 := time.Now()
-		_, ok := solver.Probe(rawSt.phi, 32)
+		_, ok := solver.Probe(ctx, rawSt.phi, 32)
 		graphProbeTime = time.Since(t0)
 		if ok {
 			res.Status = sat.Sat
@@ -238,6 +243,10 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 			res.ProbeTime = graphProbeTime
 			res.Phi = rawSt.phi
 			res.Clones = len(rawSt.st.emitted)
+			return res
+		}
+		if ctx.Err() != nil {
+			res.ProbeTime = graphProbeTime
 			return res
 		}
 	}
@@ -258,6 +267,10 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		res.Exhausted = true
 		res.Clones = len(r.st.emitted)
 		res.QuickPaths = r.st.quickUses
+		return res
+	}
+	if ctx.Err() != nil {
+		res.ProbeTime = graphProbeTime
 		return res
 	}
 	res.Result = solveFinal(r.phi)
@@ -619,8 +632,11 @@ func (st *state) summarize(f *ssa.Function) {
 	}
 	local := b.And(conjs...)
 	if !st.opts.DisableLocalPreprocess {
+		// A cut-short rewrite is still equisatisfiable, and it lives only
+		// in this query's state: Solve discards the residual once it sees
+		// the cancellation.
 		t0 := time.Now()
-		local = smt.Preprocess(b, local, smt.PassesWithKeep(keep))
+		local = smt.Preprocess(st.opts.Solver.Ctx, b, local, smt.PassesWithKeep(keep))
 		st.localPrep += time.Since(t0)
 	}
 	st.summary[f] = local

@@ -8,8 +8,9 @@ package sat
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
+
+	"fusion/internal/poll"
 )
 
 // Lit is a literal: variable index shifted left once, low bit = negated.
@@ -115,20 +116,14 @@ type Solver struct {
 	// Deadline aborts the search when passed; zero means none.
 	Deadline time.Time
 	// Ctx, when non-nil, cancels the search cooperatively: it is polled
-	// every few conflicts (and on the deadline cadence), returning Unknown
-	// with ErrBudget once cancelled.
+	// on every iteration of the search loop — lock-free, and propagation
+	// over a large clause database can make one iteration take
+	// milliseconds — returning Unknown with ErrBudget once cancelled.
 	Ctx context.Context
-	// Progress, when non-nil, is a lock-free heartbeat the search bumps on
-	// every conflict and branching decision. An external monitor goroutine
-	// samples it to tell a searching solver from a wedged one: cooperative
-	// cancellation is only polled on the conflict/iteration cadence, so a
-	// solve that stalls between polls never observes Ctx — but its
-	// heartbeat stops moving, which is what a watchdog abandons on.
-	Progress *atomic.Int64
 	// StallHook, when non-nil, is called once at the start of every
 	// restart of the CDCL search. It exists for deterministic fault
-	// injection (the stall.solve point wedges the search mid-CDCL without
-	// publishing progress); production code leaves it nil.
+	// injection (the stall.solve point wedges the search mid-CDCL until
+	// its context is done); production code leaves it nil.
 	StallHook func()
 
 	seen    []bool
@@ -627,14 +622,15 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 	}
 	conflictsThisRestart := int64(0)
 	checkCounter := 0
+	stop := poll.Stop(s.Ctx, 1)
 	for {
+		if stop != nil && stop() {
+			return Unknown, ErrBudget
+		}
 		confl := s.propagate()
 		if confl != nil {
 			s.Conflicts++
 			conflictsThisRestart++
-			if s.Progress != nil {
-				s.Progress.Add(1)
-			}
 			if s.decisionLevel() == 0 {
 				s.ok = false
 				return Unsat, nil
@@ -655,9 +651,6 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 			if s.MaxConflicts > 0 && s.Conflicts-conflictsAtStart >= s.MaxConflicts {
 				return Unknown, ErrBudget
 			}
-			if s.Ctx != nil && s.Conflicts&63 == 0 && s.Ctx.Err() != nil {
-				return Unknown, ErrBudget
-			}
 			if conflictsThisRestart >= restartBudget {
 				s.cancelUntil(0)
 				s.reduceDB()
@@ -665,15 +658,10 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 			}
 			continue
 		}
-		if !s.Deadline.IsZero() || s.Ctx != nil {
+		if !s.Deadline.IsZero() {
 			checkCounter++
-			if checkCounter%256 == 0 {
-				if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
-					return Unknown, ErrBudget
-				}
-				if s.Ctx != nil && s.Ctx.Err() != nil {
-					return Unknown, ErrBudget
-				}
+			if checkCounter%256 == 0 && time.Now().After(s.Deadline) {
+				return Unknown, ErrBudget
 			}
 		}
 		// Place pending assumptions as pseudo-decisions, one per level, so
@@ -706,9 +694,6 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 				return Unknown, ErrBudget
 			}
 			s.Decisions++
-			if s.Progress != nil {
-				s.Progress.Add(1)
-			}
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
 		s.uncheckedEnqueue(next, nil)

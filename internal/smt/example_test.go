@@ -1,6 +1,7 @@
 package smt_test
 
 import (
+	"context"
 	"fmt"
 
 	"fusion/internal/smt"
@@ -33,7 +34,7 @@ func ExamplePreprocess() {
 		b.Eq(d, b.Mul(e, b.Const(2, 32))), // d = 2e
 		b.Slt(c, d),                       // and c < d must hold
 	)
-	fmt.Println(smt.Preprocess(b, phi, smt.DefaultPasses()))
+	fmt.Println(smt.Preprocess(context.Background(), b, phi, smt.DefaultPasses()))
 	// Output:
 	// true
 }

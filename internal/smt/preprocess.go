@@ -1,8 +1,11 @@
 package smt
 
 import (
+	"context"
 	"fmt"
 	"sort"
+
+	"fusion/internal/poll"
 )
 
 // A Pass is one equisatisfiability-preserving preprocessing step
@@ -106,12 +109,20 @@ func solveEqsAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 }
 
 // Preprocess runs the passes round-robin until a fixpoint or the round
-// budget is exhausted, returning the rewritten formula.
-func Preprocess(b *Builder, phi *Term, passes []Pass) *Term {
+// budget is exhausted, returning the rewritten formula. It polls ctx
+// between passes (no single pass runs longer than a few hundred
+// milliseconds on the progen corpus); once ctx is cancelled it returns the
+// formula as rewritten so far, which is equisatisfiable with phi because
+// every pass is.
+func Preprocess(ctx context.Context, b *Builder, phi *Term, passes []Pass) *Term {
 	const maxRounds = 8
+	stop := poll.Stop(ctx, 1)
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		for _, p := range passes {
+			if stop != nil && stop() {
+				return phi
+			}
 			next := p.Run(b, phi)
 			if next != phi {
 				changed = true

@@ -1,6 +1,7 @@
 package smt_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestConstPropForward(t *testing.T) {
 		b.Eq(y, b.Add(x, b.Const(1, 32))),
 		b.Ult(y, b.Const(10, 32)),
 	)
-	got := smt.Preprocess(b, phi, []smt.Pass{{Name: "cp", Run: smt.ConstProp}})
+	got := smt.Preprocess(context.Background(), b, phi, []smt.Pass{{Name: "cp", Run: smt.ConstProp}})
 	if !got.IsTrue() {
 		t.Errorf("constant propagation should decide: got %v", got)
 	}
@@ -128,7 +129,7 @@ func TestGaussianElimination(t *testing.T) {
 		b.Eq(b.Sub(x, b.Mul(b.Const(2, 32), y)), b.Const(4, 32)),
 		b.Ult(x, y),
 	)
-	got := smt.Preprocess(b, phi, []smt.Pass{
+	got := smt.Preprocess(context.Background(), b, phi, []smt.Pass{
 		{Name: "gauss", Run: smt.GaussianEliminate},
 		{Name: "cp", Run: smt.ConstProp},
 	})
@@ -217,7 +218,7 @@ func TestUnconstrainedPaperExample(t *testing.T) {
 		b.Eq(bb, x2), b.Eq(d, z2),
 		e, b.Eq(e, b.Slt(c, d)),
 	)
-	got := smt.Preprocess(b, phi, smt.DefaultPasses())
+	got := smt.Preprocess(context.Background(), b, phi, smt.DefaultPasses())
 	if !got.IsTrue() {
 		t.Fatalf("the Figure 1(b) condition should be decided by preprocessing, got %v", got)
 	}
@@ -276,7 +277,7 @@ func TestPreprocessEquisatisfiable(t *testing.T) {
 		}
 		phi := b.And(conjs...)
 		want := solver.Solve(b, phi, solver.Options{Passes: solver.NoPasses}).Status
-		pre := smt.Preprocess(b, phi, smt.DefaultPasses())
+		pre := smt.Preprocess(context.Background(), b, phi, smt.DefaultPasses())
 		var got sat.Status
 		switch {
 		case pre.IsTrue():

@@ -1,9 +1,11 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 
+	"fusion/internal/poll"
 	"fusion/internal/smt"
 )
 
@@ -15,8 +17,13 @@ import (
 // constants appearing near each input, which makes guards like "x == 37"
 // reachable. A returned model is always verified by evaluation, so probing
 // is sound.
-// A returned model is always verified by evaluation, so Probe is sound.
-func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
+//
+// Probe polls ctx before every try and every local-search move (one try
+// is at most tens of milliseconds on the largest progen conditions); once
+// it is cancelled Probe gives up with (nil, false), which is sound for
+// the same reason: the probe only ever claims Sat with a verified model.
+func Probe(ctx context.Context, phi *smt.Term, tries int) (smt.Assignment, bool) {
+	stop := poll.Stop(ctx, 1)
 	vars := smt.Vars(phi)
 	if len(vars) == 0 || len(vars) > 1<<16 {
 		return nil, false
@@ -156,6 +163,9 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 
 	rng := rand.New(rand.NewSource(int64(phi.ID)*2654435761 + 12345))
 	for try := 0; try < tries+2*len(hints); try++ {
+		if stop != nil && stop() {
+			return nil, false
+		}
 		asg := smt.Assignment{}
 		for _, r := range inputs {
 			var val uint32
@@ -192,7 +202,7 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 	// guards at once; a short greedy repair loop over the inputs of
 	// failing conjuncts (in the spirit of SLS tactics) closes most of the
 	// gap. Soundness is unchanged — any model found is verified.
-	if m, ok := localSearch(phi, inputs, defs, order, members, pool, find, rng); ok {
+	if m, ok := localSearch(phi, inputs, defs, order, members, pool, find, rng, stop); ok {
 		return m, true
 	}
 	return nil, false
@@ -200,7 +210,8 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 
 // localSearch greedily repairs a random assignment: pick an unsatisfied
 // conjunct, pick an input class it depends on, and move it to the value
-// that satisfies the most conjuncts.
+// that satisfies the most conjuncts. A non-nil stop is polled before every
+// move.
 func localSearch(
 	phi *smt.Term,
 	inputs []*smt.Term,
@@ -210,6 +221,7 @@ func localSearch(
 	pool []uint32,
 	find func(*smt.Term) *smt.Term,
 	rng *rand.Rand,
+	stop func() bool,
 ) (smt.Assignment, bool) {
 	if len(inputs) == 0 {
 		return nil, false
@@ -285,6 +297,9 @@ func localSearch(
 		compute(asg)
 		cur := score(asg)
 		for move := 0; move < 25 && cur < len(conjs); move++ {
+			if stop != nil && stop() {
+				return nil, false
+			}
 			// A random unsatisfied conjunct.
 			var bad *smt.Term
 			off := rng.Intn(len(conjs))

@@ -9,9 +9,11 @@
 package solver
 
 import (
+	"context"
 	"time"
 
 	"fusion/internal/bitblast"
+	"fusion/internal/poll"
 	"fusion/internal/sat"
 	"fusion/internal/smt"
 )
@@ -193,12 +195,12 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	ss.Queries++
 	var res Result
 	res.SizeBefore = smt.Size(phi)
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+	if cancelled(opts.Ctx) {
 		return res // Status zero value is Unknown
 	}
 	if !opts.NoProbe && !phi.IsConst() {
 		t0 := time.Now()
-		m, ok := Probe(phi, 32)
+		m, ok := Probe(opts.Ctx, phi, 32)
 		res.ProbeTime = time.Since(t0)
 		if ok {
 			res.Status = sat.Sat
@@ -207,7 +209,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 			return res
 		}
 	}
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
+	if cancelled(opts.Ctx) {
 		return res // cancelled between probe and preprocessing
 	}
 	passes := opts.Passes
@@ -215,7 +217,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 		passes = smt.DefaultPasses()
 	}
 	t0 := time.Now()
-	phi = smt.Preprocess(ss.b, phi, passes)
+	phi = smt.Preprocess(opts.Ctx, ss.b, phi, passes)
 	res.PreprocessTime = time.Since(t0)
 	res.SizeAfter = smt.Size(phi)
 	if phi.IsTrue() {
@@ -227,6 +229,9 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 		res.Status = sat.Unsat
 		res.Preprocessed = true
 		return res
+	}
+	if cancelled(opts.Ctx) {
+		return res // cancelled between preprocessing and blasting
 	}
 
 	// Budget eviction happens at solve entry, never mid-query: the builder
@@ -260,7 +265,6 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 		s.Deadline = time.Time{}
 	}
 	s.Ctx = opts.Ctx
-	s.Progress = opts.Heartbeat
 	installStallHook(s, opts)
 
 	// Warm-state accounting: what this query inherited from its
@@ -269,14 +273,24 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	reusedBefore := ss.bl.Reused
 	before := s.Stats()
 
+	// A blast the context stops unwinds without memoizing its unfinished
+	// terms or registering an activation literal, so the warm stack stays
+	// valid for the next query.
+	ss.bl.Stop = poll.Stop(opts.Ctx, 1)
 	var st sat.Status
 	var err error
 	if ss.cfg.OneShot {
-		ss.bl.AssertTrue(phi)
-		st, err = s.Solve()
+		err = ss.bl.AssertTrue(phi)
+		if err == nil && !cancelled(opts.Ctx) {
+			st, err = s.Solve()
+		}
 	} else {
 		ss.bl.BeginQuery()
-		st, err = s.SolveAssuming([]sat.Lit{ss.bl.Assume(phi)})
+		var act sat.Lit
+		act, err = ss.bl.Assume(phi)
+		if err == nil && !cancelled(opts.Ctx) {
+			st, err = s.SolveAssuming([]sat.Lit{act})
+		}
 		res.CacheVars = s.NumVars() // retained for later queries
 	}
 	res.SearchTime = time.Since(t1)
@@ -288,8 +302,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	ss.CacheHits += res.CacheHits
 	if err != nil {
 		res.Status = sat.Unknown
-		res.Exhausted = err == sat.ErrBudget &&
-			(opts.Ctx == nil || opts.Ctx.Err() == nil)
+		res.Exhausted = err == sat.ErrBudget && !cancelled(opts.Ctx)
 		return res
 	}
 	res.Status = st
@@ -301,3 +314,6 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	}
 	return res
 }
+
+// cancelled reports whether ctx is non-nil and done.
+func cancelled(ctx context.Context) bool { return ctx != nil && ctx.Err() != nil }

@@ -6,7 +6,6 @@ package solver
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"fusion/internal/faultinject"
@@ -16,8 +15,9 @@ import (
 
 // Options configure a standalone solve (Algorithm 3).
 type Options struct {
-	// Ctx, when non-nil, cancels the solve cooperatively: preprocessing is
-	// skipped and the SAT search aborts with Unknown once it is done.
+	// Ctx, when non-nil, cancels the solve cooperatively: every phase —
+	// probe, preprocessing, bit-blasting, and the SAT search — polls it,
+	// and a cancelled solve returns Unknown.
 	Ctx context.Context
 	// Passes is the preprocessing pipeline; nil means smt.DefaultPasses. Use
 	// NoPasses to disable preprocessing entirely.
@@ -43,19 +43,6 @@ type Options struct {
 	// for deterministic fault injection (the stall.solve point keys on
 	// it). Verdicts never depend on it.
 	Unit string
-	// Heartbeat, when non-nil, is installed as the SAT search's progress
-	// counter: the search bumps it on every conflict and decision, and a
-	// watchdog goroutine may sample it concurrently. It lives outside the
-	// solver because warm sessions evict and replace their solver between
-	// queries.
-	Heartbeat *atomic.Int64
-	// StallCtx, when non-nil, is the context the injected stall.solve
-	// wedge blocks on instead of Ctx. A real wedge ignores deadlines, so
-	// the supervising engine passes a cancellation-only context here:
-	// the simulated stall must not release just because the attempt's
-	// deadline expired — only an explicit cancellation (the watchdog
-	// abandoning the unit, or the whole run being torn down) frees it.
-	StallCtx context.Context
 }
 
 // NoPasses is a non-nil empty pipeline that disables preprocessing.
@@ -114,15 +101,13 @@ func Solve(b *smt.Builder, phi *smt.Term, opts Options) Result {
 }
 
 // installStallHook arms the stall.solve fault point on the search: when
-// armed for opts.Unit, the search wedges without heartbeat progress until
-// its context is cancelled. Nil (the common case) outside fault tests.
+// armed for opts.Unit, the search wedges until the solve's context is
+// done — its deadline included — or the fault's safety cap expires. Nil
+// (the common case) outside fault tests.
 func installStallHook(s *sat.Solver, opts Options) {
 	s.StallHook = nil
 	if faultinject.Enabled() && opts.Unit != "" {
 		unit, ctx := opts.Unit, opts.Ctx
-		if opts.StallCtx != nil {
-			ctx = opts.StallCtx
-		}
 		s.StallHook = func() { faultinject.StallSolve(ctx, unit) }
 	}
 }

@@ -152,8 +152,6 @@ type SolveInfo struct {
 	Tier, Status string
 	// Attempt is the 1-based retry-ladder rung.
 	Attempt int
-	// Abandoned reports the watchdog hard-abandoned this attempt.
-	Abandoned bool
 }
 
 // SolveSpan records one solve-attempt interval on a worker track, carrying

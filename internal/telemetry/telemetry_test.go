@@ -20,9 +20,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.StageSpan(0, "compile", "parse", time.Now(), time.Now())
 	r.Span(1, "candidate", "u", time.Now(), time.Now())
 	r.SolveSpan(1, time.Now(), time.Now(), SolveInfo{Unit: "u"})
-	if n := r.AbandonedSpans(); n != 0 {
-		t.Fatalf("nil recorder AbandonedSpans = %d", n)
-	}
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Sched) != 0 || len(s.WallNS) != 0 || s.Spans != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", s)
@@ -113,7 +110,7 @@ func TestWriteTraceShape(t *testing.T) {
 	r.SolveSpan(1, base.Add(2*time.Millisecond), base.Add(5*time.Millisecond),
 		SolveInfo{Unit: "null-deref f.fl:3:5", Engine: "fusion", Tier: "exact", Status: "sat", Attempt: 1})
 	r.SolveSpan(2, base.Add(2*time.Millisecond), base.Add(4*time.Millisecond),
-		SolveInfo{Unit: "null-deref f.fl:9:5", Engine: "fusion", Tier: "unknown", Status: "unknown", Attempt: 2, Abandoned: true})
+		SolveInfo{Unit: "null-deref f.fl:9:5", Engine: "fusion", Tier: "unknown", Status: "unknown", Attempt: 2})
 
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := r.WriteTrace(path); err != nil {
@@ -158,9 +155,6 @@ func TestWriteTraceShape(t *testing.T) {
 	}
 	if complete != 4 || len(tids) != 3 {
 		t.Fatalf("complete events = %d on %d tracks, want 4 on 3", complete, len(tids))
-	}
-	if n := r.AbandonedSpans(); n != 1 {
-		t.Fatalf("AbandonedSpans = %d, want 1", n)
 	}
 }
 

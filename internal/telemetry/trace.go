@@ -80,9 +80,6 @@ func (r *Recorder) WriteTrace(path string) error {
 				"status":  s.info.Status,
 				"attempt": strconv.Itoa(s.info.Attempt),
 			}
-			if s.info.Abandoned {
-				ev.Args["abandoned"] = "true"
-			}
 		}
 		tf.TraceEvents = append(tf.TraceEvents, ev)
 	}
@@ -95,22 +92,4 @@ func (r *Recorder) WriteTrace(path string) error {
 		return fmt.Errorf("telemetry: %w", err)
 	}
 	return nil
-}
-
-// AbandonedSpans counts recorded solve-attempt spans flagged as
-// watchdog-abandoned, for tests that assert the abandonment reached the
-// trace.
-func (r *Recorder) AbandonedSpans() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, s := range r.spans {
-		if s.solve && s.info.Abandoned {
-			n++
-		}
-	}
-	return n
 }
