@@ -13,6 +13,7 @@ import (
 
 	"fusion/internal/bench"
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/fusioncore"
 	"fusion/internal/pdg"
@@ -251,7 +252,9 @@ func BenchmarkAblationAbsint(b *testing.B) {
 				var decided, solved, reports int
 				for _, spec := range []*sparse.Spec{checker.DivByZero(), checker.IndexOOB()} {
 					e := engines.NewFusion()
-					e.UseAbsint = cfg.on
+					if cfg.on {
+						e.Opts.Absint = driver.Analyze(sub.Graph, driver.AbsintOn)
+					}
 					c := bench.Run(context.Background(), sub, spec, e, benchBudget)
 					if c.Failed {
 						b.Fatalf("engine run failed: %s", c.FailNote)

@@ -285,7 +285,7 @@ func run(cfg config) (outcome, error) {
 	useAbsint := false
 	if f, ok := eng.(*engines.Fusion); ok && cfg.absint != driver.AbsintOff {
 		f.Opts.Absint = prog.Absint()
-		f.NoSimplify = cfg.absint == driver.AbsintNoSimplify
+		f.Opts.DisableAbsintSimplify = cfg.absint == driver.AbsintNoSimplify
 		useAbsint = true
 	}
 

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"fusion/internal/bench"
+	"fusion/internal/driver"
 	"fusion/internal/failure"
 	"fusion/internal/faultinject"
 	"fusion/internal/progen"
@@ -38,7 +39,7 @@ func main() {
 	smt2dir := flag.String("smt2dir", "", "dump every SMT instance as SMT-LIB v2 files into this directory and exit")
 	workers := flag.Int("workers", 0, "worker count for compilation, enumeration, and checking (0 = sequential; output is identical for any count)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none; must be >= 0)")
-	absint := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
+	absintFlag := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
 	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings) or off (every query runs on a one-shot session: fresh stack, no warm state — the oracle)")
 	failFast := flag.Bool("fail-fast", false, "stop after the first experiment whose runs contained a unit crash (default: run all experiments, summarize at the end)")
 	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
@@ -52,8 +53,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fusionbench:", err)
 		os.Exit(2)
 	}
-	if *absint != "on" && *absint != "nostride" && *absint != "nosimplify" && *absint != "off" && *absint != "intervals" {
-		fmt.Fprintf(os.Stderr, "fusionbench: -absint must be on, nostride, nosimplify, intervals, or off, got %q\n", *absint)
+	absint, err := driver.ParseAbsintMode(*absintFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fusionbench:", err)
 		os.Exit(2)
 	}
 	if *session != "on" && *session != "off" {
@@ -84,14 +86,11 @@ func main() {
 
 	var unitFailures []*failure.UnitFailure
 	opts := bench.Options{
-		Scale:         *scale,
-		Budget:        bench.Budget{Time: *budget, CondBytes: 2 << 30},
-		Workers:       *workers,
-		Absint:        *absint != "off",
-		IntervalsOnly: *absint == "intervals",
-		NoStride:      *absint == "nostride",
-		NoSimplify:    *absint == "nosimplify",
-		NoSession:     *session == "off",
+		Scale:     *scale,
+		Budget:    bench.Budget{Time: *budget, CondBytes: 2 << 30},
+		Workers:   *workers,
+		Absint:    absint,
+		NoSession: *session == "off",
 		OnCost: func(c bench.Cost) {
 			unitFailures = append(unitFailures, c.Failures...)
 		},

@@ -1,14 +1,12 @@
 package absint
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"fusion/internal/lang"
 	"fusion/internal/pdg"
-	"fusion/internal/poll"
 	"fusion/internal/ssa"
 )
 
@@ -46,12 +44,6 @@ type Analysis struct {
 	strides     map[*ssa.Value]Stride
 	stSummaries map[*ssa.Function]Stride
 
-	// stop, when non-nil, is the cancellation hook built from Config.Ctx:
-	// once it reports true the fixpoint assigns top to every remaining
-	// vertex (sound: top is always an over-approximation) and the zone
-	// closure stops absorbing facts.
-	stop func() bool
-
 	Stats Stats
 }
 
@@ -63,11 +55,6 @@ type Config struct {
 	// DisableStride turns off the congruence (stride) domain — the
 	// `-absint=nostride` ablation; `-absint=intervals` disables it too.
 	DisableStride bool
-	// Ctx, when non-nil, cancels the analysis cooperatively: the
-	// interval fixpoint and the zone incremental closure poll it, and on
-	// expiry every vertex not yet evaluated gets the (sound) top
-	// interval instead of running to completion.
-	Ctx context.Context
 }
 
 // Stats accounts for the analysis work and precision.
@@ -121,7 +108,6 @@ func AnalyzeWith(g *pdg.Graph, cfg Config) *Analysis {
 		stride:      !cfg.DisableStride,
 		strides:     map[*ssa.Value]Stride{},
 		stSummaries: map[*ssa.Function]Stride{},
-		stop:        poll.Stop(cfg.Ctx, 64),
 	}
 	// Bottom-up call-graph order.
 	done := map[*ssa.Function]bool{}
@@ -330,28 +316,9 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 	if stride {
 		localSt = make(map[*ssa.Value]Stride, len(f.Values))
 	}
-	ref := newRefiner(local, localSt, a.zone, stride, a.stop)
+	ref := newRefiner(local, localSt, a.zone, stride)
 
-	stopped := false
 	for _, v := range f.Values {
-		if !stopped && a.stop != nil && a.stop() {
-			stopped = true
-		}
-		if stopped {
-			// Cancelled: the remaining vertices get the explicit top
-			// interval — never the zero value, whose [0, 0] would be an
-			// unsound constant claim — and no further facts are derived.
-			iv := Top(width(v))
-			local[v] = iv
-			if record {
-				a.vals[v] = iv
-			}
-			if stride {
-				localSt[v] = TopStride()
-				a.strides[v] = TopStride()
-			}
-			continue
-		}
 		look := func(x *ssa.Value) Interval {
 			return ref.lookup(x, v.Guard)
 		}

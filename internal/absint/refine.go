@@ -39,7 +39,7 @@ type refEnv struct {
 
 const maxDeriveDepth = 64
 
-func newRefiner(local map[*ssa.Value]Interval, localSt map[*ssa.Value]Stride, zone, stride bool, stop func() bool) *refiner {
+func newRefiner(local map[*ssa.Value]Interval, localSt map[*ssa.Value]Stride, zone, stride bool) *refiner {
 	r := &refiner{
 		local:   local,
 		localSt: localSt,
@@ -50,7 +50,6 @@ func newRefiner(local map[*ssa.Value]Interval, localSt map[*ssa.Value]Stride, zo
 	}
 	if zone {
 		r.empty.z = newDBM[*ssa.Value]()
-		r.empty.z.stop = stop
 	}
 	if stride {
 		r.empty.st = map[*ssa.Value]Stride{}

@@ -36,7 +36,7 @@ type dbm[N comparable] struct {
 	dead  bool
 	// stop, when non-nil, is polled on insertion; once it reports true
 	// new facts are dropped, which is sound (a weaker zone) and lets a
-	// cancelled analysis cut the incremental-closure work short.
+	// cancelled refuter cut the incremental-closure work short.
 	stop func() bool
 }
 

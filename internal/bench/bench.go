@@ -19,6 +19,7 @@ import (
 	"fusion/internal/progen"
 	"fusion/internal/sat"
 	"fusion/internal/sparse"
+	"fusion/internal/telemetry"
 )
 
 // Subject is a compiled benchmark subject ready for analysis.
@@ -34,8 +35,13 @@ type Subject struct {
 // shared driver pipeline (progen sources carry their own extern
 // declarations, so no prelude).
 func Compile(ctx context.Context, info progen.Subject, scale float64) (*Subject, error) {
+	return compile(ctx, info, scale, driver.Options{})
+}
+
+// compile is Compile with explicit driver options (telemetry).
+func compile(ctx context.Context, info progen.Subject, scale float64, opts driver.Options) (*Subject, error) {
 	src, gt, lines := info.Build(scale)
-	p, err := driver.Compile(ctx, driver.Source{Name: info.Name, Text: src}, driver.Options{})
+	p, err := driver.Compile(ctx, driver.Source{Name: info.Name, Text: src}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
@@ -48,12 +54,18 @@ func Compile(ctx context.Context, info progen.Subject, scale float64) (*Subject,
 // CompileAll compiles a set of subjects on a worker pool, preserving
 // input order.
 func CompileAll(ctx context.Context, subs []progen.Subject, scale float64, workers int) ([]*Subject, error) {
+	return compileAll(ctx, subs, scale, workers, nil)
+}
+
+// compileAll is CompileAll with an optional recorder: each compile's
+// stage spans land on its worker's trace track.
+func compileAll(ctx context.Context, subs []progen.Subject, scale float64, workers int, rec *telemetry.Recorder) ([]*Subject, error) {
 	type result struct {
 		sub *Subject
 		err error
 	}
-	rs, fails := driver.ParallelCheck(ctx, len(subs), workers, func(i int) result {
-		s, err := Compile(ctx, subs[i], scale)
+	rs, fails := driver.ParallelCheckWorkers(ctx, len(subs), workers, func(i, w int) result {
+		s, err := compile(ctx, subs[i], scale, driver.Options{Telemetry: rec, TelemetryTrack: w + 1})
 		return result{s, err}
 	})
 	out := make([]*Subject, len(rs))
@@ -156,15 +168,18 @@ func Run(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engin
 
 // RunWorkers is Run with a worker count for enumeration and checking.
 func RunWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget, workers int) Cost {
-	return runWorkers(ctx, sub, spec, eng, budget, workers, nil, "")
+	return runWorkers(ctx, sub, spec, eng, budget, workers, driver.AbsintOff, nil, "")
 }
 
-// runWorkers is RunWorkers with an optional unit-granularity journal:
-// when j is non-nil, candidates a previous (crashed) process already
-// checked under runKey are replayed from their records, and each fresh
-// verdict is checkpointed as it settles — so a crash mid-subject
-// resumes at the first unchecked candidate.
-func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget, workers int, j *Journal, runKey string) Cost {
+// runWorkers is RunWorkers with the run's absint tier mode and an
+// optional unit-granularity journal. A Fusion engine without an analysis
+// of its own gets driver.Analyze(sub.Graph, mode) for the run (so
+// AbsintOff means "the engine as configured"). When j is non-nil,
+// candidates a previous (crashed) process already checked under runKey
+// are replayed from their records, and each fresh verdict is
+// checkpointed as it settles — so a crash mid-subject resumes at the
+// first unchecked candidate.
+func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget, workers int, mode driver.AbsintMode, j *Journal, runKey string) Cost {
 	if budget.Time == 0 {
 		budget = DefaultBudget
 	}
@@ -180,7 +195,10 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 	// An absint-enabled fusion engine also prunes during enumeration; the
 	// tier build is part of the engine's timed work.
 	if f, ok := eng.(*engines.Fusion); ok {
-		if an := f.Absint(sub.Graph); an != nil {
+		if f.Opts.Absint == nil {
+			f.Opts.Absint = driver.Analyze(sub.Graph, mode)
+		}
+		if an := f.Opts.Absint; an != nil {
 			senge.Oracle = func(c sparse.Candidate) bool {
 				return an.PrunePath(c.Path, c.Constraints(0)...)
 			}

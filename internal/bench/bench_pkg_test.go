@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/progen"
 	"fusion/internal/sparse"
@@ -15,6 +16,7 @@ import (
 
 // tinyOpts keeps experiment tests fast.
 var tinyOpts = Options{
+	Absint:   driver.AbsintOff,
 	Scale:    0.01,
 	Subjects: progen.Subjects[:3],
 	Budget:   Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
@@ -110,7 +112,7 @@ func TestExperimentDriversRun(t *testing.T) {
 }
 
 func TestTable3SmallSubjects(t *testing.T) {
-	out, err := Table3(context.Background(), Options{Scale: 0.05, Subjects: progen.Subjects[:2],
+	out, err := Table3(context.Background(), Options{Absint: driver.AbsintOff, Scale: 0.05, Subjects: progen.Subjects[:2],
 		Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30}})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +147,7 @@ func TestExperimentNamesComplete(t *testing.T) {
 func TestLargeSubjectDriversRunSmall(t *testing.T) {
 	// The large-subject experiments accept a subject override; run them on
 	// tiny subjects to exercise the drivers.
-	opts := Options{Scale: 0.02, Subjects: progen.Subjects[:2],
+	opts := Options{Absint: driver.AbsintOff, Scale: 0.02, Subjects: progen.Subjects[:2],
 		Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30}}
 	for _, name := range []string{"fig1c", "table5", "cwe369", "table4"} {
 		out, err := Experiments[name](context.Background(), opts)
@@ -199,7 +201,7 @@ func TestAblationAbsintSoundAndEffective(t *testing.T) {
 		for _, spec := range []*sparse.Spec{checker.DivByZero(), checker.IndexOOB()} {
 			off := Run(context.Background(), sub, spec, engines.NewFusion(), budget)
 			on := engines.NewFusion()
-			on.UseAbsint = true
+			on.Opts.Absint = driver.Analyze(sub.Graph, driver.AbsintOn)
 			onc := Run(context.Background(), sub, spec, on, budget)
 			if off.Failed || onc.Failed {
 				t.Fatalf("%s/%s: run failed: %s%s", name, spec.Name, off.FailNote, onc.FailNote)
@@ -233,7 +235,7 @@ func TestSimplifiedCountersDeterministic(t *testing.T) {
 	}
 	run := func(workers int) Cost {
 		eng := engines.NewFusion()
-		eng.UseAbsint = true
+		eng.Opts.Absint = driver.Analyze(sub.Graph, driver.AbsintOn)
 		return RunWorkers(context.Background(), sub, checker.DivByZero(), eng,
 			Budget{Time: time.Minute, CondBytes: 1 << 30}, workers)
 	}
@@ -261,8 +263,8 @@ func TestNoSimplifyAblationAgrees(t *testing.T) {
 	}
 	run := func(noSimplify bool) Cost {
 		eng := engines.NewFusion()
-		eng.UseAbsint = true
-		eng.NoSimplify = noSimplify
+		eng.Opts.Absint = driver.Analyze(sub.Graph, driver.AbsintOn)
+		eng.Opts.DisableAbsintSimplify = noSimplify
 		return Run(context.Background(), sub, checker.DivByZero(), eng,
 			Budget{Time: time.Minute, CondBytes: 1 << 30})
 	}
@@ -276,5 +278,31 @@ func TestNoSimplifyAblationAgrees(t *testing.T) {
 	if on.Reports != off.Reports || on.TP != off.TP || on.FP != off.FP ||
 		on.Unknown != off.Unknown || on.AbsintDecided != off.AbsintDecided {
 		t.Errorf("ablation changed verdicts: on=%+v off=%+v", on, off)
+	}
+}
+
+// TestFig11InstancesHonorAbsintMode: Figure 11's fused solves consult the
+// tier the options select — none of its refutations with the tier off,
+// some with it on.
+func TestFig11InstancesHonorAbsintMode(t *testing.T) {
+	decided := func(mode driver.AbsintMode) int {
+		insts, err := Fig11Instances(context.Background(),
+			Options{Absint: mode, Scale: 0.05, Subjects: progen.Subjects[:2]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, in := range insts {
+			if in.Absint || in.Stride || in.Zone {
+				n++
+			}
+		}
+		return n
+	}
+	if n := decided(driver.AbsintOff); n != 0 {
+		t.Errorf("-absint off: %d instance(s) decided by the tier", n)
+	}
+	if decided(driver.AbsintOn) == 0 {
+		t.Error("-absint on: no instance decided by the tier")
 	}
 }

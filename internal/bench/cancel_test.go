@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/faultinject"
 	"fusion/internal/progen"
@@ -114,7 +115,7 @@ func TestRunWorkersDeterministic(t *testing.T) {
 	mk := map[string]func() engines.Engine{
 		"fusion": func() engines.Engine {
 			e := engines.NewFusion()
-			e.UseAbsint = true
+			e.Opts.Absint = driver.Analyze(sub.Graph, driver.AbsintOn)
 			return e
 		},
 		"pinpoint": func() engines.Engine { return engines.NewPinpoint(engines.Plain) },

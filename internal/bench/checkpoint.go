@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/failure"
 	"fusion/internal/faultinject"
@@ -384,14 +385,17 @@ func (j *Journal) append(rec journalRecord, publish func()) error {
 func (j *Journal) Close() error { return j.f.Close() }
 
 // engineFingerprint renders the verdict-relevant configuration of an
-// engine. Worker counts and supervision settings are excluded: they may
-// only change cost. Unknown engine types fall back to their name, which
-// is correct as long as they carry no ablation knobs.
-func engineFingerprint(eng engines.Engine) string {
+// engine run under an absint tier mode (which only Fusion consults).
+// Worker counts and supervision settings are excluded: they may only
+// change cost. Unknown engine types fall back to their name, which is
+// correct as long as they carry no ablation knobs. The mode renders as
+// the four flags earlier journals were keyed by, so they still resume.
+func engineFingerprint(eng engines.Engine, mode driver.AbsintMode) string {
 	switch x := eng.(type) {
 	case *engines.Fusion:
 		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=%t budget=%d/%d/%s/%d",
-			x.UseAbsint, x.IntervalsOnly, x.NoStride, x.NoSimplify, x.NoSession,
+			mode != driver.AbsintOff, mode == driver.AbsintIntervals,
+			mode == driver.AbsintNoStride, mode == driver.AbsintNoSimplify, x.NoSession,
 			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
 	case *engines.Pinpoint:
 		return fmt.Sprintf("%s nosession=%t qe=%d budget=%d/%d/%s/%d",
@@ -409,5 +413,5 @@ func engineFingerprint(eng engines.Engine) string {
 func (o Options) runDesc(sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget) string {
 	return fmt.Sprintf("%s | %s | %s | scale=%g | budget=%s/%d | %s",
 		o.Experiment, sub.Info.Name, spec.Name, o.scale(),
-		budget.Time, budget.CondBytes, engineFingerprint(eng))
+		budget.Time, budget.CondBytes, engineFingerprint(eng, o.Absint))
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/progen"
 )
@@ -136,7 +137,7 @@ func TestRunBudgetReplaysFromJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		o := Options{Scale: 0.02, Budget: budget, Journal: j, Experiment: "test"}
+		o := Options{Absint: driver.AbsintOff, Scale: 0.02, Budget: budget, Journal: j, Experiment: "test"}
 		return o.run(ctx, sub, checker.NullDeref(), engines.NewFusion())
 	}
 	live := runOnce()
@@ -167,7 +168,7 @@ func TestRunBudgetNeverRecordsCancelledRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Scale: 0.02, Budget: Budget{Time: time.Minute, CondBytes: 1 << 30},
+	o := Options{Absint: driver.AbsintOff, Scale: 0.02, Budget: Budget{Time: time.Minute, CondBytes: 1 << 30},
 		Journal: j, Experiment: "test"}
 	o.run(ctx, sub, checker.NullDeref(), engines.NewFusion())
 	j.Close()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/failure"
 	"fusion/internal/faultinject"
@@ -235,7 +236,7 @@ func TestRunWorkersResumesMidSubject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := runWorkers(ctx, sub, spec, engines.NewFusion(), budget, 0, j, "run1")
+	live := runWorkers(ctx, sub, spec, engines.NewFusion(), budget, 0, driver.AbsintOff, j, "run1")
 	total := j.Units()
 	j.Close()
 	if total < 2 {
@@ -263,7 +264,7 @@ func TestRunWorkersResumesMidSubject(t *testing.T) {
 	if j2.Units() != keep {
 		t.Fatalf("truncated journal holds %d unit records, want %d", j2.Units(), keep)
 	}
-	resumed := runWorkers(ctx, sub, spec, engines.NewFusion(), budget, 0, j2, "run1")
+	resumed := runWorkers(ctx, sub, spec, engines.NewFusion(), budget, 0, driver.AbsintOff, j2, "run1")
 	if j2.Units() != total {
 		t.Errorf("resumed journal holds %d unit records, want %d", j2.Units(), total)
 	}
@@ -305,7 +306,7 @@ func TestMetricsCountersWorkerInvariant(t *testing.T) {
 	}
 	run := func(workers int) []byte {
 		rec := telemetry.New()
-		o := Options{Scale: 0.02, Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
+		o := Options{Absint: driver.AbsintOff, Scale: 0.02, Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
 			Workers: workers, Experiment: "test", Telemetry: rec}
 		o.run(ctx, sub, checker.NullDeref(), engines.NewFusion())
 		b, err := rec.CountersJSON()
@@ -340,5 +341,34 @@ func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
 	}
 	if u.Unit != "null-deref 9:5<-3:9#0" || u.Status != 2 || !u.Degraded || u.Attempts != 1 {
 		t.Errorf("record fields lost: %+v", u)
+	}
+}
+
+// TestRunDescPinsAbsintModes pins the journal keys of the absint
+// ablation's five rows to their literal text: the mode renders as the
+// four absint flags journals have always been keyed by, so a journal
+// written before the mode became one value still resumes.
+func TestRunDescPinsAbsintModes(t *testing.T) {
+	const prefix = "ablation-absint | ffmpeg | cwe-369 | scale=0.002 | budget=10m0s/1073741824 | "
+	sub := &Subject{Info: progen.Subject{Name: "ffmpeg"}}
+	budget := Budget{Time: DefaultBudget.Time, CondBytes: 1 << 30}
+	for _, tc := range []struct {
+		mode driver.AbsintMode
+		want string
+	}{
+		{driver.AbsintOff, "fusion absint=false intervals=false nostride=false nosimplify=false nosession=false budget=0/0/0s/0"},
+		{driver.AbsintIntervals, "fusion absint=true intervals=true nostride=false nosimplify=false nosession=false budget=0/0/0s/0"},
+		{driver.AbsintNoStride, "fusion absint=true intervals=false nostride=true nosimplify=false nosession=false budget=0/0/0s/0"},
+		{driver.AbsintNoSimplify, "fusion absint=true intervals=false nostride=false nosimplify=true nosession=false budget=0/0/0s/0"},
+		{driver.AbsintOn, "fusion absint=true intervals=false nostride=false nosimplify=false nosession=false budget=0/0/0s/0"},
+	} {
+		o := Options{Scale: 0.002, Experiment: "ablation-absint", Absint: tc.mode}
+		eng := o.fusion()
+		if got := engineFingerprint(eng, tc.mode); got != tc.want {
+			t.Errorf("%v: fingerprint\n got %q\nwant %q", tc.mode, got, tc.want)
+		}
+		if got := o.runDesc(sub, checker.DivByZero(), eng, budget); got != prefix+tc.want {
+			t.Errorf("%v: run description\n got %q\nwant %q", tc.mode, got, prefix+tc.want)
+		}
 	}
 }

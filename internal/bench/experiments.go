@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"fusion/internal/absint"
 	"fusion/internal/checker"
 	"fusion/internal/cond"
 	"fusion/internal/driver"
@@ -36,19 +35,10 @@ type Options struct {
 	// fifteen threads); 0 or 1 means sequential. Output is deterministic
 	// regardless of the worker count.
 	Workers int
-	// Absint enables the abstract-interpretation tier in every fused
-	// engine the experiments construct.
-	Absint bool
-	// IntervalsOnly restricts the tier to the interval domain, disabling
-	// the zone relational domain — the `-absint=intervals` ablation.
-	IntervalsOnly bool
-	// NoStride disables the congruence (stride) domain while keeping the
-	// zone tier — the `-absint=nostride` ablation.
-	NoStride bool
-	// NoSimplify keeps every domain but disables the absint-guided
-	// pre-simplification of local conditions — the `-absint=nosimplify`
-	// ablation.
-	NoSimplify bool
+	// Absint is the abstract-interpretation tier mode of every fused
+	// engine the experiments construct (the zero value is the full
+	// tier, like `-absint=on`); the absint ablation overrides it per row.
+	Absint driver.AbsintMode
 	// NoSession disables the warm incremental solver sessions in every
 	// engine the experiments construct: each query then builds a fresh
 	// solver and blaster (the one-shot oracle) — the `-session=off`
@@ -94,10 +84,7 @@ func (o Options) workers() int {
 func (o Options) fusion() *engines.Fusion {
 	e := engines.NewFusion()
 	e.Parallel = o.workers()
-	e.UseAbsint = o.Absint
-	e.IntervalsOnly = o.IntervalsOnly
-	e.NoStride = o.NoStride
-	e.NoSimplify = o.NoSimplify
+	e.Opts.DisableAbsintSimplify = o.Absint == driver.AbsintNoSimplify
 	e.NoSession = o.NoSession
 	e.Cfg.Retries = o.Retries
 	return e
@@ -121,37 +108,7 @@ func (o Options) subjects(def []progen.Subject) []progen.Subject {
 // worker pool. With telemetry enabled, each compile's stage spans land
 // on its worker's trace track.
 func (o Options) compileAll(ctx context.Context, infos []progen.Subject) ([]*Subject, error) {
-	if o.Telemetry == nil {
-		return CompileAll(ctx, infos, o.scale(), o.workers())
-	}
-	type result struct {
-		sub *Subject
-		err error
-	}
-	rs, fails := driver.ParallelCheckWorkers(ctx, len(infos), o.workers(), func(i, w int) result {
-		src, gt, lines := infos[i].Build(o.scale())
-		p, err := driver.Compile(ctx, driver.Source{Name: infos[i].Name, Text: src},
-			driver.Options{Telemetry: o.Telemetry, TelemetryTrack: w + 1})
-		if err != nil {
-			return result{nil, fmt.Errorf("bench: %w", err)}
-		}
-		return result{&Subject{
-			Info: infos[i], Graph: p.Graph, GT: gt,
-			Stats: p.Stats, GenLines: lines,
-		}, nil}
-	})
-	out := make([]*Subject, len(rs))
-	for i, r := range rs {
-		if f := fails[i]; f != nil {
-			f.Unit = infos[i].Name
-			return nil, f
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		out[i] = r.sub
-	}
-	return out, nil
+	return compileAll(ctx, infos, o.scale(), o.workers(), o.Telemetry)
 }
 
 // run executes one engine run with the options' workers.
@@ -184,7 +141,7 @@ func (o Options) runBudget(ctx context.Context, sub *Subject, spec *sparse.Spec,
 			return c
 		}
 	}
-	c := runWorkers(ctx, sub, spec, eng, budget, o.workers(), o.Journal, key)
+	c := runWorkers(ctx, sub, spec, eng, budget, o.workers(), o.Absint, o.Journal, key)
 	if o.Journal != nil && ctx.Err() == nil {
 		// Best-effort: a full disk must not kill the run it checkpoints.
 		_ = o.Journal.Record(key, desc, c)
@@ -340,14 +297,14 @@ func Fig11Instances(ctx context.Context, opts Options) ([]Instance, error) {
 		senge := sparse.NewEngine(sub.Graph)
 		senge.Workers = opts.workers()
 		cands := senge.RunContext(ctx, spec)
-		an := absintFor(sub, opts.IntervalsOnly, opts.NoStride)
+		an := driver.Analyze(sub.Graph, opts.Absint)
 		for _, c := range cands {
 			paths := []pdg.Path{c.Path}
 
 			fb := smt.NewBuilder()
 			t0 := time.Now()
 			fr := fusioncore.Solve(ctx, fb, sub.Graph, paths, fusioncore.Options{
-				Absint: an, DisableAbsintSimplify: opts.NoSimplify,
+				Absint: an, DisableAbsintSimplify: opts.Absint == driver.AbsintNoSimplify,
 			})
 			fused := time.Since(t0)
 
@@ -370,16 +327,6 @@ func Fig11Instances(ctx context.Context, opts Options) ([]Instance, error) {
 		}
 	}
 	return out, nil
-}
-
-// absintFor builds the tier analysis for one subject through a throwaway
-// driver-independent fused engine, keeping the construction in one place.
-func absintFor(sub *Subject, intervalsOnly, noStride bool) *absint.Analysis {
-	e := engines.NewFusion()
-	e.UseAbsint = true
-	e.IntervalsOnly = intervalsOnly
-	e.NoStride = noStride
-	return e.Absint(sub.Graph)
 }
 
 // DumpSMT2 writes every null-checking SMT instance of the given subjects
@@ -639,7 +586,7 @@ type AblationCost struct {
 	Cost
 }
 
-// ablationCosts runs the four-mode ablation and reports whether every
+// ablationCosts runs the five-mode ablation and reports whether every
 // mode produced the identical report count per (subject, checker).
 func ablationCosts(ctx context.Context, opts Options) ([]AblationCost, bool, error) {
 	var out []AblationCost
@@ -650,17 +597,15 @@ func ablationCosts(ctx context.Context, opts Options) ([]AblationCost, bool, err
 	}
 	for _, sub := range subs {
 		for _, spec := range []*sparse.Spec{checker.DivByZero(), checker.IndexOOB()} {
-			// Explicit engines per mode: the ablation ignores Options.Absint.
+			// One mode per row: the ablation overrides Options.Absint.
 			var reports []int
-			for _, mode := range []string{"off", "intervals", "nostride", "nosimplify", "on"} {
-				eng := opts.fusion()
-				eng.UseAbsint = mode != "off"
-				eng.IntervalsOnly = mode == "intervals"
-				eng.NoStride = mode == "nostride"
-				eng.NoSimplify = mode == "nosimplify"
-				c := opts.run(ctx, sub, spec, eng)
+			for _, mode := range []driver.AbsintMode{driver.AbsintOff, driver.AbsintIntervals,
+				driver.AbsintNoStride, driver.AbsintNoSimplify, driver.AbsintOn} {
+				o := opts
+				o.Absint = mode
+				c := o.run(ctx, sub, spec, o.fusion())
 				reports = append(reports, c.Reports)
-				out = append(out, AblationCost{Mode: mode, Cost: c})
+				out = append(out, AblationCost{Mode: mode.String(), Cost: c})
 			}
 			for _, r := range reports[1:] {
 				if r != reports[0] {

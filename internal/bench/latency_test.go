@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/progen"
 	"fusion/internal/smt"
@@ -45,19 +46,19 @@ func TestCancellationLatency(t *testing.T) {
 		}
 		subs = append(subs, sub)
 	}
-	mk := map[string]func() engines.Engine{
-		"fusion": func() engines.Engine {
+	mk := map[string]func(*Subject) engines.Engine{
+		"fusion": func(sub *Subject) engines.Engine {
 			e := engines.NewFusion()
-			e.UseAbsint = true
+			e.Opts.Absint = driver.Analyze(sub.Graph, driver.AbsintOn)
 			return e
 		},
-		"pinpoint": func() engines.Engine { return engines.NewPinpoint(engines.Plain) },
+		"pinpoint": func(*Subject) engines.Engine { return engines.NewPinpoint(engines.Plain) },
 	}
 	for _, name := range []string{"fusion", "pinpoint"} {
 		var worst time.Duration
 		worstAt, n := "", 0
 		for _, sub := range subs {
-			eng := mk[name]()
+			eng := mk[name](sub)
 			engines.SetParallel(eng, 1)
 			engines.SetBudget(eng, engines.Budget{Deadline: deadline})
 			se := sparse.NewEngine(sub.Graph)

@@ -292,13 +292,25 @@ func (p *Program) Absint() *absint.Analysis {
 			}()
 		}
 		faultinject.Fire("panic.absint", p.Name)
-		p.abs = absint.AnalyzeWith(p.Graph, absint.Config{
-			DisableZone: p.opts.Absint == AbsintIntervals,
-			DisableStride: p.opts.Absint == AbsintIntervals ||
-				p.opts.Absint == AbsintNoStride,
-		})
+		p.abs = Analyze(p.Graph, p.opts.Absint)
 	})
 	return p.abs
+}
+
+// Analyze builds the abstract interpretation a tier mode asks for: nil
+// for AbsintOff, intervals alone for AbsintIntervals, the product without
+// stride for AbsintNoStride, and the full interval×stride+zone product
+// for AbsintOn and AbsintNoSimplify (whose ablation lives in the engine,
+// not the analysis). It is the one place a mode becomes domains; unlike
+// Program.Absint it neither caches nor contains a crash.
+func Analyze(g *pdg.Graph, m AbsintMode) *absint.Analysis {
+	if m == AbsintOff {
+		return nil
+	}
+	return absint.AnalyzeWith(g, absint.Config{
+		DisableZone:   m == AbsintIntervals,
+		DisableStride: m == AbsintIntervals || m == AbsintNoStride,
+	})
 }
 
 // AbsintFailure reports the contained crash of the lazy abstract

@@ -241,4 +241,39 @@ func TestAbsintModes(t *testing.T) {
 			t.Fatal("Absint must return the same cached analysis")
 		}
 	}
+
+	// driver.Analyze is the one mode → domains mapping. The source has a
+	// guarded difference (zone edges) and a parity guard (a stride fact).
+	g := compile(t, `
+fun f() {
+    var n: int = user_input();
+    var m: int = user_input();
+    if (n % 2 == 1 && n < m) {
+        var y: int = n + 2;
+        send(y);
+    }
+}`, driver.Options{Prelude: true}).Graph
+	for _, tc := range []struct {
+		mode         driver.AbsintMode
+		zone, stride bool
+	}{
+		{driver.AbsintIntervals, false, false},
+		{driver.AbsintNoStride, true, false},
+		{driver.AbsintOn, true, true},
+		{driver.AbsintNoSimplify, true, true},
+	} {
+		an := driver.Analyze(g, tc.mode)
+		if an == nil {
+			t.Fatalf("%v: no analysis", tc.mode)
+		}
+		if got := an.Stats.ZoneEdges > 0; got != tc.zone {
+			t.Errorf("%v: zone edges %d, want zone=%v", tc.mode, an.Stats.ZoneEdges, tc.zone)
+		}
+		if got := an.Stats.StrideFacts > 0; got != tc.stride {
+			t.Errorf("%v: stride facts %d, want stride=%v", tc.mode, an.Stats.StrideFacts, tc.stride)
+		}
+	}
+	if driver.Analyze(g, driver.AbsintOff) != nil {
+		t.Error("AbsintOff must build no analysis")
+	}
 }

@@ -164,23 +164,12 @@ func (c SolverConfig) options() solver.Options {
 // analyses with fifteen threads.
 type Fusion struct {
 	Cfg SolverConfig
-	// Opts tunes the fused solver (ablations).
+	// Opts tunes the fused solver (ablations). Opts.Absint is the
+	// engine's abstract-interpretation tier, consulted before every
+	// solve: the caller builds it once per graph (driver.Analyze or
+	// Program.Absint) and it must analyze the graph Check is given; nil
+	// means the tier is off.
 	Opts fusioncore.Options
-	// UseAbsint enables the abstract-interpretation tier: the
-	// whole-program analysis is computed once per graph and consulted
-	// before every solve.
-	UseAbsint bool
-	// IntervalsOnly disables the zone relational domain, leaving the
-	// interval tier alone — the `-absint=intervals` ablation.
-	IntervalsOnly bool
-	// NoStride disables the congruence (stride) domain while keeping the
-	// zone tier — the `-absint=nostride` ablation. IntervalsOnly implies
-	// NoStride.
-	NoStride bool
-	// NoSimplify keeps every domain but disables the absint-guided
-	// pre-simplification of local conditions — the `-absint=nosimplify`
-	// ablation. Refutation and fact export are unaffected.
-	NoSimplify bool
 	// NoSession disables the warm incremental solver sessions: every query
 	// runs on a fresh session — the `-session=off` ablation (and the oracle
 	// the differential tests compare against).
@@ -201,36 +190,12 @@ type Fusion struct {
 	OnVerdict func(i int, v Verdict)
 	mu        sync.Mutex
 	peak      int64
-	absG      *pdg.Graph
-	abs       *absint.Analysis
 	// sessions is the pool-affine warm solver pool: one session per
 	// ParallelCheck worker slot, reused across Check calls.
 	sessions *driver.Sessions
 	// fb is the lazily-built fallback analysis the degradation ladder
 	// consults when the engine runs without its own absint tier.
 	fb fallbackTier
-}
-
-// Absint returns the engine's interval analysis for the graph, building
-// and caching it on first use. Nil unless UseAbsint is set (or an analysis
-// was injected through Opts.Absint).
-func (e *Fusion) Absint(g *pdg.Graph) *absint.Analysis {
-	if e.Opts.Absint != nil {
-		return e.Opts.Absint
-	}
-	if !e.UseAbsint {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.absG != g {
-		e.abs = absint.AnalyzeWith(g, absint.Config{
-			DisableZone:   e.IntervalsOnly,
-			DisableStride: e.IntervalsOnly || e.NoStride,
-		})
-		e.absG = g
-	}
-	return e.abs
 }
 
 // NewFusion returns the fused engine with default options.
@@ -266,14 +231,13 @@ func (e *Fusion) sessionPool(n int) *driver.Sessions {
 
 // Check implements Engine.
 func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	e.Absint(g) // build the shared analysis once, outside the pool
 	pool := e.sessionPool(driver.PoolSize(len(cands), e.Parallel))
 	l := &ladder{
 		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
 		deadline: e.Cfg.Budget.Deadline,
 		attempt:  func(at rung) Verdict { return e.attempt(at, pool) },
 		fallback: func(g *pdg.Graph) *absint.Analysis {
-			if an := e.Absint(g); an != nil {
+			if an := e.Opts.Absint; an != nil {
 				return an
 			}
 			return e.fb.analysis(g)
@@ -325,10 +289,6 @@ func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 	opts.Solver.Unit = UnitLabel(c)
 	opts.Session = sess
 	opts.Constraints = c.Constraints(0)
-	opts.Absint = e.Absint(at.g)
-	if e.NoSimplify {
-		opts.DisableAbsintSimplify = true
-	}
 	if e.Cfg.Budget.MaxHeapDelta > 0 && opts.MaxHeapDelta == 0 {
 		opts.MaxHeapDelta = e.Cfg.Budget.MaxHeapDelta
 	}

@@ -153,7 +153,7 @@ func (f *fallbackTier) analysis(g *pdg.Graph) *absint.Analysis {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.g != g {
-		f.an = absint.Analyze(g)
+		f.an = driver.Analyze(g, driver.AbsintOn)
 		f.g = g
 	}
 	return f.an
