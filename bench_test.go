@@ -270,3 +270,27 @@ func BenchmarkAblationAbsint(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAbsintBuild measures the whole-program abstract interpretation
+// alone, per tier mode, over the four industrial subjects — the build every
+// Fusion run with the tier on pays before its first candidate.
+func BenchmarkAbsintBuild(b *testing.B) {
+	var subs []*bench.Subject
+	for _, name := range []string{"ffmpeg", "v8", "mysql", "wine"} {
+		info, err := progen.SubjectByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		subs = append(subs, compile(b, info, benchScale))
+	}
+	for _, m := range []driver.AbsintMode{driver.AbsintOn, driver.AbsintNoStride, driver.AbsintIntervals} {
+		b.Run(m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, sub := range subs {
+					driver.Analyze(sub.Graph, m)
+				}
+			}
+		})
+	}
+}

@@ -308,15 +308,19 @@ func zoneName(x *ssa.Value) string {
 // reaches the fixpoint.
 func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, depth int) Interval {
 	local := make(map[*ssa.Value]Interval, len(f.Values))
-	// The stride domain is only tracked in the record pass: instantiation
-	// passes re-evaluate intervals per call site, where skipping the
-	// product merely costs precision, never soundness.
+	// The zone and stride domains are only tracked in the record pass:
+	// instantiation passes re-evaluate intervals alone per call site, and
+	// their result is met with the top-parameter summary the record pass
+	// computed with the full product, so skipping the product there
+	// merely costs precision, never soundness. The zone is the expensive
+	// half: it closes a difference-bound matrix per guard environment,
+	// which the record pass keeps but an instantiation would discard.
 	stride := a.stride && record
 	var localSt map[*ssa.Value]Stride
 	if stride {
 		localSt = make(map[*ssa.Value]Stride, len(f.Values))
 	}
-	ref := newRefiner(local, localSt, a.zone, stride)
+	ref := newRefiner(local, localSt, a.zone && record, stride)
 
 	for _, v := range f.Values {
 		look := func(x *ssa.Value) Interval {
