@@ -4,7 +4,7 @@
 // Usage:
 //
 //	fusion [-checker null-deref|cwe-23|cwe-402|cwe-369|cwe-125|all] [-engine NAME]
-//	       [-absint on|nostride|nosimplify|intervals|off] [-session on|off]
+//	       [-absint on|nostride|nosimplify|intervals|off]
 //	       [-workers N] [-timeout D] [-no-prelude]
 //	       [-fail-fast] [-budget-steps N] [-budget-conflicts N]
 //	       [-budget-deadline D] [-budget-heap N]
@@ -48,7 +48,6 @@ func main() {
 	enum := flag.String("enum", "dfs", "path enumeration: dfs or summary")
 	dot := flag.Bool("dot", false, "print the program dependence graph in Graphviz DOT format and exit")
 	absintMode := flag.String("absint", "on", "abstract-interpretation tier: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off (fusion engines and -dot annotations)")
-	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings across a unit's queries) or off (every query runs on a one-shot session: fresh stack, no warm state — the oracle). Never changes verdicts, only cost")
 	workers := flag.Int("workers", 1, "worker count for enumeration and checking (output is identical for any count)")
 	timeout := flag.Duration("timeout", 0, "overall analysis budget; on expiry remaining candidates are reported as undecided (0 = none; must be >= 0)")
 	failFast := flag.Bool("fail-fast", false, "stop at the first contained unit failure instead of completing the batch")
@@ -56,7 +55,7 @@ func main() {
 	budgetConflicts := flag.Int64("budget-conflicts", 0, "per-candidate SAT conflict budget (0 = unbounded; must be >= 0)")
 	budgetDeadline := flag.Duration("budget-deadline", 0, "per-candidate wall-clock budget; every solve phase stops within a bounded interval of it (0 = none; must be >= 0)")
 	budgetHeap := flag.Int64("budget-heap", 0, "per-candidate formula-construction byte budget (0 = unbounded; must be >= 0)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
+	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times, every attempt on fresh solver state; a re-run is deterministic, so it recovers only a crash that does not repeat (0 = single attempt; must be >= 0)")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this file")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
@@ -75,16 +74,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fusion:", err)
 		os.Exit(2)
 	}
-	if *session != "on" && *session != "off" {
-		fmt.Fprintf(os.Stderr, "fusion: -session must be on or off, got %q\n", *session)
-		os.Exit(2)
-	}
 	cfg := config{
 		path: flag.Arg(0), checker: *checkerName, engine: *engineName,
 		prelude: !*noPrelude, showPaths: *showPaths, joint: *joint,
 		enum: *enum, dot: *dot, absint: mode,
-		noSession: *session == "off",
-		workers:   *workers, timeout: *timeout,
+		workers: *workers, timeout: *timeout,
 		failFast: *failFast,
 		retries:  *retries,
 		budget: engines.Budget{
@@ -152,7 +146,6 @@ type config struct {
 	enum      string
 	dot       bool
 	absint    driver.AbsintMode
-	noSession bool
 	workers   int
 	timeout   time.Duration
 	failFast  bool
@@ -273,7 +266,6 @@ func run(cfg config) (outcome, error) {
 	}
 	engines.SetParallel(eng, cfg.workers)
 	engines.SetBudget(eng, cfg.budget)
-	engines.SetNoSession(eng, cfg.noSession)
 	engines.SetSupervision(eng, cfg.retries)
 	if cfg.rec != nil {
 		engines.SetTelemetry(eng, cfg.rec)

@@ -197,50 +197,39 @@ func TestRunWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunSessionDeterministic checks the -session contract end to end: the
-// warm sessions may only change the cost of a run, so the CLI output must
-// be byte-identical with sessions on and off, at any worker count — and
-// under an injected check-stage panic, where a poisoned session must not
-// leak into the remaining candidates' verdicts.
+// TestRunSessionDeterministic checks end to end that solver state lives
+// for one candidate: the CLI output must be byte-identical at any worker
+// count — also for the Pinpoint variants whose candidates each run a
+// multi-query session — and under an injected check-stage panic, where
+// the crashed candidate must not leak into the remaining verdicts.
 func TestRunSessionDeterministic(t *testing.T) {
 	path := writeTemp(t, testSrc)
-	for _, engine := range []string{"fusion", "pinpoint", "pinpoint+hfs"} {
-		var outs []string
-		for _, noSession := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				var buf bytes.Buffer
-				if _, err := run(config{path: path, checker: "all", engine: engine, prelude: true,
-					showPaths: true, noSession: noSession, workers: workers, out: &buf}); err != nil {
-					t.Fatalf("%s session=%v workers=%d: %v", engine, !noSession, workers, err)
-				}
-				outs = append(outs, buf.String())
-			}
+	runAt := func(engine string, workers int) string {
+		var buf bytes.Buffer
+		if _, err := run(config{path: path, checker: "all", engine: engine, prelude: true,
+			showPaths: true, workers: workers, out: &buf}); err != nil {
+			t.Fatalf("%s workers=%d: %v", engine, workers, err)
 		}
-		for _, o := range outs[1:] {
-			if o != outs[0] {
-				t.Errorf("%s: output varies with -session/-workers:\n--- base ---\n%s--- got ---\n%s",
-					engine, outs[0], o)
-			}
+		return buf.String()
+	}
+	engines := []string{"fusion", "pinpoint", "pinpoint+hfs", "pinpoint+qe", "pinpoint+ar"}
+	for _, engine := range engines {
+		if seq, par := runAt(engine, 1), runAt(engine, 8); seq != par {
+			t.Errorf("%s: output varies with -workers:\n--- 1 ---\n%s--- 8 ---\n%s", engine, seq, par)
 		}
 	}
 
 	// Under FUSION_FAULT=panic.check (here scoped to the null-deref units)
-	// the batch still completes, and the warm and cold runs agree on every
-	// surviving verdict — a panic poisons its own session, nothing else.
+	// the batch still completes, identically at any worker count: a panic
+	// takes down its own candidate, nothing else.
 	if err := faultinject.ArmSpec("panic.check:null-deref"); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Reset()
-	var warm, cold bytes.Buffer
-	if _, err := run(config{path: path, checker: "all", engine: "fusion", prelude: true, workers: 1, out: &warm}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run(config{path: path, checker: "all", engine: "fusion", prelude: true, noSession: true, workers: 1, out: &cold}); err != nil {
-		t.Fatal(err)
-	}
-	if warm.String() != cold.String() {
-		t.Errorf("faulted outputs differ between session modes:\n--- warm ---\n%s--- cold ---\n%s",
-			warm.String(), cold.String())
+	for _, engine := range []string{"fusion", "pinpoint+hfs"} {
+		if seq, par := runAt(engine, 1), runAt(engine, 8); seq != par {
+			t.Errorf("%s: faulted output varies with -workers:\n--- 1 ---\n%s--- 8 ---\n%s", engine, seq, par)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	fusionbench [-experiment NAME|all] [-scale F] [-subjects a,b,c] [-budget D]
-//	            [-workers N] [-timeout D] [-absint MODE] [-session on|off] [-fail-fast]
+//	            [-workers N] [-timeout D] [-absint MODE] [-fail-fast]
 //	            [-retries N] [-checkpoint FILE [-resume]]
 //	            [-metrics FILE] [-trace FILE] [-pprof-addr ADDR]
 //
@@ -40,9 +40,8 @@ func main() {
 	workers := flag.Int("workers", 0, "worker count for compilation, enumeration, and checking (0 = sequential; output is identical for any count)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none; must be >= 0)")
 	absintFlag := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
-	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings) or off (every query runs on a one-shot session: fresh stack, no warm state — the oracle)")
 	failFast := flag.Bool("fail-fast", false, "stop after the first experiment whose runs contained a unit crash (default: run all experiments, summarize at the end)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times: warm session first, then a fresh session on every retry (0 = single attempt; must be >= 0)")
+	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times, every attempt on fresh solver state; a re-run is deterministic, so it recovers only a crash that does not repeat (0 = single attempt; must be >= 0)")
 	checkpoint := flag.String("checkpoint", "", "journal completed engine runs to this file (append-only JSONL, fsync'd per record) so a crashed invocation can resume")
 	resume := flag.Bool("resume", false, "replay runs a previous crashed invocation completed in the -checkpoint journal instead of re-running them")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
@@ -56,10 +55,6 @@ func main() {
 	absint, err := driver.ParseAbsintMode(*absintFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fusionbench:", err)
-		os.Exit(2)
-	}
-	if *session != "on" && *session != "off" {
-		fmt.Fprintf(os.Stderr, "fusionbench: -session must be on or off, got %q\n", *session)
 		os.Exit(2)
 	}
 	if *retries < 0 {
@@ -86,11 +81,10 @@ func main() {
 
 	var unitFailures []*failure.UnitFailure
 	opts := bench.Options{
-		Scale:     *scale,
-		Budget:    bench.Budget{Time: *budget, CondBytes: 2 << 30},
-		Workers:   *workers,
-		Absint:    absint,
-		NoSession: *session == "off",
+		Scale:   *scale,
+		Budget:  bench.Budget{Time: *budget, CondBytes: 2 << 30},
+		Workers: *workers,
+		Absint:  absint,
 		OnCost: func(c bench.Cost) {
 			unitFailures = append(unitFailures, c.Failures...)
 		},

@@ -30,10 +30,6 @@ type baselineMode struct {
 	Zone       int `json:"zone"`
 	Pruned     int `json:"pruned"`
 	Simplified int `json:"simplified"`
-	// CacheHits totals the warm solver sessions' cross-query term reuse.
-	// The baseline run is sequential, so the count is deterministic; a
-	// drop below the committed floor means session reuse regressed.
-	CacheHits int64 `json:"cacheHits"`
 }
 
 const baselinePath = "testdata/absint_baseline.json"
@@ -87,7 +83,6 @@ func TestAblationBaseline(t *testing.T) {
 		m.Zone += c.AbsintZone
 		m.Pruned += c.AbsintPruned
 		m.Simplified += c.Simplified
-		m.CacheHits += c.CacheHits
 		got[c.Mode] = m
 	}
 
@@ -129,16 +124,13 @@ func TestAblationBaseline(t *testing.T) {
 	if got["on"].Zone == 0 {
 		t.Error("zone tier never decided a query on the baseline subjects")
 	}
-	if got["off"].CacheHits == 0 {
-		t.Error("warm sessions never reused a term encoding on the baseline subjects")
-	}
 	// Regression floor: each mode must decide and prune at least as many
 	// queries as the committed baseline.
 	for mode, want := range bl.Modes {
 		g := got[mode]
 		if g.Decided < want.Decided || g.Stride < want.Stride ||
 			g.Zone < want.Zone || g.Pruned < want.Pruned ||
-			g.Simplified < want.Simplified || g.CacheHits < want.CacheHits {
+			g.Simplified < want.Simplified {
 			t.Errorf("%s: decision rate regressed: got %+v, baseline %+v", mode, g, want)
 		}
 	}

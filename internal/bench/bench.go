@@ -130,16 +130,6 @@ type Cost struct {
 	// is set to.
 	Retried   int
 	Recovered int
-	// CacheHits totals the term encodings candidate solves reused from
-	// their warm sessions; ReusedClauses totals the learned clauses they
-	// inherited; CacheVars is the largest retained SAT variable map any
-	// solve saw. All zero under -session=off. These depend on how
-	// candidates were batched onto workers, so they are reported in
-	// sequential contexts (ablation tables) and never folded into
-	// verdict-derived columns.
-	CacheHits     int64
-	ReusedClauses int64
-	CacheVars     int
 }
 
 // Budget bounds one engine run, mirroring the paper's 12-hour/100GB limit
@@ -257,11 +247,6 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 		}
 		cost.Simplified += v.Simplified
 		cost.PrunedGuards += v.PrunedGuards
-		cost.CacheHits += v.CacheHits
-		cost.ReusedClauses += v.ReusedClauses
-		if v.CacheVars > cost.CacheVars {
-			cost.CacheVars = v.CacheVars
-		}
 		if v.DecidedByAbsint {
 			cost.AbsintDecided++
 			if v.DecidedByStride {

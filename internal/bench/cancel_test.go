@@ -52,8 +52,9 @@ func TestRunBudgetCooperativeCancellation(t *testing.T) {
 // TestRunPartialVerdictsUnderShortBudget: a budget long enough to
 // enumerate but too short to check everything still yields one verdict
 // per candidate, with the undecided remainder scored as Unknown. The
-// short run wedges every CDCL search (stall.solve) until the run's
-// budget expires, so it times out on any machine, however fast.
+// short run wedges every solve that reaches the SAT core (stall.solve)
+// until the run's budget expires, so it times out on any machine,
+// however fast.
 func TestRunPartialVerdictsUnderShortBudget(t *testing.T) {
 	ctx := context.Background()
 	sub, err := Compile(ctx, progen.Subjects[5], 0.02)

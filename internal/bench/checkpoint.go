@@ -79,9 +79,6 @@ type unitRecord struct {
 	PrunedGuards  int   `json:"guards,omitempty"`
 	ConditionSize int   `json:"cond,omitempty"`
 	Attempts      int   `json:"att,omitempty"`
-	CacheHits     int64 `json:"hits,omitempty"`
-	CacheVars     int   `json:"vars,omitempty"`
-	ReusedClauses int64 `json:"reused,omitempty"`
 	Conflicts     int64 `json:"confl,omitempty"`
 	Decisions     int64 `json:"decis,omitempty"`
 	Props         int64 `json:"props,omitempty"`
@@ -104,9 +101,6 @@ func unitRecordOf(idx int, v engines.Verdict) unitRecord {
 		PrunedGuards:    v.PrunedGuards,
 		ConditionSize:   v.ConditionSize,
 		Attempts:        v.Attempts,
-		CacheHits:       v.CacheHits,
-		CacheVars:       v.CacheVars,
-		ReusedClauses:   v.ReusedClauses,
 		Conflicts:       v.Conflicts,
 		Decisions:       v.Decisions,
 		Props:           v.Props,
@@ -129,9 +123,6 @@ func (u *unitRecord) verdict(c sparse.Candidate) engines.Verdict {
 		PrunedGuards:    u.PrunedGuards,
 		ConditionSize:   u.ConditionSize,
 		Attempts:        u.Attempts,
-		CacheHits:       u.CacheHits,
-		CacheVars:       u.CacheVars,
-		ReusedClauses:   u.ReusedClauses,
 		Conflicts:       u.Conflicts,
 		Decisions:       u.Decisions,
 		Props:           u.Props,
@@ -389,17 +380,18 @@ func (j *Journal) Close() error { return j.f.Close() }
 // Worker counts and supervision settings are excluded: they may only
 // change cost. Unknown engine types fall back to their name, which is
 // correct as long as they carry no ablation knobs. The mode renders as
-// the four flags earlier journals were keyed by, so they still resume.
+// the four flags earlier journals were keyed by, and the retired
+// `-session` knob as its default literal, so those journals still resume.
 func engineFingerprint(eng engines.Engine, mode driver.AbsintMode) string {
 	switch x := eng.(type) {
 	case *engines.Fusion:
-		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=%t budget=%d/%d/%s/%d",
+		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=false budget=%d/%d/%s/%d",
 			mode != driver.AbsintOff, mode == driver.AbsintIntervals,
-			mode == driver.AbsintNoStride, mode == driver.AbsintNoSimplify, x.NoSession,
+			mode == driver.AbsintNoStride, mode == driver.AbsintNoSimplify,
 			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
 	case *engines.Pinpoint:
-		return fmt.Sprintf("%s nosession=%t qe=%d budget=%d/%d/%s/%d",
-			x.Name(), x.NoSession, x.QEBudget,
+		return fmt.Sprintf("%s nosession=false qe=%d budget=%d/%d/%s/%d",
+			x.Name(), x.QEBudget,
 			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
 	case *engines.Infer:
 		return fmt.Sprintf("infer depth=%d specbudget=%d", x.MaxSummaryDepth, x.SpecBudget)

@@ -155,7 +155,6 @@ func TestUnitRecordRoundTrip(t *testing.T) {
 		Cand: c, Status: sat.Sat, Tier: engines.TierExact,
 		Preprocessed: true, Degraded: true,
 		Simplified: 7, PrunedGuards: 3, ConditionSize: 41, Attempts: 2,
-		CacheHits: 11, CacheVars: 5, ReusedClauses: 13,
 		Conflicts: 17, Decisions: 19, Props: 23,
 		SolveTime: 42 * time.Millisecond,
 		Failure:   fail,
@@ -281,12 +280,10 @@ func TestRunWorkersResumesMidSubject(t *testing.T) {
 		t.Errorf("journal has %d records after resume, want %d: replayed units were re-checked", n, total)
 	}
 
-	// Wall time, heap, and session-affinity counters are cost-only and
-	// legitimately differ (the resumed half starts on a cold session);
-	// every verdict-derived field must fold identically.
+	// Wall time and heap are cost-only and legitimately differ; every
+	// verdict-derived field must fold identically.
 	norm := func(c Cost) Cost {
 		c.Time, c.HeapMB, c.CondMB = 0, 0, 0
-		c.CacheHits, c.ReusedClauses, c.CacheVars = 0, 0, 0
 		return c
 	}
 	if !reflect.DeepEqual(norm(live), norm(resumed)) {
@@ -323,11 +320,14 @@ func TestMetricsCountersWorkerInvariant(t *testing.T) {
 
 // TestJournalReplaysRecordsWithRetiredFields: journals written before the
 // abandonment flag was removed carry an "aband" key in their unit
-// records; they must still load and replay the rest of the record.
+// records, and those written before warm solver sessions were removed
+// carry their "hits", "vars" and "reused" counters; they must still load
+// and replay the rest of the record.
 func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.jsonl")
-	line := `{"key":"k1:u0","kind":"unit","unit":{"idx":0,"u":"null-deref 9:5<-3:9#0","st":2,"deg":true,"aband":true,"att":1}}` + "\n"
-	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+	lines := `{"key":"k1:u0","kind":"unit","unit":{"idx":0,"u":"null-deref 9:5<-3:9#0","st":2,"deg":true,"aband":true,"att":1}}` + "\n" +
+		`{"key":"k1:u1","kind":"unit","unit":{"idx":1,"u":"null-deref 12:5<-3:9#0","st":1,"att":1,"hits":11,"vars":5,"reused":13,"confl":17}}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(path)
@@ -340,6 +340,13 @@ func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
 		t.Fatal("a record with a retired field was dropped")
 	}
 	if u.Unit != "null-deref 9:5<-3:9#0" || u.Status != 2 || !u.Degraded || u.Attempts != 1 {
+		t.Errorf("record fields lost: %+v", u)
+	}
+	u, ok = j.LookupUnit("k1", 1)
+	if !ok {
+		t.Fatal("a record with retired session counters was dropped")
+	}
+	if u.Unit != "null-deref 12:5<-3:9#0" || u.Status != 1 || u.Attempts != 1 || u.Conflicts != 17 {
 		t.Errorf("record fields lost: %+v", u)
 	}
 }

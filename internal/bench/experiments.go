@@ -39,11 +39,6 @@ type Options struct {
 	// engine the experiments construct (the zero value is the full
 	// tier, like `-absint=on`); the absint ablation overrides it per row.
 	Absint driver.AbsintMode
-	// NoSession disables the warm incremental solver sessions in every
-	// engine the experiments construct: each query then builds a fresh
-	// solver and blaster (the one-shot oracle) — the `-session=off`
-	// ablation.
-	NoSession bool
 	// OnCost observes every scored engine run, in completion order. The
 	// command-line harness uses it to tally contained unit failures and
 	// degraded verdicts for its exit status. Replayed journal records are
@@ -85,14 +80,12 @@ func (o Options) fusion() *engines.Fusion {
 	e := engines.NewFusion()
 	e.Parallel = o.workers()
 	e.Opts.DisableAbsintSimplify = o.Absint == driver.AbsintNoSimplify
-	e.NoSession = o.NoSession
 	e.Cfg.Retries = o.Retries
 	return e
 }
 
 func (o Options) pinpoint(v engines.Variant) *engines.Pinpoint {
 	e := engines.NewPinpoint(v)
-	e.NoSession = o.NoSession
 	e.Cfg.Retries = o.Retries
 	return e
 }
@@ -615,70 +608,6 @@ func ablationCosts(ctx context.Context, opts Options) ([]AblationCost, bool, err
 		}
 	}
 	return out, identical, nil
-}
-
-// AblationSession measures the warm incremental solver sessions'
-// contribution: Fusion and the conventional engine run the null-exception
-// checker over the corpus with sessions on and with `-session=off` (every
-// query solved one-shot — the oracle the warm path is validated against).
-// Sessions may only change cost, never verdicts, so the report counts must
-// be identical in both modes; the cache columns show what the warm path
-// reused (all zero under off, by construction). The counters depend on how
-// candidates were batched onto workers, so run this experiment sequentially
-// when comparing counter values across machines.
-func AblationSession(ctx context.Context, opts Options) (string, error) {
-	t := &Table{
-		Title: "Ablation: incremental solver sessions (-session)",
-		Header: []string{"Program", "Engine", "Session", "Time", "#Report",
-			"CacheHits", "ReusedClauses", "CacheVars"},
-	}
-	spec := checker.NullDeref()
-	subs, err := opts.compileAll(ctx, opts.subjects(progen.Subjects))
-	if err != nil {
-		return "", err
-	}
-	identical := true
-	var timeOn, timeOff time.Duration
-	var hitsOn int64
-	for _, sub := range subs {
-		reports := map[string][2]int{}
-		for _, mode := range []string{"on", "off"} {
-			o := opts
-			o.NoSession = mode == "off"
-			for _, eng := range []engines.Engine{o.fusion(), o.pinpoint(engines.Plain)} {
-				c := o.run(ctx, sub, spec, eng)
-				t.AddRow(sub.Info.Name, c.Engine, mode, fd(c.Time),
-					fmt.Sprintf("%d", c.Reports),
-					fmt.Sprintf("%d", c.CacheHits),
-					fmt.Sprintf("%d", c.ReusedClauses),
-					fmt.Sprintf("%d", c.CacheVars))
-				r := reports[c.Engine]
-				if mode == "on" {
-					r[0] = c.Reports
-					timeOn += c.Time
-					hitsOn += c.CacheHits
-				} else {
-					r[1] = c.Reports
-					timeOff += c.Time
-				}
-				reports[c.Engine] = r
-			}
-		}
-		for _, r := range reports {
-			if r[0] != r[1] {
-				identical = false
-			}
-		}
-	}
-	s := t.String()
-	if identical {
-		s += "\nreport sets identical with sessions on and off\n"
-	} else {
-		s += "\nWARNING: report sets differ between session modes\n"
-	}
-	s += fmt.Sprintf("total time: on %s, off %s; warm cache hits: %d\n",
-		fd(timeOn), fd(timeOff), hitsOn)
-	return s, nil
 }
 
 // largeSubjects returns the four industrial-sized subjects (ffmpeg, v8,

@@ -81,7 +81,7 @@ func TestCancellationLatency(t *testing.T) {
 }
 
 // TestPhaseCancellationLatency cancels each slow solve phase — the
-// concrete-execution probe, preprocessing, and a warm session's
+// concrete-execution probe, preprocessing, and the one-shot solver's
 // bit-blasting — at pseudo-random points while it works on the largest
 // condition of the benchmark's inputs, and requires each to return
 // within phaseSlack of the cancellation.
@@ -100,11 +100,9 @@ func TestPhaseCancellationLatency(t *testing.T) {
 			smt.Preprocess(ctx, b, condition(b, g, big), smt.DefaultPasses())
 		}},
 		{"blast", func(ctx context.Context) {
-			sess := solver.NewSession(solver.SessionConfig{})
-			sess.Begin()
-			sess.Solve(condition(sess.Builder(), g, big),
+			b := smt.NewBuilder()
+			solver.Solve(b, condition(b, g, big),
 				solver.Options{Ctx: ctx, NoProbe: true, Passes: solver.NoPasses})
-			sess.Finish()
 		}},
 	}
 	rng := rand.New(rand.NewSource(1))

@@ -46,8 +46,8 @@ func condition(b *smt.Builder, g *pdg.Graph, c sparse.Candidate) *smt.Term {
 	return cond.Translate(b, sl).Phi
 }
 
-// TestCancelledBlastLeavesSessionClean is the warm-session differential
-// for bit-blasting: a query cancelled part-way through its blast must not
+// TestCancelledBlastLeavesSessionClean is the session differential for
+// bit-blasting: a query cancelled part-way through its blast must not
 // leave a memoized unfinished term or an activation literal behind, so
 // the same session then answers a corpus exactly like a fresh session
 // that never saw the cancelled query. The cancellation lands at several
@@ -71,40 +71,37 @@ func TestCancelledBlastLeavesSessionClean(t *testing.T) {
 	}
 	// NoProbe and NoPasses send the big query straight to the blaster.
 	direct := solver.Options{NoProbe: true, Passes: solver.NoPasses}
-	answer := func(sess *solver.Session) []sat.Status {
+	answer := func(b *smt.Builder, sess *solver.Session) []sat.Status {
 		var out []sat.Status
 		for _, q := range corpus {
-			sess.Begin()
-			r := sess.Solve(condition(sess.Builder(), q.g, q.c), solver.Options{})
-			sess.Finish()
-			out = append(out, r.Status)
+			out = append(out, sess.Solve(condition(b, q.g, q.c), solver.Options{}).Status)
 		}
 		return out
 	}
-	want := answer(solver.NewSession(solver.SessionConfig{}))
+	fresh := smt.NewBuilder()
+	want := answer(fresh, solver.NewSession(fresh))
 
 	// Blasting the big query unpreprocessed takes seconds, so each of these
 	// cancellations lands inside its blast.
 	midBlast := 0
 	for _, after := range []time.Duration{10 * time.Millisecond, 50 * time.Millisecond, 250 * time.Millisecond} {
-		sess := solver.NewSession(solver.SessionConfig{})
+		b := smt.NewBuilder()
+		sess := solver.NewSession(b)
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := direct
 		opts.Ctx = ctx
-		sess.Begin()
-		phi := condition(sess.Builder(), g, big)
+		phi := condition(b, g, big)
 		timer := time.AfterFunc(after, cancel)
 		r := sess.Solve(phi, opts)
 		timer.Stop()
 		cancel()
-		sess.Finish()
 		if r.Status != sat.Unknown {
 			t.Fatalf("cancel after %v: the query was answered (%v) first", after, r.Status)
 		}
 		if r.Decisions == 0 && r.Conflicts == 0 {
 			midBlast++ // the search never started
 		}
-		got := answer(sess)
+		got := answer(b, sess)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("cancel after %v: corpus query %d answered %v, a fresh session %v",

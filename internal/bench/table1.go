@@ -176,22 +176,21 @@ func Ablations(ctx context.Context, opts Options) (string, error) {
 // Experiments maps experiment names to their drivers for the command-line
 // harness.
 var Experiments = map[string]func(context.Context, Options) (string, error){
-	"table1":           Table1,
-	"table2":           Table2,
-	"cwe369":           CWE369,
-	"table3":           Table3,
-	"table4":           Table4,
-	"table5":           Table5,
-	"fig1c":            Fig1c,
-	"fig10":            Fig10,
-	"fig11":            Fig11,
-	"ablations":        Ablations,
-	"ablation-absint":  AblationAbsint,
-	"ablation-session": AblationSession,
+	"table1":          Table1,
+	"table2":          Table2,
+	"cwe369":          CWE369,
+	"table3":          Table3,
+	"table4":          Table4,
+	"table5":          Table5,
+	"fig1c":           Fig1c,
+	"fig10":           Fig10,
+	"fig11":           Fig11,
+	"ablations":       Ablations,
+	"ablation-absint": AblationAbsint,
 }
 
 // ExperimentNames lists the available experiments in a stable order.
 var ExperimentNames = []string{
 	"fig1c", "table1", "table2", "table3", "fig10", "fig11", "table4", "table5", "cwe369", "ablations",
-	"ablation-absint", "ablation-session",
+	"ablation-absint",
 }

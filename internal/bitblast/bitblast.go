@@ -13,34 +13,21 @@ import (
 )
 
 // Blaster converts terms to clauses incrementally. All terms must come from
-// the same smt.Builder. A Blaster is persistent: the CNF cache is keyed by
-// hash-consed term identity (pointer equality), so queries sharing subterms
-// reuse each other's encodings across BeginQuery boundaries, and query roots
-// asserted through Assume are guarded by activation literals so retiring a
-// query disables its root constraint without deleting any clause.
+// the same smt.Builder. The CNF cache is keyed by hash-consed term identity
+// (pointer equality), so queries sharing subterms reuse each other's
+// encodings, and query roots asserted through Assume are guarded by
+// activation literals so retiring a query disables its root constraint
+// without deleting any clause.
 type Blaster struct {
 	S *sat.Solver
-	// bits caches the literal vector (LSB first) of every blasted term,
-	// tagged with the query epoch that last touched it.
-	bits map[*smt.Term]entry
+	// bits caches the literal vector (LSB first) of every blasted term.
+	bits map[*smt.Term][]sat.Lit
 	// gates structurally hashes AND/XOR gates.
 	gates map[gateKey]sat.Lit
 	// acts maps an asserted query root to its activation literal, so a
 	// repeated identical query reuses the existing guard clause.
-	acts map[*smt.Term]sat.Lit
-	// varEpoch records, per solver variable, the query epoch that last
-	// touched it: stamped at allocation and re-stamped whenever a cache
-	// hit reuses the encoding it belongs to. A variable whose epoch is
-	// older than the current query belongs only to retired activation
-	// groups — its clauses stay (they are guarded or shared), but learned
-	// clauses mentioning it are dead weight a session can purge.
-	varEpoch []uint32
-	lTrue    sat.Lit
-	epoch    uint32
-	// Reused counts terms whose encoding was first built by an earlier
-	// query and hit again by a later one — each distinct term at most once
-	// per query. It is the cross-query amortization a session buys.
-	Reused int64
+	acts  map[*smt.Term]sat.Lit
+	lTrue sat.Lit
 	// Stop, when non-nil, is polled between the operands of every And and
 	// Or while blasting; once it reports true the blast unwinds and
 	// AssertTrue or Assume returns ErrStopped. Every encoding finished
@@ -78,11 +65,6 @@ func (b *Blaster) guarded(fn func()) (err error) {
 	return nil
 }
 
-type entry struct {
-	lits  []sat.Lit
-	epoch uint32
-}
-
 type gateKey struct {
 	op   byte // 'a' and, 'x' xor
 	a, b sat.Lit
@@ -93,7 +75,7 @@ type gateKey struct {
 func New(s *sat.Solver) *Blaster {
 	b := &Blaster{
 		S:     s,
-		bits:  map[*smt.Term]entry{},
+		bits:  map[*smt.Term][]sat.Lit{},
 		gates: map[gateKey]sat.Lit{},
 		acts:  map[*smt.Term]sat.Lit{},
 	}
@@ -102,10 +84,6 @@ func New(s *sat.Solver) *Blaster {
 	s.AddClause(b.lTrue)
 	return b
 }
-
-// BeginQuery opens a new query epoch: cache hits on terms blasted during
-// earlier epochs are counted as cross-query reuse (once per distinct term).
-func (b *Blaster) BeginQuery() { b.epoch++ }
 
 // NumTerms returns the number of distinct terms whose encodings are cached.
 func (b *Blaster) NumTerms() int { return len(b.bits) }
@@ -116,17 +94,7 @@ func (b *Blaster) isTrue(l sat.Lit) bool  { return l == b.lTrue }
 func (b *Blaster) isFalse(l sat.Lit) bool { return l == b.litFalse() }
 
 func (b *Blaster) fresh() sat.Lit {
-	v := b.S.NewVar()
-	b.stampVar(v)
-	return sat.MkLit(v, false)
-}
-
-// stampVar marks v as touched by the current query epoch.
-func (b *Blaster) stampVar(v int) {
-	for v >= len(b.varEpoch) {
-		b.varEpoch = append(b.varEpoch, b.epoch)
-	}
-	b.varEpoch[v] = b.epoch
+	return sat.MkLit(b.S.NewVar(), false)
 }
 
 // and2 returns a literal equivalent to a AND b.
@@ -147,7 +115,6 @@ func (b *Blaster) and2(x, y sat.Lit) sat.Lit {
 		x, y = y, x
 	}
 	if g, ok := b.gates[gateKey{'a', x, y}]; ok {
-		b.stampVar(g.Var())
 		return g
 	}
 	g := b.fresh()
@@ -192,9 +159,7 @@ func (b *Blaster) xor2(x, y sat.Lit) sat.Lit {
 		x, y = y, x
 	}
 	g, ok := b.gates[gateKey{'x', x, y}]
-	if ok {
-		b.stampVar(g.Var())
-	} else {
+	if !ok {
 		g = b.fresh()
 		b.S.AddClause(g.Flip(), x, y)
 		b.S.AddClause(g.Flip(), x.Flip(), y.Flip())
@@ -352,16 +317,8 @@ func (b *Blaster) divmod(num, den []sat.Lit) (q, r []sat.Lit) {
 
 // blast returns the literal vector (LSB first) representing t.
 func (b *Blaster) blast(t *smt.Term) []sat.Lit {
-	if e, ok := b.bits[t]; ok {
-		if e.epoch != b.epoch {
-			b.Reused++
-			e.epoch = b.epoch
-			b.bits[t] = e
-			for _, l := range e.lits {
-				b.stampVar(l.Var())
-			}
-		}
-		return e.lits
+	if lits, ok := b.bits[t]; ok {
+		return lits
 	}
 	var out []sat.Lit
 	switch t.Op {
@@ -462,7 +419,7 @@ func (b *Blaster) blast(t *smt.Term) []sat.Lit {
 	if len(out) != t.Width {
 		panic(fmt.Sprintf("bitblast: width mismatch for %s: got %d, want %d", t.Op, len(out), t.Width))
 	}
-	b.bits[t] = entry{lits: out, epoch: b.epoch}
+	b.bits[t] = out
 	return out
 }
 
@@ -486,7 +443,6 @@ func (b *Blaster) Assume(t *smt.Term) (sat.Lit, error) {
 		panic("bitblast: Assume requires a width-1 term")
 	}
 	if act, ok := b.acts[t]; ok {
-		b.stampVar(act.Var())
 		return act, nil
 	}
 	var root sat.Lit
@@ -497,23 +453,6 @@ func (b *Blaster) Assume(t *smt.Term) (sat.Lit, error) {
 	b.S.AddClause(act.Flip(), root)
 	b.acts[t] = act
 	return act, nil
-}
-
-// RetiredVars returns a predicate over solver variables that holds for
-// every variable owned only by retired activation groups: activation
-// literals and encoding variables last touched by a query epoch older
-// than the current one. Their problem clauses stay resident (guarded or
-// shared), but learned clauses mentioning them were only ever useful
-// while their query was live; a session purges those on recycle. Returns
-// nil before the first query epoch opens, when nothing can be retired.
-func (b *Blaster) RetiredVars() func(v int) bool {
-	if b.epoch == 0 {
-		return nil
-	}
-	pinned := b.lTrue.Var() // the true-constant is live in every epoch
-	return func(v int) bool {
-		return v != pinned && v < len(b.varEpoch) && b.varEpoch[v] != b.epoch
-	}
 }
 
 // ModelValue extracts the value of a blasted term from the solver's model

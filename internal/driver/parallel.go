@@ -31,26 +31,11 @@ func ParallelCheck[T any](ctx context.Context, n, workers int, fn func(i int) T)
 	return ParallelCheckWorkers(ctx, n, workers, func(i, _ int) T { return fn(i) })
 }
 
-// PoolSize returns the number of worker slots ParallelCheck will actually
-// use for n items and the requested worker count — callers that keep
-// pool-affine state (one warm solver session per worker) size their pools
-// with it.
-func PoolSize(n, workers int) int {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return 1
-	}
-	return workers
-}
-
 // ParallelCheckWorkers is ParallelCheck with the worker slot index exposed:
-// fn(i, w) runs work item i on worker w, where 0 <= w < PoolSize(n,
-// workers). A worker runs its items strictly sequentially, so per-worker
-// state (a warm solver session) needs no locking — but which items share a
-// worker DOES depend on the worker count and scheduling, so per-worker
-// state must never influence results, only their cost.
+// fn(i, w) runs work item i on worker w, where 0 <= w < max(1, min(n,
+// workers)). A worker runs its items strictly sequentially. Which items
+// share a worker depends on the worker count and scheduling, so w may
+// label cost (trace tracks) but must never influence results.
 func ParallelCheckWorkers[T any](ctx context.Context, n, workers int, fn func(i, w int) T) ([]T, []*failure.UnitFailure) {
 	out := make([]T, n)
 	fails := make([]*failure.UnitFailure, n)

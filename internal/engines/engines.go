@@ -60,20 +60,9 @@ type Verdict struct {
 	PrunedGuards int
 	// SolveTime is the feasibility-decision time for this candidate.
 	SolveTime time.Duration
-	// CacheHits counts term encodings this candidate's solve reused from
-	// earlier queries of its warm session; CacheVars is the size of the
-	// retained SAT variable map at that solve; ReusedClauses is the
-	// learned clauses it inherited. All zero on the one-shot (-session=off)
-	// path. These are cost counters only: they depend on which candidates
-	// shared a worker and must never influence a verdict.
-	CacheHits     int64
-	CacheVars     int
-	ReusedClauses int64
 	// Conflicts, Decisions, and Props are the SAT search counters of this
-	// candidate's final attempt. Like the cache counters above they are
-	// cost-only: on the warm-session path they depend on which candidates
-	// shared a worker, so they feed the telemetry Sched section and must
-	// never influence a verdict.
+	// candidate's final attempt. They are cost-only: they feed the
+	// telemetry Sched section and must never influence a verdict.
 	Conflicts int64
 	Decisions int64
 	Props     int64
@@ -121,8 +110,8 @@ type SolverConfig struct {
 	// refuters instead of reporting bare Unknown.
 	Budget Budget
 	// Retries is how many times a candidate whose attempt crashed is
-	// re-run: the first attempt uses the warm session, every retry a
-	// fresh one. 0 means a single attempt.
+	// re-run. Every attempt starts on fresh solver state. 0 means a
+	// single attempt.
 	Retries int
 }
 
@@ -170,10 +159,6 @@ type Fusion struct {
 	// Program.Absint) and it must analyze the graph Check is given; nil
 	// means the tier is off.
 	Opts fusioncore.Options
-	// NoSession disables the warm incremental solver sessions: every query
-	// runs on a fresh session — the `-session=off` ablation (and the oracle
-	// the differential tests compare against).
-	NoSession bool
 	// Parallel is the worker count for Check; 0 or 1 means sequential.
 	Parallel int
 	// Telemetry, when non-nil, receives per-candidate ladder spans,
@@ -190,9 +175,6 @@ type Fusion struct {
 	OnVerdict func(i int, v Verdict)
 	mu        sync.Mutex
 	peak      int64
-	// sessions is the pool-affine warm solver pool: one session per
-	// ParallelCheck worker slot, reused across Check calls.
-	sessions *driver.Sessions
 	// fb is the lazily-built fallback analysis the degradation ladder
 	// consults when the engine runs without its own absint tier.
 	fb fallbackTier
@@ -204,38 +186,12 @@ func NewFusion() *Fusion { return &Fusion{} }
 // Name implements Engine.
 func (e *Fusion) Name() string { return "fusion" }
 
-// SessionStats exposes the warm pool's cumulative counters for reporting
-// (zeroes when sessions are disabled or Check has not run).
-func (e *Fusion) SessionStats() (queries, cacheHits, evictions, resets int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sessions == nil {
-		return
-	}
-	return e.sessions.Stats()
-}
-
-// sessionPool returns the warm pool sized for at least n worker slots,
-// growing (and re-warming) it when the Check fan-out widens.
-func (e *Fusion) sessionPool(n int) *driver.Sessions {
-	if e.NoSession {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sessions == nil || e.sessions.Len() < n {
-		e.sessions = driver.NewSessions(n, solver.SessionConfig{})
-	}
-	return e.sessions
-}
-
 // Check implements Engine.
 func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	pool := e.sessionPool(driver.PoolSize(len(cands), e.Parallel))
 	l := &ladder{
 		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
 		deadline: e.Cfg.Budget.Deadline,
-		attempt:  func(at rung) Verdict { return e.attempt(at, pool) },
+		attempt:  e.attempt,
 		fallback: func(g *pdg.Graph) *absint.Analysis {
 			if an := e.Opts.Absint; an != nil {
 				return an
@@ -255,29 +211,11 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 	return vs
 }
 
-// attempt runs one rung of the ladder: the worker's warm session first,
-// a fresh one in the same slot on every retry.
-func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
+// attempt runs one rung of the ladder on a builder of its own: the
+// candidate is solved one-shot, and nothing outlives it.
+func (e *Fusion) attempt(at rung) Verdict {
 	c := at.c
-	var b *smt.Builder
-	var sess *solver.Session
-	if pool != nil {
-		sess = pool.At(at.w)
-		if at.n > 1 {
-			sess = pool.Replace(at.w)
-		}
-		// Begin before the fault-injection point: a contained panic below
-		// must leave the session marked in-flight so its next Begin
-		// rebuilds the (possibly corrupted) warm state.
-		sess.Begin()
-		b = sess.Builder()
-	} else {
-		b = smt.NewBuilder()
-	}
-	// The fused design's memory figure is the peak per-candidate working
-	// set: with a warm session the builder persists, so the candidate's
-	// own footprint is the growth it causes, not the accumulated cache.
-	bytesBefore := b.EstimatedBytes()
+	b := smt.NewBuilder()
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
@@ -287,7 +225,6 @@ func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 	opts := e.Opts
 	opts.Solver = e.Cfg.options()
 	opts.Solver.Unit = UnitLabel(c)
-	opts.Session = sess
 	opts.Constraints = c.Constraints(0)
 	if e.Cfg.Budget.MaxHeapDelta > 0 && opts.MaxHeapDelta == 0 {
 		opts.MaxHeapDelta = e.Cfg.Budget.MaxHeapDelta
@@ -306,9 +243,6 @@ func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 		DecidedByZone:   r.DecidedByZone,
 		Simplified:      r.Simplified,
 		PrunedGuards:    r.PrunedGuards,
-		CacheHits:       r.CacheHits,
-		CacheVars:       r.CacheVars,
-		ReusedClauses:   r.ReusedClauses,
 		Conflicts:       r.Conflicts,
 		Decisions:       r.Decisions,
 		Props:           r.Props,
@@ -340,21 +274,21 @@ func (e *Fusion) attempt(at rung, pool *driver.Sessions) Verdict {
 			degradeVerdict(at.parent, e.fb.analysis, at.g, c, &v)
 		}
 	}
-	e.mu.Lock()
-	if d := b.EstimatedBytes() - bytesBefore; d > e.peak {
-		e.peak = d
-	}
-	e.mu.Unlock()
-	if sess != nil {
-		// Deliberately not deferred: a contained panic above must skip
-		// Finish so the poisoning stays observable.
-		sess.Finish()
-	}
+	e.notePeak(b)
 	return v
 }
 
+// notePeak folds a candidate's builder into the memory figure.
+func (e *Fusion) notePeak(b *smt.Builder) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.peak = max(e.peak, b.EstimatedBytes())
+}
+
 // ConditionBytes implements Engine: the fused design caches nothing, so
-// only the peak per-candidate working set counts.
+// the figure is the largest builder any one candidate (or joint query)
+// filled — the estimated bytes of every term its solve built, in a
+// builder created for it alone.
 func (e *Fusion) ConditionBytes() int64 { return e.peak }
 
 // --- Pinpoint ---
@@ -399,9 +333,6 @@ type Pinpoint struct {
 	// the per-candidate slicing with a running solve, faithfully to the
 	// design's memory behaviour.
 	Parallel int
-	// NoSession disables the warm incremental solver session: every query
-	// runs on a fresh session — the `-session=off` ablation.
-	NoSession bool
 	// Telemetry and OnVerdict mirror the Fusion fields: per-candidate and
 	// per-attempt spans plus verdict counters, and a concurrent
 	// final-verdict observer.
@@ -409,11 +340,6 @@ type Pinpoint struct {
 	OnVerdict func(i int, v Verdict)
 	// cache is the shared term store standing in for the summary cache.
 	cache *smt.Builder
-	// warm is the incremental session over cache. A single session, not a
-	// pool: every candidate already serializes on mu. KeepBuilder pins
-	// cache across session resets — swapping it would orphan the
-	// summaries whose retention Figure 1(c) measures.
-	warm *solver.Session
 	// mu guards cache across concurrent candidates.
 	mu sync.Mutex
 	// QEBudget bounds projection in the QE variant.
@@ -456,8 +382,8 @@ func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candi
 	return vs
 }
 
-// attempt runs one rung of the ladder: the warm session first; on every
-// retry the session is reset, keeping the summary-cache builder.
+// attempt runs one rung of the ladder. Every attempt solves on a session
+// of its own; only the summary-cache builder carries over.
 func (e *Pinpoint) attempt(at rung) Verdict {
 	c := at.c
 	if faultinject.Enabled() {
@@ -467,16 +393,13 @@ func (e *Pinpoint) attempt(at rung) Verdict {
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	t0 := time.Now()
-	r, size := e.checkOne(at.parent, at.g, c, at.n)
+	r, size := e.checkOne(at.parent, at.g, c)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
-		CacheHits:     r.CacheHits,
-		CacheVars:     r.CacheVars,
-		ReusedClauses: r.ReusedClauses,
-		Conflicts:     r.Conflicts,
-		Decisions:     r.Decisions,
-		Props:         r.Props,
-		SolveTime:     time.Since(t0), ConditionSize: size,
+		Conflicts: r.Conflicts,
+		Decisions: r.Decisions,
+		Props:     r.Props,
+		SolveTime: time.Since(t0), ConditionSize: size,
 		Tier: tierOf(r.Status, false, false, false),
 	}
 	if rec := e.Telemetry; rec != nil {
@@ -490,34 +413,11 @@ func (e *Pinpoint) attempt(at rung) Verdict {
 	return v
 }
 
-// session returns the warm stack over the summary cache, building it on
-// first use. Callers must hold mu. Nil under the -session=off ablation.
-func (e *Pinpoint) session() *solver.Session {
-	if e.NoSession {
-		return nil
-	}
-	if e.warm == nil {
-		e.warm = solver.NewSessionWith(e.cache, solver.SessionConfig{KeepBuilder: true})
-	}
-	return e.warm
-}
-
-// SessionStats exposes the warm session's cumulative counters for
-// reporting (zeroes when disabled or unused).
-func (e *Pinpoint) SessionStats() (queries, cacheHits, evictions, resets int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.warm == nil {
-		return
-	}
-	return e.warm.Queries, e.warm.CacheHits, e.warm.Evictions, e.warm.Resets
-}
-
-// checkOne decides one candidate on attempt n of its ladder. parent is
-// the run's context; the per-candidate deadline is derived from it once
-// the cache lock is held, so time spent queued behind other candidates'
-// solves is not charged to this one.
-func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate, n int) (solver.Result, int) {
+// checkOne decides one candidate. parent is the run's context; the
+// per-candidate deadline is derived from it once the cache lock is held,
+// so time spent queued behind other candidates' solves is not charged to
+// this one.
+func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate) (solver.Result, int) {
 	sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
 	c.ApplyConstraint(sl, 0)
 
@@ -534,21 +434,11 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 		opts.MaxDecisions = 1
 	}
 	b := e.cache
-	sess := e.session()
-	if sess != nil {
-		if n > 1 {
-			sess.Reset() // fresh rung; the summary-cache builder survives
-		}
-		sess.Begin()
-	}
-	// solve routes every query of this candidate — final solves and the
-	// variants' internal ones alike — through the warm session when on.
-	solve := func(q *smt.Term, o solver.Options) solver.Result {
-		if sess != nil {
-			return sess.Solve(q, o)
-		}
-		return solver.Solve(b, q, o)
-	}
+	// Every query of this candidate — final solves and the variants'
+	// internal ones alike — shares one session over the summary cache, so
+	// HFS, QE and AR reuse encodings and learned clauses across their
+	// queries. The session is dropped with the candidate.
+	solve := solver.NewSession(b).Solve
 
 	var r solver.Result
 	var size int
@@ -579,11 +469,6 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 	if r.Status == sat.Unknown && !r.Exhausted &&
 		ctx.Err() != nil && parent.Err() == nil {
 		r.Exhausted = true
-	}
-	if sess != nil {
-		// Not deferred: a contained panic must leave the session marked
-		// in-flight so the next candidate rebuilds the warm state.
-		sess.Finish()
 	}
 	return r, size
 }
@@ -808,9 +693,8 @@ func SetParallel(e Engine, workers int) {
 // recordVerdicts folds one Check's verdicts into the telemetry recorder.
 // Verdict-derived tallies go to the deterministic Counters section — a
 // Verdict is byte-identical for any worker count, so anything read off
-// one is too. The SAT and cache cost counters go to Sched (they depend
-// on how candidates were batched onto warm sessions), and total solve
-// time to Wall. Runs after attachFailures so crashed slots are tallied.
+// one is too. The SAT cost counters go to Sched, and total solve time to
+// Wall. Runs after attachFailures so crashed slots are tallied.
 func recordVerdicts(r *telemetry.Recorder, vs []Verdict) {
 	if r == nil {
 		return
@@ -853,9 +737,6 @@ func recordVerdicts(r *telemetry.Recorder, vs []Verdict) {
 		r.Sched("sat.conflicts", v.Conflicts)
 		r.Sched("sat.decisions", v.Decisions)
 		r.Sched("sat.propagations", v.Props)
-		r.Sched("session.cache_hits", v.CacheHits)
-		r.Sched("session.reused_clauses", v.ReusedClauses)
-		r.SchedMax("session.cache_vars_max", int64(v.CacheVars))
 		r.Wall("solve.total", v.SolveTime)
 	}
 }
@@ -889,17 +770,6 @@ func SetOnVerdict(e Engine, fn func(int, Verdict)) bool {
 		return false
 	}
 	return true
-}
-
-// SetNoSession configures the warm-session ablation (-session=off) on
-// engines that solve; other engines are left unchanged.
-func SetNoSession(e Engine, off bool) {
-	switch x := e.(type) {
-	case *Fusion:
-		x.NoSession = off
-	case *Pinpoint:
-		x.NoSession = off
-	}
 }
 
 // All returns every engine the evaluation compares, freshly constructed.

@@ -29,44 +29,20 @@ type JointChecker interface {
 	CheckJointPaths(ctx context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status
 }
 
-// CheckJointPaths implements JointChecker for the fused engine. Joint
-// queries route through slot 0 of the same warm session pool Check
-// uses, so they share term encodings and learned clauses with the
-// per-candidate queries — and inherit the pool's poisoning semantics: a
-// contained panic skips Finish and the next Begin rebuilds the stack.
-// Not safe concurrently with Check (slot 0 belongs to worker 0 there);
-// CheckJoint runs groups sequentially after the per-candidate pass.
+// CheckJointPaths implements JointChecker for the fused engine. Like a
+// candidate, each joint query is solved one-shot on a builder of its own,
+// so it is safe concurrently with Check.
 func (e *Fusion) CheckJointPaths(ctx context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status {
-	var b *smt.Builder
-	var sess *solver.Session
-	if pool := e.sessionPool(1); pool != nil {
-		sess = pool.At(0)
-		sess.Begin()
-		b = sess.Builder()
-	} else {
-		b = smt.NewBuilder()
-	}
-	bytesBefore := b.EstimatedBytes()
+	b := smt.NewBuilder()
 	opts := e.Opts
 	opts.Solver = e.Cfg.options()
-	opts.Session = sess
 	r := fusioncore.Solve(ctx, b, g, paths, opts)
-	e.mu.Lock()
-	if d := b.EstimatedBytes() - bytesBefore; d > e.peak {
-		e.peak = d
-	}
-	e.mu.Unlock()
-	if sess != nil {
-		// Not deferred: a contained panic must leave the session marked
-		// in-flight so the next Begin rebuilds the warm state.
-		sess.Finish()
-	}
+	e.notePeak(b)
 	return r.Status
 }
 
 // CheckJointPaths implements JointChecker for the conventional engine,
-// solving over the same warm session as the per-candidate checks so the
-// summary cache's encodings are reused instead of rebuilt cold.
+// translating into the summary cache like the per-candidate checks.
 func (e *Pinpoint) CheckJointPaths(ctx context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status {
 	opts := e.Cfg.options()
 	opts.Ctx = ctx
@@ -74,13 +50,7 @@ func (e *Pinpoint) CheckJointPaths(ctx context.Context, g *pdg.Graph, paths []pd
 	defer e.mu.Unlock()
 	sl := pdg.ComputeSlice(g, paths)
 	tr := cond.Translate(e.cache, sl)
-	if sess := e.session(); sess != nil {
-		sess.Begin()
-		r := sess.Solve(tr.Phi, opts)
-		sess.Finish()
-		return r.Status
-	}
-	return solver.Solve(e.cache, tr.Phi, opts).Status
+	return solver.NewSession(e.cache).Solve(tr.Phi, opts).Status
 }
 
 // JointGroup is a set of candidate flows into distinct arguments of the
@@ -165,9 +135,8 @@ func jointUnitLabel(grp JointGroup) string {
 }
 
 // CheckJoint decides every multi-argument sink group with the given
-// engine, through the same retry loop as per-candidate checks: a
-// contained panic poisons the engine's warm session, so the next
-// attempt's Begin runs on a fresh stack, and the group gets at least one
+// engine, through the same retry loop as per-candidate checks: every
+// attempt starts on fresh solver state, and the group gets at least one
 // attempt plus up to the engine's retries. A cancelled ctx yields Unknown
 // for the remaining groups.
 func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []sparse.Candidate) []JointVerdict {

@@ -2,10 +2,12 @@ package engines_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"fusion/internal/checker"
 	"fusion/internal/engines"
+	"fusion/internal/pdg"
 	"fusion/internal/sat"
 	"fusion/internal/sparse"
 )
@@ -82,6 +84,38 @@ func TestJointFeasible(t *testing.T) {
 			t.Errorf("co-occurring flows must be jointly feasible, got %s", vs[0].Status)
 		}
 	}
+}
+
+// TestJointChecksConcurrentWithCheck: joint queries and per-candidate
+// checks own their solver state, so one Fusion may serve both at once.
+// Run with -race, this fails if they share anything unsynchronized.
+func TestJointChecksConcurrentWithCheck(t *testing.T) {
+	g := buildGraph(t, jointSrc)
+	cands := sparse.NewEngine(g).Run(checker.PrivateLeak())
+	paths := []pdg.Path{cands[0].Path, cands[1].Path}
+	e := engines.NewFusion()
+	want := e.Check(context.Background(), g, cands)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			for j, v := range e.Check(context.Background(), g, cands) {
+				if v.Status != want[j].Status {
+					t.Errorf("round %d: candidate %d decided %s, want %s", i, j, v.Status, want[j].Status)
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if st := e.CheckJointPaths(context.Background(), g, paths); st != sat.Unsat {
+				t.Errorf("round %d: joint query decided %s, want unsat", i, st)
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestGroupBySinkShape(t *testing.T) {

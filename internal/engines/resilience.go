@@ -201,8 +201,8 @@ func degradeVerdict(ctx context.Context, fallback func(*pdg.Graph) *absint.Analy
 type rung struct {
 	g *pdg.Graph
 	c sparse.Candidate
-	// w is the worker slot and n the attempt number: attempt 1 runs on
-	// the worker's warm state, every later one on fresh state.
+	// w is the worker slot (the trace track) and n the attempt number.
+	// Every attempt starts on fresh solver state.
 	w, n int
 	// parent is the run's context; ctx is parent under the ladder's
 	// per-attempt deadline. An attempt tells budget exhaustion (ctx done,
@@ -227,8 +227,8 @@ func retry[T any](parent context.Context, retries int, unit, stage string, attem
 }
 
 // ladder is the retry ladder both solving engines run every candidate
-// through: up to 1+retries attempts, warm then fresh, each under panic
-// containment and the per-attempt deadline. A ladder exhausted on
+// through: up to 1+retries attempts, each on fresh solver state under
+// panic containment and the per-attempt deadline. A ladder exhausted on
 // crashes records exactly one UnitFailure carrying the attempt count,
 // and the cheap refutation tiers get a last look, so a persistently
 // crashing unit can still end with a sound Unsat.

@@ -13,8 +13,8 @@ import (
 
 // resHardSrc guards its deref with a*a == 1201²: satisfiable, but the
 // concrete probe cannot guess a square root and unit propagation cannot
-// build one, so the query reliably enters the CDCL search loop — which
-// is where stall.solve wedges.
+// build one, so the query reliably reaches the SAT core — which is
+// where stall.solve wedges.
 const resHardSrc = `
 fun f(a: int) {
     var p: ptr = null;
@@ -73,7 +73,7 @@ func TestDeadlineReleasesStalledSolve(t *testing.T) {
 }
 
 // TestRetryRecoversInjectedSolvePanic arms panic.solve:1 for one unit:
-// its first attempt crashes, the retry on a fresh cold session succeeds,
+// its first attempt crashes, the retry on fresh solver state succeeds,
 // and the final verdict matches an un-faulted run — identically at
 // workers 1 and 8.
 func TestRetryRecoversInjectedSolvePanic(t *testing.T) {
@@ -123,7 +123,7 @@ func TestRetryRecoversInjectedSolvePanic(t *testing.T) {
 }
 
 // TestRepeatedPoisoningExhaustsLadder arms a panic that fires on every
-// attempt of one unit: the full ladder (warm, fresh, fresh) is
+// attempt of one unit: the full ladder (three attempts) is
 // climbed and exhausted, yielding exactly one UnitFailure that records
 // the attempt count — and no goroutine outlives the batch.
 func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {

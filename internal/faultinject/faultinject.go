@@ -21,8 +21,8 @@
 //
 // Two points exercise the supervision layer:
 //
-//   - "stall.solve[:match]" wedges the CDCL search of every matching
-//     unit's solve until the solve's context is done — its per-candidate
+//   - "stall.solve[:match]" wedges every matching unit's solve at the
+//     entry of the SAT core until the solve's context is done — its per-candidate
 //     deadline expiring, or the run being torn down — or until a safety
 //     cap expires. Without a deadline the wedge holds its worker for the
 //     whole cap, which is what the crash-resume smoke uses to land a
@@ -206,7 +206,7 @@ func SetStallCap(d time.Duration) time.Duration {
 }
 
 // StallSolve blocks if "stall.solve" is armed for unit, simulating a
-// solve that wedges mid-search. The stall ends when ctx is done — the
+// solve that wedges in the SAT core. The stall ends when ctx is done — the
 // solve's deadline expiring or the run being cancelled — or after the
 // safety cap, whichever comes first.
 func StallSolve(ctx context.Context, unit string) {

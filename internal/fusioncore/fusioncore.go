@@ -34,12 +34,6 @@ type Options struct {
 	// Solver configures the final standalone solve on the residual
 	// formula.
 	Solver solver.Options
-	// Session, when set, routes the final residual solve through a warm
-	// incremental session — learned clauses and Tseitin encodings carry
-	// over from the caller's earlier queries — instead of the one-shot
-	// stack. The builder passed to Solve must be the session's own
-	// (Session.Builder()), since encodings key on hash-consed identity.
-	Session *solver.Session
 	// InlineThreshold is the maximum DAG size of a closed return form that
 	// may be propagated across call edges (quick path). Zero means 64.
 	InlineThreshold int
@@ -201,19 +195,10 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		}
 	}
 
-	// solveFinal dispatches the residual to the warm session when one is
-	// attached, and to the one-shot stack otherwise (the ablation oracle).
-	solveFinal := func(phi *smt.Term) solver.Result {
-		if opts.Session != nil {
-			return opts.Session.Solve(phi, opts.Solver)
-		}
-		return solver.Solve(b, phi, opts.Solver)
-	}
-
 	if opts.Unoptimized {
 		// Algorithm 4: eager translation, then the conventional solver.
 		tr := cond.Translate(b, sl)
-		res.Result = solveFinal(tr.Phi)
+		res.Result = solver.Solve(b, tr.Phi, opts.Solver)
 		res.Clones = tr.Clones
 		return res
 	}
@@ -273,7 +258,7 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		res.ProbeTime = graphProbeTime
 		return res
 	}
-	res.Result = solveFinal(r.phi)
+	res.Result = solver.Solve(b, r.phi, opts.Solver)
 	res.ProbeTime += graphProbeTime
 	res.Clones = len(r.st.emitted)
 	res.QuickPaths = r.st.quickUses

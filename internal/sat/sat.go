@@ -120,11 +120,6 @@ type Solver struct {
 	// over a large clause database can make one iteration take
 	// milliseconds — returning Unknown with ErrBudget once cancelled.
 	Ctx context.Context
-	// StallHook, when non-nil, is called once at the start of every
-	// restart of the CDCL search. It exists for deterministic fault
-	// injection (the stall.solve point wedges the search mid-CDCL until
-	// its context is done); production code leaves it nil.
-	StallHook func()
 
 	seen    []bool
 	toClear []int
@@ -154,8 +149,8 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NumLearnts returns the number of learned clauses currently retained.
-// Across SolveAssuming calls the learned database persists, so this is the
-// cross-query reuse a warm session carries into its next solve.
+// Across SolveAssuming calls the learned database persists, so this is
+// what a session carries from one of its queries into the next.
 func (s *Solver) NumLearnts() int { return len(s.learnts) }
 
 // Okay reports that no top-level (assumption-independent) contradiction has
@@ -163,8 +158,8 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 func (s *Solver) Okay() bool { return s.ok }
 
 // Stats is a snapshot of the solver's monotonic search counters. On a
-// long-lived solver (a warm session) they accumulate across queries, so
-// per-query costs are deltas between two snapshots.
+// solver that answers several queries (a session) they accumulate across
+// them, so per-query costs are deltas between two snapshots.
 type Stats struct {
 	Conflicts int64
 	Decisions int64
@@ -499,42 +494,6 @@ func medianActivity(cs []*clause) float64 {
 	return sum / float64(len(cs))
 }
 
-// PurgeLearnts detaches every learned clause containing a literal for
-// which drop returns true, returning the number purged. Learned clauses
-// are consequences of the problem clauses alone, so removing any subset
-// never changes a verdict — purging is how a warm session garbage-collects
-// clauses that reference retired activation groups instead of carrying
-// them (disabled but resident) forever. The trail is first backtracked to
-// the root level so no in-flight reason clause can be removed; clauses
-// serving as root-level reasons are kept.
-func (s *Solver) PurgeLearnts(drop func(Lit) bool) int {
-	s.cancelUntil(0)
-	kept := s.learnts[:0]
-	purged := 0
-	for _, c := range s.learnts {
-		dead := false
-		if !s.isReason(c) {
-			for _, l := range c.lits {
-				if drop(l) {
-					dead = true
-					break
-				}
-			}
-		}
-		if dead {
-			s.detach(c)
-			purged++
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	for i := len(kept); i < len(s.learnts); i++ {
-		s.learnts[i] = nil // release the purged tails for GC
-	}
-	s.learnts = kept
-	return purged
-}
-
 func (s *Solver) isReason(c *clause) bool {
 	v := c.lits[0].Var()
 	return s.assigns[v] != lUndef && s.reason[v] == c
@@ -617,9 +576,6 @@ func (s *Solver) FinalConflict() []Lit { return s.conflictLits }
 func (s *Solver) Backtrack() { s.cancelUntil(0) }
 
 func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, error) {
-	if s.StallHook != nil {
-		s.StallHook()
-	}
 	conflictsThisRestart := int64(0)
 	checkCounter := 0
 	stop := poll.Stop(s.Ctx, 1)

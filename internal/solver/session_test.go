@@ -56,16 +56,15 @@ func randFormula(b *smt.Builder, rng *rand.Rand, nv int) *smt.Term {
 }
 
 // TestSessionWarmMatchesCold is the core differential guarantee: every
-// verdict from a warm session agrees with a cold one-shot solve of the
-// same formula.
+// verdict from a session that has answered a stream of earlier queries
+// agrees with a cold one-shot solve of the same formula.
 func TestSessionWarmMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ss := NewSession(SessionConfig{})
+	b := smt.NewBuilder()
+	ss := NewSession(b)
 	for iter := 0; iter < 120; iter++ {
-		phi := randFormula(ss.Builder(), rng, 3)
-		ss.Begin()
+		phi := randFormula(b, rng, 3)
 		warm := ss.Solve(phi, Options{})
-		ss.Finish()
 
 		// The cold solve must see the formula through a fresh builder to
 		// prove independence from the warm builder's term history.
@@ -76,40 +75,14 @@ func TestSessionWarmMatchesCold(t *testing.T) {
 				iter, warm.Status, cold.Status, phi)
 		}
 	}
-	if ss.Queries == 0 || ss.Resets != 0 {
-		t.Fatalf("session stats: queries %d resets %d", ss.Queries, ss.Resets)
-	}
 }
 
-func TestSessionCountsReuse(t *testing.T) {
-	ss := NewSession(SessionConfig{})
-	b := ss.Builder()
-	x := b.Var("x", 8)
-	y := b.Var("y", 8)
-	sum := b.Add(x, y)
-
-	// NoProbe + NoPasses force both queries into the SAT core so the
-	// encoding cache is actually exercised.
-	opts := Options{NoProbe: true, Passes: NoPasses}
-	r1 := ss.Solve(b.Eq(sum, b.Const(9, 8)), opts)
-	if r1.Status != sat.Sat || r1.CacheHits != 0 {
-		t.Fatalf("first query: status %s hits %d, want sat/0", r1.Status, r1.CacheHits)
-	}
-	r2 := ss.Solve(b.Eq(sum, b.Const(200, 8)), opts)
-	if r2.Status != sat.Sat {
-		t.Fatalf("second query: status %s, want sat", r2.Status)
-	}
-	if r2.CacheHits < 1 {
-		t.Fatalf("second query reused %d encodings, want >= 1", r2.CacheHits)
-	}
-	if r2.CacheVars <= 0 {
-		t.Fatalf("CacheVars %d, want > 0", r2.CacheVars)
-	}
-}
-
+// TestSessionRetainsLearnedClauses: a session keeps what it learned
+// across its queries, so asking the same hard unsat query twice costs the
+// second solve fewer conflicts.
 func TestSessionRetainsLearnedClauses(t *testing.T) {
-	ss := NewSession(SessionConfig{})
-	b := ss.Builder()
+	b := smt.NewBuilder()
+	ss := NewSession(b)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	// An unsatisfiable multiplication fact the probe cannot decide and
@@ -128,110 +101,39 @@ func TestSessionRetainsLearnedClauses(t *testing.T) {
 	if r2.Status != sat.Unsat {
 		t.Fatalf("second solve: %s, want unsat", r2.Status)
 	}
-	if r1.Conflicts > 0 && r2.ReusedClauses == 0 && r2.Conflicts >= r1.Conflicts {
-		t.Fatalf("no warm-state benefit: first %d conflicts, second %d with %d inherited clauses",
-			r1.Conflicts, r2.Conflicts, r2.ReusedClauses)
+	if r1.Conflicts > 0 && r2.Conflicts >= r1.Conflicts {
+		t.Fatalf("no warm-state benefit: first %d conflicts, second %d",
+			r1.Conflicts, r2.Conflicts)
 	}
 }
 
-func TestSessionPoisonedByPanicResets(t *testing.T) {
-	ss := NewSession(SessionConfig{})
-	b := ss.Builder()
-	x := b.Var("x", 8)
-	phi := b.Eq(x, b.Const(1, 8))
-
-	ss.Begin()
-	r := ss.Solve(phi, Options{})
-	ss.Finish()
-	if r.Status != sat.Sat {
-		t.Fatalf("warm-up: %s, want sat", r.Status)
-	}
-
-	// A contained panic runs Begin but never Finish.
-	func() {
-		defer func() { recover() }()
-		ss.Begin()
-		_ = ss.Solve(phi, Options{})
-		panic("injected mid-unit failure")
-	}()
-
-	// The next unit must detect the poisoning, rebuild, and still answer
-	// correctly. The builder was swapped, so rebuild the formula.
-	ss.Begin()
-	b2 := ss.Builder()
-	if b2 == b {
-		t.Fatal("poisoned session kept its builder without KeepBuilder")
-	}
-	r = ss.Solve(b2.Eq(b2.Var("x", 8), b2.Const(1, 8)), Options{})
-	ss.Finish()
-	if r.Status != sat.Sat {
-		t.Fatalf("post-reset solve: %s, want sat", r.Status)
-	}
-	if ss.Resets != 1 {
-		t.Fatalf("resets %d, want 1", ss.Resets)
-	}
-}
-
-func TestSessionKeepBuilderSurvivesReset(t *testing.T) {
-	b := smt.NewBuilder()
-	ss := NewSessionWith(b, SessionConfig{KeepBuilder: true})
-	ss.Begin() // poisoned unit: no Finish
-	ss.Begin() // must reset but keep the builder
-	if ss.Builder() != b {
-		t.Fatal("KeepBuilder session swapped its builder on reset")
-	}
-	if ss.Resets != 1 {
-		t.Fatalf("resets %d, want 1", ss.Resets)
-	}
-	r := ss.Solve(b.Eq(b.Var("x", 8), b.Const(5, 8)), Options{})
-	ss.Finish()
-	if r.Status != sat.Sat {
-		t.Fatalf("post-reset solve: %s, want sat", r.Status)
-	}
-}
-
-func TestSessionEviction(t *testing.T) {
-	// A tiny MaxVars forces an eviction between queries; verdicts must be
-	// unaffected.
-	ss := NewSession(SessionConfig{MaxVars: 1})
-	b := ss.Builder()
-	x := b.Var("x", 8)
-	y := b.Var("y", 8)
-	even := func(v *smt.Term) *smt.Term {
-		return b.Eq(b.URem(v, b.Const(2, 8)), b.Const(0, 8))
-	}
-	phi := b.And(b.And(even(x), even(y)),
-		b.Eq(b.Mul(x, y), b.Const(251, 8)))
-	opts := Options{NoProbe: true, Passes: NoPasses}
-	if r := ss.Solve(phi, opts); r.Status != sat.Unsat {
-		t.Fatalf("first: %s, want unsat", r.Status)
-	}
-	if r := ss.Solve(phi, opts); r.Status != sat.Unsat {
-		t.Fatalf("second: %s, want unsat", r.Status)
-	}
-	if ss.Evictions == 0 {
-		t.Fatal("MaxVars=1 never evicted across queries")
-	}
-}
-
+// TestSessionWantModel: with WantModel, both entries — the one-shot
+// Solve and a session — return a model that covers every variable and
+// satisfies phi.
 func TestSessionWantModel(t *testing.T) {
-	ss := NewSession(SessionConfig{})
-	b := ss.Builder()
+	b := smt.NewBuilder()
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	phi := b.And(b.Eq(b.Add(x, y), b.Const(10, 8)), b.Ult(x, b.Const(3, 8)))
-	r := ss.Solve(phi, Options{WantModel: true})
-	if r.Status != sat.Sat {
-		t.Fatalf("got %s, want sat", r.Status)
-	}
-	if got := smt.Eval(phi, r.Model); got != 1 {
-		t.Fatalf("model does not satisfy phi: eval=%d model=%v", got, r.Model)
+	for name, solve := range map[string]func(*smt.Term, Options) Result{
+		"solve":   func(q *smt.Term, o Options) Result { return Solve(b, q, o) },
+		"session": NewSession(b).Solve,
+	} {
+		r := solve(phi, Options{WantModel: true})
+		if r.Status != sat.Sat {
+			t.Fatalf("%s: got %s, want sat", name, r.Status)
+		}
+		if got := smt.Eval(phi, r.Model); got != 1 || !modelCovers(r.Model, phi) {
+			t.Fatalf("%s: model does not satisfy phi: eval=%d model=%v", name, got, r.Model)
+		}
 	}
 }
 
+// TestSessionBudgetsPerCall: a budget bounds only the call it is given,
+// not the session's later queries.
 func TestSessionBudgetsPerCall(t *testing.T) {
-	ss := NewSession(SessionConfig{})
-	b := ss.Builder()
+	b := smt.NewBuilder()
+	ss := NewSession(b)
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	z := b.Var("z", 8)
@@ -291,8 +193,8 @@ func TestCtxCancelledBetweenPhases(t *testing.T) {
 }
 
 func TestSessionHonorsTimeout(t *testing.T) {
-	ss := NewSession(SessionConfig{})
-	b := ss.Builder()
+	b := smt.NewBuilder()
+	ss := NewSession(b)
 	// Build a genuinely hard instance: 24-bit factorization-style query.
 	x := b.Var("x", 24)
 	y := b.Var("y", 24)

@@ -72,18 +72,11 @@ type Result struct {
 	SearchTime     time.Duration
 	Conflicts      int64
 	// Decisions and Props count the SAT search's branching decisions and
-	// unit propagations for this solve (deltas on the warm-session path,
-	// where the solver's counters accumulate across queries). Cost
+	// unit propagations for this solve (deltas on a Session, where the
+	// solver's counters accumulate across a candidate's queries). Cost
 	// counters only; they never influence a verdict.
 	Decisions int64
 	Props     int64
-	// CacheHits, CacheVars, and ReusedClauses report warm-session
-	// amortization: term encodings reused from earlier queries, the size
-	// of the retained SAT variable map, and the learned clauses this query
-	// inherited. All zero on the one-shot path.
-	CacheHits     int64
-	CacheVars     int
-	ReusedClauses int64
 	// Exhausted reports that the search hit its own resource budget
 	// (conflicts, decisions, or deadline) rather than being cancelled
 	// from outside. Callers use it to fall back to cheaper tiers: a
@@ -94,21 +87,19 @@ type Result struct {
 // Solve implements the conventional SMT solution of Algorithm 3: apply the
 // equisatisfiable preprocessing pipeline, return early when it decides the
 // formula, and otherwise bit-blast into the CDCL solver. It is a throwaway
-// one-shot Session over b: the standalone solver and the warm path run the
-// same pipeline, so they cannot drift apart.
+// one-shot Session over b: the standalone solver and a candidate's Session
+// run the same pipeline, so they cannot drift apart.
 func Solve(b *smt.Builder, phi *smt.Term, opts Options) Result {
-	return NewSessionWith(b, SessionConfig{KeepBuilder: true, OneShot: true}).Solve(phi, opts)
+	return (&Session{b: b, oneShot: true}).Solve(phi, opts)
 }
 
-// installStallHook arms the stall.solve fault point on the search: when
-// armed for opts.Unit, the search wedges until the solve's context is
-// done — its deadline included — or the fault's safety cap expires. Nil
-// (the common case) outside fault tests.
-func installStallHook(s *sat.Solver, opts Options) {
-	s.StallHook = nil
+// stallFault is the stall.solve fault point, at the SAT core's entry:
+// when armed for opts.Unit, the solve wedges until its context is done —
+// its deadline included — or the fault's safety cap expires. A no-op
+// outside fault tests.
+func stallFault(opts Options) {
 	if faultinject.Enabled() && opts.Unit != "" {
-		unit, ctx := opts.Unit, opts.Ctx
-		s.StallHook = func() { faultinject.StallSolve(ctx, unit) }
+		faultinject.StallSolve(opts.Ctx, opts.Unit)
 	}
 }
 

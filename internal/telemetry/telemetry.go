@@ -17,9 +17,9 @@
 //     to this section: its JSON rendering is byte-identical for any
 //     -workers value.
 //   - Sched: monotonic cost counters that depend on how candidates were
-//     batched onto workers — SAT conflicts/decisions/propagations and the
-//     warm sessions' cache amortization. Real, useful, but not
-//     worker-invariant; never compare them across worker counts.
+//     batched onto workers — SAT conflicts/decisions/propagations. Real,
+//     useful, but not worker-invariant; never compare them across worker
+//     counts.
 //   - Wall: accumulated wall-clock nanoseconds per stage. Never
 //     deterministic; segregated so tests can compare the Counters
 //     section alone.
