@@ -19,6 +19,7 @@ import (
 	"fusion/internal/pdg"
 	"fusion/internal/progen"
 	"fusion/internal/smt"
+	"fusion/internal/solver"
 	"fusion/internal/sparse"
 )
 
@@ -292,5 +293,23 @@ func BenchmarkAbsintBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkProbe measures the concrete-execution model probe alone: one
+// op probes every formula of bench.ProbeCorpus at scale 0.002 — each
+// null-deref and div-by-zero candidate's cond.Translate condition and
+// Fusion's raw residual — the corpus TestProbeResultsPinned pins.
+func BenchmarkProbe(b *testing.B) {
+	phis, err := bench.ProbeCorpus(context.Background(), 0.002)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, phi := range phis {
+			solver.Probe(context.Background(), phi, 32)
+		}
 	}
 }

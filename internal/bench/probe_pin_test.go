@@ -1,0 +1,66 @@
+package bench
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"sort"
+	"testing"
+
+	"fusion/internal/smt"
+	"fusion/internal/solver"
+)
+
+// probePinDigest is the SHA-256 of every solver.Probe result on
+// ProbeCorpus at scale 0.002 (see probeDigest). It was computed with the
+// map-memoized smt.Eval evaluator that the compiled slot program
+// replaced, so the compiled probe returns byte-identical (model, ok) on
+// every formula both engines probe. A change to the probe's search must
+// update it and say so; a change to its cost must leave it alone.
+const probePinDigest = "5fe7aafc2199ce6962e797157d6dd23ec086f4c644ee29def4908d758eb00569"
+
+// probeDigest hashes, per formula in corpus order, whether the probe
+// found a model and the model's values sorted by variable name.
+func probeDigest(phis []*smt.Term) (digest string, sat int) {
+	h := sha256.New()
+	for i, phi := range phis {
+		m, ok := solver.Probe(context.Background(), phi, 32)
+		fmt.Fprintf(h, "# %d %v\n", i, ok)
+		if ok {
+			sat++
+		}
+		vars := make([]*smt.Term, 0, len(m))
+		for v := range m {
+			vars = append(vars, v)
+		}
+		sort.Slice(vars, func(i, j int) bool {
+			if vars[i].Name != vars[j].Name {
+				return vars[i].Name < vars[j].Name
+			}
+			return vars[i].Width < vars[j].Width
+		})
+		for _, v := range vars {
+			fmt.Fprintf(h, "%s:%d=%d\n", v.Name, v.Width, m[v])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), sat
+}
+
+// TestProbeResultsPinned pins the probe's answers on the corpus: what it
+// finds, and which model it returns, must not move when only its cost
+// does.
+func TestProbeResultsPinned(t *testing.T) {
+	phis, err := ProbeCorpus(context.Background(), 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, sat := probeDigest(phis)
+	t.Logf("%d formulas, %d probed sat, digest %s", len(phis), sat, got)
+	if sat == 0 || sat == len(phis) {
+		t.Fatalf("probe decided %d of %d formulas; the pin cannot tell a changed search apart", sat, len(phis))
+	}
+	if got != probePinDigest {
+		t.Errorf("probe results digest %s, want %s", got, probePinDigest)
+	}
+}

@@ -253,6 +253,7 @@ func (e *Fusion) attempt(at rung) Verdict {
 		// Wall breakdown of the fused solve: residual construction vs the
 		// solver stages, so a trace plus snapshot attributes cost without
 		// per-candidate keys.
+		rec.Wall("solve.raw_build", r.RawBuildTime)
 		rec.Wall("solve.build", r.BuildTime)
 		rec.Wall("solve.local_preprocess", r.LocalPreprocessTime)
 		rec.Wall("solve.preprocess", r.PreprocessTime)

@@ -96,6 +96,9 @@ type Result struct {
 	// emission through local preprocessing), reported separately so the
 	// telemetry layer can attribute translate cost apart from search cost.
 	BuildTime time.Duration
+	// RawBuildTime is the wall time of the graph probe's raw-residual
+	// construction, its affordability check included.
+	RawBuildTime time.Duration
 	// DecidedByAbsint reports the query was refuted by the abstract
 	// interpretation before any formula was built.
 	DecidedByAbsint bool
@@ -209,30 +212,29 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 	// the dependence graph, in the spirit of §2's quick-path propagation.
 	// The raw residual is delayed-cloning sized, so this is cheap.
 	var graphProbeTime time.Duration
-	if !opts.DisableGraphProbe && !opts.Solver.NoProbe && rawProbeAffordable(sl) {
-		rawOpts := opts
-		rawOpts.DisableLocalPreprocess = true
-		// The probe wants the bare equational shape; exported bound
-		// conjuncts only slow the concrete execution down.
-		rawOpts.Absint = nil
-		rawSt := buildResidual(b, g, sl, rawOpts)
-		if ctx.Err() != nil {
-			return res
-		}
-		t0 := time.Now()
-		_, ok := solver.Probe(ctx, rawSt.phi, 32)
-		graphProbeTime = time.Since(t0)
-		if ok {
-			res.Status = sat.Sat
-			res.DecidedByProbe = true
-			res.ProbeTime = graphProbeTime
-			res.Phi = rawSt.phi
-			res.Clones = len(rawSt.st.emitted)
-			return res
-		}
-		if ctx.Err() != nil {
-			res.ProbeTime = graphProbeTime
-			return res
+	if !opts.DisableGraphProbe && !opts.Solver.NoProbe {
+		tr := time.Now()
+		rawSt, affordable := rawResidual(b, g, sl, opts)
+		res.RawBuildTime = time.Since(tr)
+		if affordable {
+			if ctx.Err() != nil {
+				return res
+			}
+			t0 := time.Now()
+			_, ok := solver.Probe(ctx, rawSt.phi, 32)
+			graphProbeTime = time.Since(t0)
+			if ok {
+				res.Status = sat.Sat
+				res.DecidedByProbe = true
+				res.ProbeTime = graphProbeTime
+				res.Phi = rawSt.phi
+				res.Clones = len(rawSt.st.emitted)
+				return res
+			}
+			if ctx.Err() != nil {
+				res.ProbeTime = graphProbeTime
+				return res
+			}
 		}
 	}
 
@@ -263,6 +265,29 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 	res.Clones = len(r.st.emitted)
 	res.QuickPaths = r.st.quickUses
 	return res
+}
+
+// GraphProbeFormula returns the formula Solve's graph-level probe runs on
+// for paths under opts (see rawResidual); ok is false where Solve skips
+// the probe as unaffordable.
+func GraphProbeFormula(b *smt.Builder, g *pdg.Graph, paths []pdg.Path, opts Options) (phi *smt.Term, ok bool) {
+	sl := pdg.ComputeSlice(g, paths)
+	sl.Constraints = append(sl.Constraints, opts.Constraints...)
+	r, ok := rawResidual(b, g, sl, opts)
+	return r.phi, ok
+}
+
+// rawResidual builds the graph probe's formula: the residual over raw
+// (unpreprocessed) local conditions, without exported bound conjuncts,
+// which only slow the concrete execution down. ok is false, and nothing
+// is built, when rawProbeAffordable rejects the slice.
+func rawResidual(b *smt.Builder, g *pdg.Graph, sl *pdg.Slice, opts Options) (r residual, ok bool) {
+	if !rawProbeAffordable(sl) {
+		return residual{}, false
+	}
+	opts.DisableLocalPreprocess = true
+	opts.Absint = nil
+	return buildResidual(b, g, sl, opts), true
 }
 
 // rawProbeAffordable bounds the raw-residual probe: without quick paths,

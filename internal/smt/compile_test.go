@@ -1,0 +1,170 @@
+package smt_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"fusion/internal/smt"
+)
+
+// termGen builds random terms over every operator at widths 1/8/16/32.
+type termGen struct {
+	b    *smt.Builder
+	rng  *rand.Rand
+	vars map[int][]*smt.Term
+}
+
+var genWidths = []int{1, 8, 16, 32}
+
+func (g *termGen) term(w, depth int) *smt.Term {
+	if depth == 0 || g.rng.Intn(6) == 0 {
+		if g.rng.Intn(4) == 0 {
+			return g.b.Const(g.value(), w)
+		}
+		vs := g.vars[w]
+		return vs[g.rng.Intn(len(vs))]
+	}
+	sub := func() *smt.Term { return g.term(w, depth-1) }
+	ops := 13
+	if w == 1 {
+		ops += 5 // comparisons and equality produce width 1
+	}
+	switch g.rng.Intn(ops) {
+	case 0:
+		return g.b.Not(sub())
+	case 1:
+		return g.b.Neg(sub())
+	case 2:
+		return g.b.And(sub(), sub(), sub())
+	case 3:
+		return g.b.Or(sub(), sub())
+	case 4:
+		return g.b.Xor(sub(), sub())
+	case 5:
+		return g.b.Add(sub(), sub())
+	case 6:
+		return g.b.Sub(sub(), sub())
+	case 7:
+		return g.b.Mul(sub(), sub())
+	case 8:
+		return g.b.UDiv(sub(), sub())
+	case 9:
+		return g.b.URem(sub(), sub())
+	case 10:
+		return g.b.Shl(sub(), sub())
+	case 11:
+		return g.b.Lshr(sub(), sub())
+	case 12:
+		return g.b.Ite(g.term(1, depth-1), sub(), sub())
+	}
+	aw := genWidths[g.rng.Intn(len(genWidths))]
+	x, y := g.term(aw, depth-1), g.term(aw, depth-1)
+	switch g.rng.Intn(5) {
+	case 0:
+		return g.b.Eq(x, y)
+	case 1:
+		return g.b.Ult(x, y)
+	case 2:
+		return g.b.Ule(x, y)
+	case 3:
+		return g.b.Slt(x, y)
+	default:
+		return g.b.Sle(x, y)
+	}
+}
+
+// value draws a raw 32-bit value: zero divisors, shift amounts at and
+// past every width, and values wider than any narrow variable's width,
+// stored unmasked as the probe stores them.
+func (g *termGen) value() uint32 {
+	edge := []uint32{0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 0x80, 0xFF, 0x8000, 0xFFFF, 0x80000000, 0xFFFFFFFF}
+	if g.rng.Intn(2) == 0 {
+		return edge[g.rng.Intn(len(edge))]
+	}
+	return g.rng.Uint32()
+}
+
+// subterms returns the distinct nodes of the DAG under roots.
+func subterms(roots ...*smt.Term) []*smt.Term {
+	seen := map[*smt.Term]bool{}
+	var out []*smt.Term
+	var walk func(*smt.Term)
+	walk = func(t *smt.Term) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		out = append(out, t)
+		for _, a := range t.Args {
+			walk(a)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+	return out
+}
+
+// TestProgramMatchesEval is the differential test of the compiled
+// evaluator against the reference interpreter: on random terms over every
+// operator, under random raw assignments (some variables left unassigned),
+// every node's slot must hold the value Eval computes for it — after the
+// full pass, and after a span re-evaluates one root's sub-DAG under new
+// inputs.
+func TestProgramMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	seen := map[smt.Op]bool{}
+	for iter := 0; iter < 400; iter++ {
+		g := &termGen{b: smt.NewBuilder(), rng: rng, vars: map[int][]*smt.Term{}}
+		for _, w := range genWidths {
+			for i := 0; i < 3; i++ {
+				g.vars[w] = append(g.vars[w], g.b.Var(fmt.Sprintf("v%d_%d", w, i), w))
+			}
+		}
+		var roots []*smt.Term
+		for i := 0; i < 3; i++ {
+			roots = append(roots, g.term(genWidths[rng.Intn(len(genWidths))], 5))
+		}
+		p := smt.Compile(roots...)
+		spans := make([]smt.Span, len(roots))
+		for i, r := range roots {
+			spans[i] = p.Span(r)
+		}
+		in, vals := make([]uint32, len(p.Vars())), p.Slots()
+		assign := func() smt.Assignment {
+			asg := smt.Assignment{}
+			for i, v := range p.Vars() {
+				in[i] = 0
+				if rng.Intn(8) != 0 {
+					asg[v] = g.value()
+					in[i] = asg[v]
+				}
+			}
+			return asg
+		}
+		check := func(what string, asg smt.Assignment, nodes []*smt.Term) {
+			t.Helper()
+			for _, n := range nodes {
+				seen[n.Op] = true
+				if got, want := vals[p.Slot(n)], smt.Eval(n, asg); got != want {
+					t.Fatalf("iter %d, %s: %v = %#x compiled, %#x by Eval", iter, what, n, got, want)
+				}
+			}
+		}
+		for round := 0; round < 4; round++ {
+			asg := assign()
+			p.Run(in, vals, p.All())
+			check("full pass", asg, subterms(roots...))
+			k := rng.Intn(len(roots))
+			asg = assign()
+			p.Run(in, vals, spans[k])
+			check(fmt.Sprintf("span of root %d", k), asg, subterms(roots[k]))
+		}
+	}
+	for op := smt.OpVar; op <= smt.OpIte; op++ {
+		if !seen[op] {
+			t.Errorf("no %s node was generated", op)
+		}
+	}
+}

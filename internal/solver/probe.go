@@ -16,7 +16,8 @@ import (
 // satisfiable instances instantly. Sample values are seeded with the
 // constants appearing near each input, which makes guards like "x == 37"
 // reachable. A returned model is always verified by evaluation, so probing
-// is sound.
+// is sound. phi is compiled once (smt.Compile), and every try runs over
+// flat slot arrays; an smt.Assignment is built only for a returned model.
 //
 // Probe polls ctx before every try and every local-search move (one try
 // is at most tens of milliseconds on the largest progen conditions); once
@@ -24,7 +25,8 @@ import (
 // the same reason: the probe only ever claims Sat with a verified model.
 func Probe(ctx context.Context, phi *smt.Term, tries int) (smt.Assignment, bool) {
 	stop := poll.Stop(ctx, 1)
-	vars := smt.Vars(phi)
+	prog := smt.Compile(phi)
+	vars := prog.Vars()
 	if len(vars) == 0 || len(vars) > 1<<16 {
 		return nil, false
 	}
@@ -155,18 +157,13 @@ func Probe(ctx context.Context, phi *smt.Term, tries int) (smt.Assignment, bool)
 		}
 	})
 
-	setClass := func(asg smt.Assignment, r *smt.Term, val uint32) {
-		for _, m := range members[r] {
-			asg[m] = val
-		}
-	}
-
+	c := newCompiled(prog, phi, members, defs, order)
 	rng := rand.New(rand.NewSource(int64(phi.ID)*2654435761 + 12345))
 	for try := 0; try < tries+2*len(hints); try++ {
 		if stop != nil && stop() {
 			return nil, false
 		}
-		asg := smt.Assignment{}
+		c.reset()
 		for _, r := range inputs {
 			var val uint32
 			switch {
@@ -179,22 +176,16 @@ func Probe(ctx context.Context, phi *smt.Term, tries int) (smt.Assignment, bool)
 			default:
 				val = pool[rng.Intn(len(pool))]
 			}
-			setClass(asg, r, val)
+			c.setClass(r, val)
 		}
 		if try >= tries {
 			// Hint rounds: pin one suggested class, vary the rest.
 			h := hints[(try-tries)/2]
-			setClass(asg, h.r, h.val)
+			c.setClass(h.r, h.val)
 		}
-		// Compute defined classes forward in dependency order; a second
-		// pass settles any residual cyclic orientation harmlessly.
-		for pass := 0; pass < 2; pass++ {
-			for _, r := range order {
-				setClass(asg, r, defs[r].eval(asg))
-			}
-		}
-		if smt.Eval(phi, asg) == 1 {
-			return asg, true
+		c.compute()
+		if c.vals[c.phi] == 1 {
+			return c.model(), true
 		}
 	}
 
@@ -202,10 +193,105 @@ func Probe(ctx context.Context, phi *smt.Term, tries int) (smt.Assignment, bool)
 	// guards at once; a short greedy repair loop over the inputs of
 	// failing conjuncts (in the spirit of SLS tactics) closes most of the
 	// gap. Soundness is unchanged — any model found is verified.
-	if m, ok := localSearch(phi, inputs, defs, order, members, pool, find, rng, stop); ok {
+	if m, ok := localSearch(c, phi, inputs, defs, pool, find, rng, stop); ok {
 		return m, true
 	}
 	return nil, false
+}
+
+// compiled is a probed formula compiled to slots (smt.Program): a try
+// writes the input classes' values into the variables' inputs, applies
+// the definitions, and reads phi and every conjunct off one pass.
+type compiled struct {
+	prog *smt.Program
+	in   []uint32 // raw variable values, indexed like prog.Vars()
+	vals []uint32
+	// members maps a class representative to its variables' inputs.
+	members map[*smt.Term][]int32
+	defs    []defn // in dependency order, contiguous for the try loop
+	phi     int32
+	conjs   []int32 // phi's conjuncts' slots
+}
+
+func newCompiled(prog *smt.Program, phi *smt.Term, members map[*smt.Term][]*smt.Term, defs map[*smt.Term]*defn, order []*smt.Term) *compiled {
+	c := &compiled{
+		prog: prog, in: make([]uint32, len(prog.Vars())), vals: prog.Slots(),
+		members: make(map[*smt.Term][]int32, len(members)),
+		phi:     prog.Slot(phi),
+	}
+	for r, ms := range members {
+		ins := make([]int32, len(ms))
+		for i, m := range ms {
+			ins[i] = prog.Input(m)
+		}
+		c.members[r] = ins
+	}
+	for _, r := range order {
+		d := defs[r]
+		roots := []*smt.Term{d.rhs}
+		for i := range d.chain {
+			if st := &d.chain[i]; st.other != nil {
+				roots = append(roots, st.other)
+				st.slot = prog.Slot(st.other)
+			}
+		}
+		d.span, d.slot, d.members = prog.Span(roots...), prog.Slot(d.rhs), c.members[r]
+		d.mask = ^uint32(0)
+		if d.rhs.Width < 32 {
+			d.mask = 1<<uint(d.rhs.Width) - 1
+		}
+		c.defs = append(c.defs, *d)
+	}
+	for _, cj := range smt.Conjuncts(phi) {
+		c.conjs = append(c.conjs, prog.Slot(cj))
+	}
+	return c
+}
+
+// reset unassigns every variable, as a fresh smt.Assignment does.
+func (c *compiled) reset() { clear(c.in) }
+
+func (c *compiled) setClass(r *smt.Term, val uint32) {
+	for _, m := range c.members[r] {
+		c.in[m] = val
+	}
+}
+
+// compute settles the defined classes forward in dependency order — a
+// second pass settles any residual cyclic orientation harmlessly — then
+// evaluates phi and its conjuncts.
+func (c *compiled) compute() {
+	for pass := 0; pass < 2; pass++ {
+		for i := range c.defs {
+			d := &c.defs[i]
+			c.prog.Run(c.in, c.vals, d.span)
+			val := d.apply(c.vals)
+			for _, m := range d.members {
+				c.in[m] = val
+			}
+		}
+	}
+	c.prog.Run(c.in, c.vals, c.prog.All())
+}
+
+// model returns the current assignment of every variable.
+func (c *compiled) model() smt.Assignment {
+	m := make(smt.Assignment, len(c.in))
+	for i, v := range c.prog.Vars() {
+		m[v] = c.in[i]
+	}
+	return m
+}
+
+// score counts the satisfied conjuncts as of the last compute.
+func (c *compiled) score() int {
+	n := 0
+	for _, s := range c.conjs {
+		if c.vals[s] == 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // localSearch greedily repairs a random assignment: pick an unsatisfied
@@ -213,11 +299,10 @@ func Probe(ctx context.Context, phi *smt.Term, tries int) (smt.Assignment, bool)
 // that satisfies the most conjuncts. A non-nil stop is polled before every
 // move.
 func localSearch(
+	c *compiled,
 	phi *smt.Term,
 	inputs []*smt.Term,
 	defs map[*smt.Term]*defn,
-	order []*smt.Term,
-	members map[*smt.Term][]*smt.Term,
 	pool []uint32,
 	find func(*smt.Term) *smt.Term,
 	rng *rand.Rand,
@@ -267,35 +352,13 @@ func localSearch(
 		return out
 	}
 
-	setClass := func(asg smt.Assignment, r *smt.Term, val uint32) {
-		for _, m := range members[r] {
-			asg[m] = val
-		}
-	}
-	compute := func(asg smt.Assignment) {
-		for pass := 0; pass < 2; pass++ {
-			for _, r := range order {
-				setClass(asg, r, defs[r].eval(asg))
-			}
-		}
-	}
-	score := func(asg smt.Assignment) int {
-		n := 0
-		for _, cj := range conjs {
-			if smt.Eval(cj, asg) == 1 {
-				n++
-			}
-		}
-		return n
-	}
-
 	for restart := 0; restart < 2; restart++ {
-		asg := smt.Assignment{}
+		c.reset()
 		for _, r := range inputs {
-			setClass(asg, r, pool[rng.Intn(len(pool))])
+			c.setClass(r, pool[rng.Intn(len(pool))])
 		}
-		compute(asg)
-		cur := score(asg)
+		c.compute()
+		cur := c.score()
 		for move := 0; move < 25 && cur < len(conjs); move++ {
 			if stop != nil && stop() {
 				return nil, false
@@ -304,9 +367,8 @@ func localSearch(
 			var bad *smt.Term
 			off := rng.Intn(len(conjs))
 			for i := range conjs {
-				cj := conjs[(i+off)%len(conjs)]
-				if smt.Eval(cj, asg) != 1 {
-					bad = cj
+				if j := (i + off) % len(conjs); c.vals[c.conjs[j]] != 1 {
+					bad = conjs[j]
 					break
 				}
 			}
@@ -318,7 +380,7 @@ func localSearch(
 				break // the conjunct does not depend on any input
 			}
 			r := sup[rng.Intn(len(sup))]
-			old := asg[members[r][0]]
+			old := c.in[c.members[r][0]]
 			best, bestScore := old, cur
 			for trial := 0; trial < 6; trial++ {
 				var cand uint32
@@ -332,28 +394,34 @@ func localSearch(
 				default:
 					cand = pool[rng.Intn(len(pool))]
 				}
-				setClass(asg, r, cand)
-				compute(asg)
-				if sc := score(asg); sc > bestScore {
+				c.setClass(r, cand)
+				c.compute()
+				if sc := c.score(); sc > bestScore {
 					best, bestScore = cand, sc
 				}
 			}
-			setClass(asg, r, best)
-			compute(asg)
+			c.setClass(r, best)
+			c.compute()
 			cur = bestScore
 		}
-		if cur == len(conjs) && smt.Eval(phi, asg) == 1 {
-			return asg, true
+		if cur == len(conjs) && c.vals[c.phi] == 1 {
+			return c.model(), true
 		}
 	}
 	return nil, false
 }
 
 // defn is a definition "class = invert(chain, rhs)": evaluate rhs, then
-// apply the inverse of each recorded operator step outward-in.
+// apply the inverse of each recorded operator step outward-in. Compiling
+// the probe gives it the span that refreshes rhs and the chain operands,
+// rhs's slot and width mask, and the class's inputs.
 type defn struct {
-	rhs   *smt.Term
-	chain []invStep
+	rhs     *smt.Term
+	chain   []invStep
+	span    smt.Span
+	slot    int32
+	mask    uint32
+	members []int32
 }
 
 // invStep records one peeled operator: the variable was inside op, with
@@ -363,6 +431,7 @@ type invStep struct {
 	other       *smt.Term
 	otherOnLeft bool
 	mulInv      uint32 // modular inverse for odd multiplications
+	slot        int32  // other's slot, once compiled
 }
 
 // solveToward peels invertible operators off t until a variable remains,
@@ -418,36 +487,31 @@ func modInverse32(a uint32) uint32 {
 	return x
 }
 
-// eval computes the class value implied by the definition under asg.
-func (d *defn) eval(asg smt.Assignment) uint32 {
-	val := smt.Eval(d.rhs, asg)
-	width := d.rhs.Width
-	maskW := func(v uint32) uint32 {
-		if width >= 32 {
-			return v
-		}
-		return v & (1<<uint(width) - 1)
-	}
-	for _, st := range d.chain {
+// apply computes the class value the definition implies from vals, in
+// which its span has just run.
+func (d *defn) apply(vals []uint32) uint32 {
+	val := vals[d.slot]
+	for i := range d.chain {
+		st := &d.chain[i]
 		switch st.op {
 		case smt.OpNot:
-			val = maskW(^val)
+			val = ^val & d.mask
 		case smt.OpNeg:
-			val = maskW(-val)
+			val = -val & d.mask
 		case smt.OpAdd:
-			val = maskW(val - smt.Eval(st.other, asg))
+			val = (val - vals[st.slot]) & d.mask
 		case smt.OpXor:
-			val = maskW(val ^ smt.Eval(st.other, asg))
+			val = (val ^ vals[st.slot]) & d.mask
 		case smt.OpSub:
 			if st.otherOnLeft {
 				// other - x = val  =>  x = other - val
-				val = maskW(smt.Eval(st.other, asg) - val)
+				val = (vals[st.slot] - val) & d.mask
 			} else {
 				// x - other = val  =>  x = val + other
-				val = maskW(val + smt.Eval(st.other, asg))
+				val = (val + vals[st.slot]) & d.mask
 			}
 		case smt.OpMul:
-			val = maskW(val * st.mulInv)
+			val = val * st.mulInv & d.mask
 		}
 	}
 	return val

@@ -50,6 +50,7 @@ func (ss *Session) Solve(phi *smt.Term, opts Options) Result {
 		raw := opts
 		raw.Passes = NoPasses
 		raw.WantModel = false
+		raw.NoProbe = true // the first solve's probe already failed on this phi, seed and tries
 		if full := ss.solveOnce(phi, raw); full.Status == sat.Sat {
 			res.Model = full.Model
 		}
