@@ -8,7 +8,6 @@
 //	       [-workers N] [-timeout D] [-no-prelude]
 //	       [-fail-fast] [-budget-steps N] [-budget-conflicts N]
 //	       [-budget-deadline D] [-budget-heap N]
-//	       [-retries N]
 //	       [-metrics FILE] [-trace FILE] [-pprof-addr ADDR] file.fl
 //
 // Engines: fusion (default), fusion-unopt, pinpoint, pinpoint+qe,
@@ -55,7 +54,6 @@ func main() {
 	budgetConflicts := flag.Int64("budget-conflicts", 0, "per-candidate SAT conflict budget (0 = unbounded; must be >= 0)")
 	budgetDeadline := flag.Duration("budget-deadline", 0, "per-candidate wall-clock budget; every solve phase stops within a bounded interval of it (0 = none; must be >= 0)")
 	budgetHeap := flag.Int64("budget-heap", 0, "per-candidate formula-construction byte budget (0 = unbounded; must be >= 0)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times, every attempt on fresh solver state; a re-run is deterministic, so it recovers only a crash that does not repeat (0 = single attempt; must be >= 0)")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this file")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
@@ -80,7 +78,6 @@ func main() {
 		enum: *enum, dot: *dot, absint: mode,
 		workers: *workers, timeout: *timeout,
 		failFast: *failFast,
-		retries:  *retries,
 		budget: engines.Budget{
 			Steps: *budgetSteps, Conflicts: *budgetConflicts,
 			Deadline: *budgetDeadline, MaxHeapDelta: *budgetHeap,
@@ -149,7 +146,6 @@ type config struct {
 	workers   int
 	timeout   time.Duration
 	failFast  bool
-	retries   int
 	budget    engines.Budget
 	rec       *telemetry.Recorder
 	out       interface{ Write([]byte) (int, error) }
@@ -157,15 +153,13 @@ type config struct {
 
 // outcome is what a completed (even impaired) run reports.
 type outcome struct {
-	findings  int
-	degraded  int
-	recovered int
-	failures  []*failure.UnitFailure
+	findings int
+	degraded int
+	failures []*failure.UnitFailure
 }
 
 // exitCode maps the run outcome to the documented exit status: impaired
-// runs trump findings, findings trump a clean pass. A candidate the
-// retry ladder recovered is not an impairment.
+// runs trump findings, findings trump a clean pass.
 func (o outcome) exitCode() int {
 	switch {
 	case len(o.failures) > 0 || o.degraded > 0:
@@ -208,8 +202,6 @@ func newEngine(name string) (engines.Engine, error) {
 func checkNonNegative(cfg config) error {
 	b := cfg.budget
 	switch {
-	case cfg.retries < 0:
-		return fmt.Errorf("-retries must be >= 0, got %d", cfg.retries)
 	case cfg.timeout < 0:
 		return fmt.Errorf("-timeout must be >= 0, got %v", cfg.timeout)
 	case b.Steps < 0:
@@ -266,7 +258,6 @@ func run(cfg config) (outcome, error) {
 	}
 	engines.SetParallel(eng, cfg.workers)
 	engines.SetBudget(eng, cfg.budget)
-	engines.SetSupervision(eng, cfg.retries)
 	if cfg.rec != nil {
 		engines.SetTelemetry(eng, cfg.rec)
 	}
@@ -321,9 +312,6 @@ specs:
 				byZone++
 			}
 			simplified += v.Simplified
-			if v.Attempts > 1 && v.Failure == nil {
-				res.recovered++
-			}
 			if v.Failure != nil {
 				res.failures = append(res.failures, v.Failure)
 				continue
@@ -361,9 +349,18 @@ specs:
 				return res, fmt.Errorf("engine %s does not support joint checking", eng.Name())
 			}
 			for _, jv := range engines.CheckJoint(ctx, jc, g, cands) {
-				verdict := "jointly infeasible"
-				if jv.Status == sat.Sat {
+				if jv.Failure != nil {
+					res.failures = append(res.failures, jv.Failure)
+					continue
+				}
+				var verdict string
+				switch jv.Status {
+				case sat.Sat:
 					verdict = "JOINT BUG: all arguments taintable together"
+				case sat.Unsat:
+					verdict = "jointly infeasible"
+				default:
+					verdict = "undecided within budget"
 				}
 				fmt.Fprintf(cfg.out, "[%s] sink %s.%s with %d tracked arguments: %s\n",
 					spec.Name, jv.Group.Sink.Fn.Name, jv.Group.Sink.Callee,
@@ -378,9 +375,6 @@ specs:
 		fmt.Fprintf(cfg.out, "absint: refuted %d quer(ies) (%d by stride, %d by zone), pruned %d candidate(s), simplified %d vertex(es)\n", decided, byStride, byZone, pruned, simplified)
 	}
 	printFailures(cfg.out, res.failures)
-	if res.recovered > 0 {
-		fmt.Fprintf(cfg.out, "%d candidate(s) recovered by the retry ladder\n", res.recovered)
-	}
 	if res.degraded > 0 {
 		fmt.Fprintf(cfg.out, "%d verdict(s) degraded after budget exhaustion\n", res.degraded)
 	}
@@ -405,12 +399,8 @@ func printFailures(out interface{ Write([]byte) (int, error) }, fails []*failure
 		}
 	}
 	fmt.Fprintf(out, "%d unit failure(s):\n", len(fails))
-	fmt.Fprintf(out, "  %-*s  %-*s  %-8s  %-8s  %s\n", uw, "unit", sw, "stage", "digest", "attempts", "error")
+	fmt.Fprintf(out, "  %-*s  %-*s  %-8s  %s\n", uw, "unit", sw, "stage", "digest", "error")
 	for _, f := range fails {
-		attempts := f.Attempts
-		if attempts == 0 {
-			attempts = 1
-		}
-		fmt.Fprintf(out, "  %-*s  %-*s  %-8s  %-8d  %v\n", uw, f.Unit, sw, f.Stage, f.Digest(), attempts, f.Value)
+		fmt.Fprintf(out, "  %-*s  %-*s  %-8s  %v\n", uw, f.Unit, sw, f.Stage, f.Digest(), f.Value)
 	}
 }

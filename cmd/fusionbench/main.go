@@ -5,7 +5,7 @@
 //
 //	fusionbench [-experiment NAME|all] [-scale F] [-subjects a,b,c] [-budget D]
 //	            [-workers N] [-timeout D] [-absint MODE] [-fail-fast]
-//	            [-retries N] [-checkpoint FILE [-resume]]
+//	            [-checkpoint FILE [-resume]]
 //	            [-metrics FILE] [-trace FILE] [-pprof-addr ADDR]
 //
 // Exit status: 0 when every experiment ran to completion, 1 on a harness
@@ -41,7 +41,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none; must be >= 0)")
 	absintFlag := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
 	failFast := flag.Bool("fail-fast", false, "stop after the first experiment whose runs contained a unit crash (default: run all experiments, summarize at the end)")
-	retries := flag.Int("retries", 0, "re-run a candidate whose attempt crashed up to N times, every attempt on fresh solver state; a re-run is deterministic, so it recovers only a crash that does not repeat (0 = single attempt; must be >= 0)")
 	checkpoint := flag.String("checkpoint", "", "journal completed engine runs to this file (append-only JSONL, fsync'd per record) so a crashed invocation can resume")
 	resume := flag.Bool("resume", false, "replay runs a previous crashed invocation completed in the -checkpoint journal instead of re-running them")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
@@ -55,10 +54,6 @@ func main() {
 	absint, err := driver.ParseAbsintMode(*absintFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fusionbench:", err)
-		os.Exit(2)
-	}
-	if *retries < 0 {
-		fmt.Fprintf(os.Stderr, "fusionbench: -retries must be >= 0, got %d\n", *retries)
 		os.Exit(2)
 	}
 	for name, d := range map[string]time.Duration{"-timeout": *timeout, "-budget": *budget} {
@@ -88,7 +83,6 @@ func main() {
 		OnCost: func(c bench.Cost) {
 			unitFailures = append(unitFailures, c.Failures...)
 		},
-		Retries: *retries,
 	}
 	var rec *telemetry.Recorder
 	if *metrics != "" || *trace != "" {

@@ -124,12 +124,6 @@ type Cost struct {
 	// Failures carries their details in report order.
 	UnitFailures int
 	Failures     []*failure.UnitFailure
-	// Retried counts candidates that needed more than one attempt of the
-	// retry ladder; Recovered is the subset whose final attempt produced
-	// a clean verdict. Both zero when no fault fires, whatever -retries
-	// is set to.
-	Retried   int
-	Recovered int
 }
 
 // Budget bounds one engine run, mirroring the paper's 12-hour/100GB limit
@@ -238,12 +232,6 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 		}
 		if v.Failure != nil {
 			cost.Failures = append(cost.Failures, v.Failure)
-		}
-		if v.Attempts > 1 {
-			cost.Retried++
-			if v.Failure == nil {
-				cost.Recovered++
-			}
 		}
 		cost.Simplified += v.Simplified
 		cost.PrunedGuards += v.PrunedGuards

@@ -4,8 +4,8 @@
 // instead of re-solving them. Records are keyed by a digest over
 // everything that determines a run's verdicts — experiment, subject,
 // checker, engine configuration, scale, budget — plus a per-key
-// occurrence counter; worker count and retries are deliberately
-// excluded, since they may only change cost, never verdicts. Replayed Costs feed the same table renderers as live
+// occurrence counter; worker count is deliberately excluded, since it
+// may only change cost, never verdicts. Replayed Costs feed the same table renderers as live
 // ones, so a resumed run's merged output is byte-identical to the
 // original's.
 //
@@ -61,7 +61,9 @@ type journalRecord struct {
 // unitRecord is one candidate's completed verdict, minus the candidate
 // itself: on replay the verdict is re-synthesized around the candidate
 // at the same index, whose label must match Unit. Cost-only counters
-// ride along so replayed summaries fold identically.
+// ride along so replayed summaries fold identically. Records written by
+// older versions may carry retired keys (aband, hits, vars, reused,
+// att), which decoding ignores.
 type unitRecord struct {
 	Idx  int    `json:"idx"`
 	Unit string `json:"u"`
@@ -78,7 +80,6 @@ type unitRecord struct {
 	Simplified    int   `json:"simp,omitempty"`
 	PrunedGuards  int   `json:"guards,omitempty"`
 	ConditionSize int   `json:"cond,omitempty"`
-	Attempts      int   `json:"att,omitempty"`
 	Conflicts     int64 `json:"confl,omitempty"`
 	Decisions     int64 `json:"decis,omitempty"`
 	Props         int64 `json:"props,omitempty"`
@@ -100,7 +101,6 @@ func unitRecordOf(idx int, v engines.Verdict) unitRecord {
 		Simplified:      v.Simplified,
 		PrunedGuards:    v.PrunedGuards,
 		ConditionSize:   v.ConditionSize,
-		Attempts:        v.Attempts,
 		Conflicts:       v.Conflicts,
 		Decisions:       v.Decisions,
 		Props:           v.Props,
@@ -122,7 +122,6 @@ func (u *unitRecord) verdict(c sparse.Candidate) engines.Verdict {
 		Simplified:      u.Simplified,
 		PrunedGuards:    u.PrunedGuards,
 		ConditionSize:   u.ConditionSize,
-		Attempts:        u.Attempts,
 		Conflicts:       u.Conflicts,
 		Decisions:       u.Decisions,
 		Props:           u.Props,
@@ -377,8 +376,7 @@ func (j *Journal) Close() error { return j.f.Close() }
 
 // engineFingerprint renders the verdict-relevant configuration of an
 // engine run under an absint tier mode (which only Fusion consults).
-// Worker counts and supervision settings are excluded: they may only
-// change cost. Unknown engine types fall back to their name, which is
+// Worker counts are excluded: they may only change cost. Unknown engine types fall back to their name, which is
 // correct as long as they carry no ablation knobs. The mode renders as
 // the four flags earlier journals were keyed by, and the retired
 // `-session` knob as its default literal, so those journals still resume.

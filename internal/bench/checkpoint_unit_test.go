@@ -150,11 +150,10 @@ func TestUnitRecordRoundTrip(t *testing.T) {
 	c := cands[0]
 
 	fail := failure.FromPanic(engines.UnitLabel(c), "solve", strings.Repeat("v", 100<<10))
-	fail.Attempts = 2
 	orig := engines.Verdict{
 		Cand: c, Status: sat.Sat, Tier: engines.TierExact,
 		Preprocessed: true, Degraded: true,
-		Simplified: 7, PrunedGuards: 3, ConditionSize: 41, Attempts: 2,
+		Simplified: 7, PrunedGuards: 3, ConditionSize: 41,
 		Conflicts: 17, Decisions: 19, Props: 23,
 		SolveTime: 42 * time.Millisecond,
 		Failure:   fail,
@@ -207,7 +206,7 @@ func TestUnitRecordRoundTrip(t *testing.T) {
 	if !strings.HasSuffix(got.Failure.Value, " [truncated]") || len(got.Failure.Value) > 1024 {
 		t.Errorf("panic value not truncated: %d bytes", len(got.Failure.Value))
 	}
-	if got.Failure.Attempts != 2 || got.Failure.Unit != fail.Unit || got.Failure.Stage != fail.Stage {
+	if got.Failure.Unit != fail.Unit || got.Failure.Stage != fail.Stage {
 		t.Errorf("failure fields lost: %+v", got.Failure)
 	}
 	got.Failure, orig.Failure = nil, nil
@@ -320,13 +319,17 @@ func TestMetricsCountersWorkerInvariant(t *testing.T) {
 
 // TestJournalReplaysRecordsWithRetiredFields: journals written before the
 // abandonment flag was removed carry an "aband" key in their unit
-// records, and those written before warm solver sessions were removed
-// carry their "hits", "vars" and "reused" counters; they must still load
-// and replay the rest of the record.
+// records, those written before warm solver sessions were removed carry
+// their "hits", "vars" and "reused" counters, and those written before
+// the retry ladder was removed carry an "att" attempt count on units and
+// an "attempts" count on failures; they must still load and replay the
+// rest of the record.
 func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.jsonl")
 	lines := `{"key":"k1:u0","kind":"unit","unit":{"idx":0,"u":"null-deref 9:5<-3:9#0","st":2,"deg":true,"aband":true,"att":1}}` + "\n" +
-		`{"key":"k1:u1","kind":"unit","unit":{"idx":1,"u":"null-deref 12:5<-3:9#0","st":1,"att":1,"hits":11,"vars":5,"reused":13,"confl":17}}` + "\n"
+		`{"key":"k1:u1","kind":"unit","unit":{"idx":1,"u":"null-deref 12:5<-3:9#0","st":1,"att":1,"hits":11,"vars":5,"reused":13,"confl":17}}` + "\n" +
+		`{"key":"k1:u2","kind":"unit","unit":{"idx":2,"u":"null-deref 15:5<-3:9#0","st":0,"deg":true,"tier":2,"att":3,` +
+		`"fail":{"unit":"null-deref 15:5<-3:9#0","stage":"check","value":"boom","digest":"0badf00d","attempts":3}}}` + "\n"
 	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -339,15 +342,25 @@ func TestJournalReplaysRecordsWithRetiredFields(t *testing.T) {
 	if !ok {
 		t.Fatal("a record with a retired field was dropped")
 	}
-	if u.Unit != "null-deref 9:5<-3:9#0" || u.Status != 2 || !u.Degraded || u.Attempts != 1 {
+	if u.Unit != "null-deref 9:5<-3:9#0" || u.Status != 2 || !u.Degraded {
 		t.Errorf("record fields lost: %+v", u)
 	}
 	u, ok = j.LookupUnit("k1", 1)
 	if !ok {
 		t.Fatal("a record with retired session counters was dropped")
 	}
-	if u.Unit != "null-deref 12:5<-3:9#0" || u.Status != 1 || u.Attempts != 1 || u.Conflicts != 17 {
+	if u.Unit != "null-deref 12:5<-3:9#0" || u.Status != 1 || u.Conflicts != 17 {
 		t.Errorf("record fields lost: %+v", u)
+	}
+	u, ok = j.LookupUnit("k1", 2)
+	if !ok {
+		t.Fatal("a record with retired attempt counts was dropped")
+	}
+	if u.Unit != "null-deref 15:5<-3:9#0" || u.Status != 0 || !u.Degraded || u.Tier != 2 {
+		t.Errorf("record fields lost: %+v", u)
+	}
+	if f := u.Failure; f == nil || f.Unit != u.Unit || f.Stage != "check" || f.Value != "boom" || f.Digest() != "0badf00d" {
+		t.Errorf("failure fields lost: %+v", f)
 	}
 }
 

@@ -44,10 +44,6 @@ type Options struct {
 	// degraded verdicts for its exit status. Replayed journal records are
 	// observed too, so exit-status accounting survives a resume.
 	OnCost func(Cost)
-	// Retries is the retry-ladder height for every engine the experiments
-	// construct. It may not change verdicts when no fault fires (a clean
-	// first attempt never re-runs), so it does not enter checkpoint keys.
-	Retries int
 	// Journal, when non-nil, checkpoints every scored engine run at two
 	// granularities: each candidate's verdict as it settles (kind "unit")
 	// and the whole run's summary when it completes. Completed records
@@ -80,13 +76,6 @@ func (o Options) fusion() *engines.Fusion {
 	e := engines.NewFusion()
 	e.Parallel = o.workers()
 	e.Opts.DisableAbsintSimplify = o.Absint == driver.AbsintNoSimplify
-	e.Cfg.Retries = o.Retries
-	return e
-}
-
-func (o Options) pinpoint(v engines.Variant) *engines.Pinpoint {
-	e := engines.NewPinpoint(v)
-	e.Cfg.Retries = o.Retries
 	return e
 }
 
@@ -184,7 +173,7 @@ func Table3(ctx context.Context, opts Options) (string, error) {
 	}
 	for _, sub := range subs {
 		fc := opts.run(ctx, sub, spec, opts.fusion())
-		pc := opts.run(ctx, sub, spec, opts.pinpoint(engines.Plain))
+		pc := opts.run(ctx, sub, spec, engines.NewPinpoint(engines.Plain))
 		t.AddRow(
 			fmt.Sprintf("%d", sub.Info.ID), sub.Info.Name,
 			fmb(fc.CondMB), fmb(pc.CondMB),
@@ -218,9 +207,9 @@ func Fig10(ctx context.Context, opts Options) (string, error) {
 	for _, sub := range subs {
 		runs := []engines.Engine{
 			opts.fusion(),
-			opts.pinpoint(engines.Plain),
-			opts.pinpoint(engines.LFS),
-			opts.pinpoint(engines.HFS),
+			engines.NewPinpoint(engines.Plain),
+			engines.NewPinpoint(engines.LFS),
+			engines.NewPinpoint(engines.HFS),
 		}
 		for _, eng := range runs {
 			c := opts.runBudget(ctx, sub, spec, eng, variantBudget)
@@ -243,8 +232,8 @@ func Fig10(ctx context.Context, opts Options) (string, error) {
 	}
 	for _, sub := range small {
 		for _, eng := range []engines.Engine{
-			opts.pinpoint(engines.QE),
-			opts.pinpoint(engines.AR),
+			engines.NewPinpoint(engines.QE),
+			engines.NewPinpoint(engines.AR),
 		} {
 			c := opts.runBudget(ctx, sub, spec, eng, variantBudget)
 			status := "ok"
@@ -429,7 +418,7 @@ func Table4(ctx context.Context, opts Options) (string, error) {
 		}
 		for _, sub := range subs {
 			fc := opts.run(ctx, sub, spec, opts.fusion())
-			pc := opts.run(ctx, sub, spec, opts.pinpoint(engines.Plain))
+			pc := opts.run(ctx, sub, spec, engines.NewPinpoint(engines.Plain))
 			t.AddRow(issue, sub.Info.Name,
 				fmb(fc.CondMB), fd(fc.Time),
 				fmb(pc.CondMB), fd(pc.Time),
@@ -493,7 +482,7 @@ func Fig1c(ctx context.Context, opts Options) (string, error) {
 		return "", err
 	}
 	for _, sub := range subs {
-		eng := opts.pinpoint(engines.Plain)
+		eng := engines.NewPinpoint(engines.Plain)
 		c := opts.run(ctx, sub, spec, eng)
 		// Estimate of the dependence graph's own memory: the other major
 		// retained structure of the analysis.
@@ -521,7 +510,7 @@ func CWE369(ctx context.Context, opts Options) (string, error) {
 		return "", err
 	}
 	for _, sub := range subs {
-		for _, eng := range []engines.Engine{opts.fusion(), opts.pinpoint(engines.Plain)} {
+		for _, eng := range []engines.Engine{opts.fusion(), engines.NewPinpoint(engines.Plain)} {
 			c := opts.run(ctx, sub, spec, eng)
 			t.AddRow(sub.Info.Name, c.Engine, fd(c.Time), fmb(c.CondMB),
 				fmt.Sprintf("%d", c.Reports), fmt.Sprintf("%d", c.TP), fmt.Sprintf("%d", c.FP))

@@ -116,12 +116,15 @@ func TestPhaseCancellationLatency(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			at := time.Duration(rng.Int63n(int64(full)))
-			var cancelled time.Time
-			timer := time.AfterFunc(at, func() { cancelled = time.Now(); cancel() })
+			// The timer may fire after the phase already returned on its
+			// own, so the cancellation time is handed over on a channel:
+			// Stop reporting false does not mean the func has run yet.
+			fired := make(chan time.Time, 1)
+			timer := time.AfterFunc(at, func() { fired <- time.Now(); cancel() })
 			ph.run(ctx)
 			done := time.Now()
 			if !timer.Stop() {
-				if lat := done.Sub(cancelled); lat > worst {
+				if lat := done.Sub(<-fired); lat > worst {
 					worst = lat
 				}
 			}

@@ -168,7 +168,7 @@ func Ablations(ctx context.Context, opts Options) (string, error) {
 		c := opts.run(ctx, sub, spec, eng)
 		t.AddRow(cfg.name, fd(c.Time), fmb(c.CondMB), fmt.Sprintf("%d", c.Reports))
 	}
-	pc := opts.run(ctx, sub, spec, opts.pinpoint(engines.Plain))
+	pc := opts.run(ctx, sub, spec, engines.NewPinpoint(engines.Plain))
 	t.AddRow("pinpoint (conventional)", fd(pc.Time), fmb(pc.CondMB), fmt.Sprintf("%d", pc.Reports))
 	return t.String(), nil
 }

@@ -61,8 +61,8 @@ type Verdict struct {
 	// SolveTime is the feasibility-decision time for this candidate.
 	SolveTime time.Duration
 	// Conflicts, Decisions, and Props are the SAT search counters of this
-	// candidate's final attempt. They are cost-only: they feed the
-	// telemetry Sched section and must never influence a verdict.
+	// candidate's solve. They are cost-only: they feed the telemetry Sched
+	// section and must never influence a verdict.
 	Conflicts int64
 	Decisions int64
 	Props     int64
@@ -75,11 +75,6 @@ type Verdict struct {
 	// Status came from the fallback ladder (or stayed Unknown when even
 	// the cheap tiers could not decide).
 	Degraded bool
-	// Attempts counts how many times the retry ladder ran this candidate
-	// (1 for the common clean first attempt; 0 only on slots synthesized
-	// for cancellation). When no fault fires every attempt is 1, so the
-	// field stays byte-identical across -retries settings.
-	Attempts int
 	// Failure records a contained crash while checking this candidate;
 	// Status is then Unknown and every other field is zero.
 	Failure *failure.UnitFailure
@@ -103,16 +98,12 @@ type Engine interface {
 // every SMT call to 10 seconds.
 const callTimeout = 10 * time.Second
 
-// SolverConfig carries the per-candidate solver budget and retry ladder.
+// SolverConfig carries the per-candidate solver budget.
 type SolverConfig struct {
 	// Budget is the per-candidate resource budget; on exhaustion inside
 	// the bit-precise tier the engine degrades to the zone-then-interval
 	// refuters instead of reporting bare Unknown.
 	Budget Budget
-	// Retries is how many times a candidate whose attempt crashed is
-	// re-run. Every attempt starts on fresh solver state. 0 means a
-	// single attempt.
-	Retries int
 }
 
 // SortVerdicts orders verdicts by source position — sink line/column
@@ -161,17 +152,17 @@ type Fusion struct {
 	Opts fusioncore.Options
 	// Parallel is the worker count for Check; 0 or 1 means sequential.
 	Parallel int
-	// Telemetry, when non-nil, receives per-candidate ladder spans,
-	// per-attempt solve spans (on the attempt's worker track), and the
-	// verdict-derived counters of every Check. Nil — the default — costs
-	// one pointer check per site.
+	// Telemetry, when non-nil, receives per-candidate spans, solve spans
+	// (on the candidate's worker track), and the verdict-derived counters
+	// of every Check. Nil — the default — costs one pointer check per
+	// site.
 	Telemetry *telemetry.Recorder
 	// OnVerdict, when non-nil, observes each candidate's final verdict as
-	// soon as its retry ladder settles, before Check returns; i is the
-	// candidate's input index. Called from worker goroutines concurrently —
-	// the observer synchronizes itself. Verdicts synthesized for slots
-	// that crashed outside the supervised region are not observed (they
-	// still appear in Check's result).
+	// soon as it settles, before Check returns; i is the candidate's input
+	// index. Called from worker goroutines concurrently — the observer
+	// synchronizes itself. Verdicts synthesized for slots that crashed
+	// outside the supervised region are not observed (they still appear
+	// in Check's result).
 	OnVerdict func(i int, v Verdict)
 	mu        sync.Mutex
 	peak      int64
@@ -188,10 +179,9 @@ func (e *Fusion) Name() string { return "fusion" }
 
 // Check implements Engine.
 func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	l := &ladder{
-		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
-		deadline: e.Cfg.Budget.Deadline,
-		attempt:  e.attempt,
+	s := &supervised{
+		engine: e.Name(), rec: e.Telemetry,
+		attempt: e.attempt,
 		fallback: func(g *pdg.Graph) *absint.Analysis {
 			if an := e.Opts.Absint; an != nil {
 				return an
@@ -200,7 +190,7 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 		},
 	}
 	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := l.check(ctx, g, cands[i], w)
+		v := s.check(ctx, g, cands[i], w)
 		if e.OnVerdict != nil {
 			e.OnVerdict(i, v)
 		}
@@ -211,15 +201,16 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 	return vs
 }
 
-// attempt runs one rung of the ladder on a builder of its own: the
-// candidate is solved one-shot, and nothing outlives it.
-func (e *Fusion) attempt(at rung) Verdict {
-	c := at.c
+// attempt decides c on a builder of its own under the per-candidate
+// deadline, derived from the run's context parent: the candidate is
+// solved one-shot, and nothing outlives it.
+func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidate) Verdict {
+	ctx, cancel := withDeadline(parent, e.Cfg.Budget.Deadline)
+	defer cancel()
 	b := smt.NewBuilder()
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
-		faultinject.FireSolveAttempt(unit, at.n)
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	opts := e.Opts
@@ -235,7 +226,7 @@ func (e *Fusion) attempt(at rung) Verdict {
 		opts.Solver.MaxDecisions = 1
 	}
 	t0 := time.Now()
-	r := fusioncore.Solve(at.ctx, b, at.g, []pdg.Path{c.Path}, opts)
+	r := fusioncore.Solve(ctx, b, g, []pdg.Path{c.Path}, opts)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		DecidedByAbsint: r.DecidedByAbsint,
@@ -263,7 +254,7 @@ func (e *Fusion) attempt(at rung) Verdict {
 	// The per-candidate deadline firing (run still alive) is budget
 	// exhaustion too, even though the solver saw it as ctx cancellation.
 	exhausted := r.Exhausted ||
-		(r.Status == sat.Unknown && at.ctx.Err() != nil && at.parent.Err() == nil)
+		(r.Status == sat.Unknown && ctx.Err() != nil && parent.Err() == nil)
 	if exhausted {
 		// Degradation ladder: when the engine's own absint tier already
 		// failed to refute before the solve, re-running it cannot help —
@@ -272,7 +263,7 @@ func (e *Fusion) attempt(at rung) Verdict {
 		if opts.Absint != nil {
 			v.Degraded, v.Tier = true, TierUnknown
 		} else {
-			degradeVerdict(at.parent, e.fb.analysis, at.g, c, &v)
+			degradeVerdict(parent, e.fb.analysis, g, c, &v)
 		}
 	}
 	e.notePeak(b)
@@ -335,7 +326,7 @@ type Pinpoint struct {
 	// design's memory behaviour.
 	Parallel int
 	// Telemetry and OnVerdict mirror the Fusion fields: per-candidate and
-	// per-attempt spans plus verdict counters, and a concurrent
+	// solve spans plus verdict counters, and a concurrent
 	// final-verdict observer.
 	Telemetry *telemetry.Recorder
 	OnVerdict func(i int, v Verdict)
@@ -366,13 +357,13 @@ func (e *Pinpoint) ConditionBytes() int64 { return e.cache.EstimatedBytes() }
 // (see checkOne): time queued behind another candidate's solve is not
 // charged to this one.
 func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	l := &ladder{
-		engine: e.Name(), rec: e.Telemetry, retries: e.Cfg.Retries,
+	s := &supervised{
+		engine: e.Name(), rec: e.Telemetry,
 		attempt:  e.attempt,
 		fallback: e.fb.analysis,
 	}
 	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := l.check(ctx, g, cands[i], w)
+		v := s.check(ctx, g, cands[i], w)
 		if e.OnVerdict != nil {
 			e.OnVerdict(i, v)
 		}
@@ -383,18 +374,16 @@ func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candi
 	return vs
 }
 
-// attempt runs one rung of the ladder. Every attempt solves on a session
-// of its own; only the summary-cache builder carries over.
-func (e *Pinpoint) attempt(at rung) Verdict {
-	c := at.c
+// attempt decides c under the run's context ctx on a session of its own;
+// only the summary-cache builder carries over between candidates.
+func (e *Pinpoint) attempt(ctx context.Context, g *pdg.Graph, c sparse.Candidate) Verdict {
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
-		faultinject.FireSolveAttempt(unit, at.n)
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	t0 := time.Now()
-	r, size := e.checkOne(at.parent, at.g, c)
+	r, size := e.checkOne(ctx, g, c)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		Conflicts: r.Conflicts,
@@ -409,7 +398,7 @@ func (e *Pinpoint) attempt(at rung) Verdict {
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
 	if r.Status == sat.Unknown && r.Exhausted {
-		degradeVerdict(at.parent, e.fb.analysis, at.g, c, &v)
+		degradeVerdict(ctx, e.fb.analysis, g, c, &v)
 	}
 	return v
 }
@@ -723,12 +712,6 @@ func recordVerdicts(r *telemetry.Recorder, vs []Verdict) {
 			r.Count("degraded.total", 1)
 			if v.Status == sat.Unsat {
 				r.Count("degraded.unsat", 1)
-			}
-		}
-		if v.Attempts > 1 {
-			r.Count("retry.retried", 1)
-			if v.Failure == nil {
-				r.Count("retry.recovered", 1)
 			}
 		}
 		if v.Failure != nil {

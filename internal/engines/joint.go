@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fusion/internal/cond"
+	"fusion/internal/driver"
 	"fusion/internal/failure"
 	"fusion/internal/fusioncore"
 	"fusion/internal/pdg"
@@ -110,22 +111,8 @@ type JointVerdict struct {
 	Group  JointGroup
 	Status sat.Status
 	Time   time.Duration
-	// Attempts counts retry-ladder runs (1 for a clean first attempt);
-	// Failure records the last contained crash when the ladder exhausted.
-	Attempts int
-	Failure  *failure.UnitFailure
-}
-
-// jointRetries reads the engine's retry-ladder height, for engines that
-// carry a SolverConfig.
-func jointRetries(eng JointChecker) int {
-	switch x := eng.(type) {
-	case *Fusion:
-		return x.Cfg.Retries
-	case *Pinpoint:
-		return x.Cfg.Retries
-	}
-	return 0
+	// Failure records a contained crash; Status is then Unknown.
+	Failure *failure.UnitFailure
 }
 
 // jointUnitLabel names one group for failure reports, stable under
@@ -135,13 +122,10 @@ func jointUnitLabel(grp JointGroup) string {
 }
 
 // CheckJoint decides every multi-argument sink group with the given
-// engine, through the same retry loop as per-candidate checks: every
-// attempt starts on fresh solver state, and the group gets at least one
-// attempt plus up to the engine's retries. A cancelled ctx yields Unknown
-// for the remaining groups.
+// engine, each in one attempt under panic containment like a candidate.
+// A cancelled ctx yields Unknown for the remaining groups.
 func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []sparse.Candidate) []JointVerdict {
 	groups := GroupBySink(cands)
-	retries := jointRetries(eng)
 	out := make([]JointVerdict, 0, len(groups))
 	for _, grp := range groups {
 		paths := make([]pdg.Path, len(grp.Flows))
@@ -149,12 +133,15 @@ func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []spa
 			paths[i] = f.Path
 		}
 		t0 := time.Now()
-		st, n, fail := retry(ctx, retries, jointUnitLabel(grp), "joint", func(int) sat.Status {
-			return eng.CheckJointPaths(ctx, g, paths)
-		})
 		// A crashed or never-run group keeps the zero status, Unknown.
-		out = append(out, JointVerdict{Group: grp, Status: st, Time: time.Since(t0),
-			Attempts: n, Failure: fail})
+		var st sat.Status
+		var fail *failure.UnitFailure
+		if ctx.Err() == nil {
+			st, fail = driver.Contain(jointUnitLabel(grp), "joint", func() sat.Status {
+				return eng.CheckJointPaths(ctx, g, paths)
+			})
+		}
+		out = append(out, JointVerdict{Group: grp, Status: st, Time: time.Since(t0), Failure: fail})
 	}
 	return out
 }

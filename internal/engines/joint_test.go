@@ -86,6 +86,37 @@ func TestJointFeasible(t *testing.T) {
 	}
 }
 
+// crashingJoint is a JointChecker whose every query panics.
+type crashingJoint struct{ calls int }
+
+func (c *crashingJoint) CheckJointPaths(context.Context, *pdg.Graph, []pdg.Path) sat.Status {
+	c.calls++
+	panic("joint crash")
+}
+
+// TestJointContainsCrash: a crashing joint query is contained to its
+// group, which ends Unknown with the failure attached after one attempt;
+// a cancelled run checks no group and leaves each Unknown.
+func TestJointContainsCrash(t *testing.T) {
+	g := buildGraph(t, jointFeasibleSrc)
+	cands := sparse.NewEngine(g).Run(checker.PrivateLeak())
+	eng := &crashingJoint{}
+	vs := engines.CheckJoint(context.Background(), eng, g, cands)
+	if len(vs) != 1 || eng.calls != 1 {
+		t.Fatalf("got %d groups after %d queries, want 1 after 1", len(vs), eng.calls)
+	}
+	if f := vs[0].Failure; vs[0].Status != sat.Unknown || f == nil || f.Stage != "joint" {
+		t.Errorf("crashed group: status %s, failure %+v", vs[0].Status, f)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	vs = engines.CheckJoint(ctx, eng, g, cands)
+	if len(vs) != 1 || eng.calls != 1 || vs[0].Status != sat.Unknown || vs[0].Failure != nil {
+		t.Errorf("cancelled run: %d queries, verdicts %+v", eng.calls, vs)
+	}
+}
+
 // TestJointChecksConcurrentWithCheck: joint queries and per-candidate
 // checks own their solver state, so one Fusion may serve both at once.
 // Run with -race, this fails if they share anything unsynchronized.
@@ -146,24 +177,5 @@ fun f(a: int) {
 	}
 	if got := engines.GroupBySink(cands2); len(got) != 0 {
 		t.Errorf("same-argument flows formed %d groups", len(got))
-	}
-}
-
-// A negative retry count from a library caller still gets one attempt per
-// joint group, the same floor the per-candidate ladder keeps.
-func TestJointNegativeRetriesStillAttempts(t *testing.T) {
-	fu := engines.NewFusion()
-	fu.Cfg.Retries = -1
-	pp := engines.NewPinpoint(engines.Plain)
-	pp.Cfg.Retries = -1
-	for _, eng := range []engines.JointChecker{fu, pp} {
-		vs := jointVerdicts(t, jointFeasibleSrc, eng)
-		if len(vs) != 1 {
-			t.Fatalf("got %d joint groups, want 1", len(vs))
-		}
-		if vs[0].Attempts != 1 || vs[0].Status != sat.Sat {
-			t.Errorf("%T: attempts=%d status=%s, want 1 attempt deciding sat",
-				eng, vs[0].Attempts, vs[0].Status)
-		}
 	}
 }

@@ -84,19 +84,6 @@ func SetBudget(e Engine, b Budget) {
 	}
 }
 
-// SetSupervision configures the retry ladder on engines that solve;
-// other engines are left unchanged. With no fault armed, verdicts are
-// byte-identical for any retries value: a clean first attempt never
-// re-runs.
-func SetSupervision(e Engine, retries int) {
-	switch x := e.(type) {
-	case *Fusion:
-		x.Cfg.Retries = retries
-	case *Pinpoint:
-		x.Cfg.Retries = retries
-	}
-}
-
 // UnitLabel names one candidate for failure reports and fault-injection
 // matching: checker name, sink position, source position, and argument
 // index, all stable under enumeration order and worker count.
@@ -196,99 +183,55 @@ func degradeVerdict(ctx context.Context, fallback func(*pdg.Graph) *absint.Analy
 	}
 }
 
-// rung is one attempt of the retry ladder, as an engine's attempt
-// function sees it.
-type rung struct {
-	g *pdg.Graph
-	c sparse.Candidate
-	// w is the worker slot (the trace track) and n the attempt number.
-	// Every attempt starts on fresh solver state.
-	w, n int
-	// parent is the run's context; ctx is parent under the ladder's
-	// per-attempt deadline. An attempt tells budget exhaustion (ctx done,
-	// parent live) from outside cancellation by comparing the two.
-	parent, ctx context.Context
-}
-
-// retry runs attempt n = 1, 2, … under panic containment until one
-// returns without crashing, 1+retries attempts (at least one) have
-// crashed, or parent is cancelled before the next attempt starts. It
-// returns the last attempt's value, how many attempts ran, and — when
-// none succeeded — the last failure, which carries that count.
-func retry[T any](parent context.Context, retries int, unit, stage string, attempt func(n int) T) (v T, n int, fail *failure.UnitFailure) {
-	for n < 1+max(retries, 0) && parent.Err() == nil {
-		n++
-		if v, fail = driver.Contain(unit, stage, func() T { return attempt(n) }); fail == nil {
-			return v, n, nil
-		}
-		fail.Attempts = n
-	}
-	return v, n, fail
-}
-
-// ladder is the retry ladder both solving engines run every candidate
-// through: up to 1+retries attempts, each on fresh solver state under
-// panic containment and the per-attempt deadline. A ladder exhausted on
-// crashes records exactly one UnitFailure carrying the attempt count,
-// and the cheap refutation tiers get a last look, so a persistently
+// supervised is how both solving engines run a candidate: one attempt
+// under panic containment. A crashed attempt records exactly one
+// UnitFailure, and the cheap refutation tiers get a last look, so a
 // crashing unit can still end with a sound Unsat.
-type ladder struct {
-	engine  string
-	rec     *telemetry.Recorder
-	retries int
-	// deadline bounds each attempt from its start; 0 leaves the clock to
-	// the attempt itself.
-	deadline time.Duration
-	attempt  func(at rung) Verdict
+type supervised struct {
+	engine string
+	rec    *telemetry.Recorder
+	// attempt decides c under the run's context ctx; it derives its own
+	// per-candidate deadline.
+	attempt func(ctx context.Context, g *pdg.Graph, c sparse.Candidate) Verdict
 	// fallback returns the analysis the final degradation rung consults.
 	fallback func(g *pdg.Graph) *absint.Analysis
 }
 
-// check climbs the ladder for candidate c on worker w. It always runs at
-// least one attempt unless parent is already cancelled.
-func (l *ladder) check(parent context.Context, g *pdg.Graph, c sparse.Candidate, w int) Verdict {
+// check decides candidate c on worker w. It does not run the attempt
+// when ctx is already cancelled.
+func (s *supervised) check(ctx context.Context, g *pdg.Graph, c sparse.Candidate, w int) Verdict {
 	unit := UnitLabel(c)
-	if l.rec != nil {
+	if s.rec != nil {
 		t0 := time.Now()
-		// The ladder span encloses every attempt span on the same track, so
-		// the trace nests attempts under their candidate by containment.
-		defer func() { l.rec.Span(w+1, "candidate", unit, t0, time.Now()) }()
+		// The candidate span encloses the solve span on the same track, so
+		// the trace nests the solve under its candidate by containment.
+		defer func() { s.rec.Span(w+1, "candidate", unit, t0, time.Now()) }()
 	}
-	v, n, fail := retry(parent, l.retries, unit, "check", func(n int) Verdict {
-		return l.try(unit, rung{g: g, c: c, w: w, n: n, parent: parent})
+	if ctx.Err() != nil {
+		return Verdict{Cand: c, Status: sat.Unknown}
+	}
+	v, fail := driver.Contain(unit, "check", func() (v Verdict) {
+		// The solve span is recorded even when the attempt crashes (with
+		// an unknown status).
+		if rec := s.rec; rec != nil {
+			t0 := time.Now()
+			defer func() {
+				rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
+					Unit: unit, Engine: s.engine,
+					Tier: v.Tier.String(), Status: v.Status.String(),
+				})
+			}()
+		}
+		return s.attempt(ctx, g, c)
 	})
-	if n > 0 && fail == nil {
-		v.Attempts = n
+	if fail == nil {
 		return v
 	}
-	v = Verdict{Cand: c, Status: sat.Unknown, Attempts: n}
-	if n < 1+max(l.retries, 0) {
-		return v // cancelled before the ladder ran out
-	}
-	v.Failure = fail
+	v = Verdict{Cand: c, Status: sat.Unknown, Failure: fail}
 	// Final rung: the abstract refuters run outside the crashed solving
 	// stack and may still produce a sound Unsat.
-	degradeVerdict(parent, l.fallback, g, c, &v)
+	degradeVerdict(ctx, s.fallback, g, c, &v)
 	return v
-}
-
-// try runs one attempt under the ladder's per-attempt deadline. Its solve
-// span is recorded even when the attempt crashes (with an unknown status).
-func (l *ladder) try(unit string, r rung) (v Verdict) {
-	ctx, cancel := withDeadline(r.parent, l.deadline)
-	defer cancel()
-	r.ctx = ctx
-	if rec := l.rec; rec != nil {
-		t0 := time.Now()
-		defer func() {
-			rec.SolveSpan(r.w+1, t0, time.Now(), telemetry.SolveInfo{
-				Unit: unit, Engine: l.engine,
-				Tier: v.Tier.String(), Status: v.Status.String(),
-				Attempt: r.n,
-			})
-		}()
-	}
-	return l.attempt(r)
 }
 
 // withDeadline bounds ctx by d from now; d <= 0 leaves it unbounded.

@@ -158,8 +158,8 @@ func TestDegradeVerdictLadder(t *testing.T) {
 
 // TestDegradeCancelledNeverBuildsFallback: the fallback analysis is a
 // whole-program fixpoint, so a cancelled run must never build it — not
-// in degradeVerdict itself, and not in the ladder's final rung when the
-// run is cancelled while its last attempt crashes.
+// in degradeVerdict itself, and not in the final rung when the run is
+// cancelled while its attempt crashes.
 func TestDegradeCancelledNeverBuildsFallback(t *testing.T) {
 	g := resGraph(t, resInfeasibleSrc)
 	c := resCands(t, g, 1)[0]
@@ -179,25 +179,25 @@ func TestDegradeCancelledNeverBuildsFallback(t *testing.T) {
 
 	run, stop := context.WithCancel(context.Background())
 	defer stop()
-	l := &ladder{
+	s := &supervised{
 		engine: "test",
-		attempt: func(rung) Verdict {
+		attempt: func(context.Context, *pdg.Graph, sparse.Candidate) Verdict {
 			stop()
 			panic("crash while the run is torn down")
 		},
 		fallback: fallback,
 	}
-	v = l.check(run, g, c, 0)
+	v = s.check(run, g, c, 0)
 	if built != 0 {
-		t.Errorf("ladder's final rung built the fallback %d time(s) for a cancelled run", built)
+		t.Errorf("final rung built the fallback %d time(s) for a cancelled run", built)
 	}
-	if v.Failure == nil || v.Attempts != 1 || v.Status != sat.Unknown {
+	if v.Failure == nil || v.Status != sat.Unknown {
 		t.Errorf("crashed attempt must leave an Unknown verdict with its failure: %+v", v)
 	}
 
 	// The live path still consults the fallback, exactly once.
-	l.attempt = func(rung) Verdict { panic("crash") }
-	if v = l.check(context.Background(), g, c, 0); built != 1 || v.Status != sat.Unsat {
+	s.attempt = func(context.Context, *pdg.Graph, sparse.Candidate) Verdict { panic("crash") }
+	if v = s.check(context.Background(), g, c, 0); built != 1 || v.Status != sat.Unsat {
 		t.Errorf("live final rung: built %d fallback(s), verdict %+v", built, v)
 	}
 }

@@ -62,8 +62,8 @@ func TestDeadlineReleasesStalledSolve(t *testing.T) {
 		if len(vs) != 1 {
 			t.Fatalf("%s: %d verdicts", name, len(vs))
 		}
-		if v := vs[0]; !v.Degraded || v.Status == sat.Sat || v.Failure != nil || v.Attempts != 1 {
-			t.Errorf("%s: stalled unit must degrade after one attempt: %+v", name, v)
+		if v := vs[0]; !v.Degraded || v.Status == sat.Sat || v.Failure != nil {
+			t.Errorf("%s: stalled unit must degrade: %+v", name, v)
 		}
 		if elapsed > 5*time.Second {
 			t.Errorf("%s: stalled solve took %v, want the 150ms deadline's order", name, elapsed)
@@ -72,85 +72,60 @@ func TestDeadlineReleasesStalledSolve(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestRetryRecoversInjectedSolvePanic arms panic.solve:1 for one unit:
-// its first attempt crashes, the retry on fresh solver state succeeds,
-// and the final verdict matches an un-faulted run — identically at
-// workers 1 and 8.
-func TestRetryRecoversInjectedSolvePanic(t *testing.T) {
-	g := resGraph(t, resMixedSrc)
-	cands := resCands(t, g, 2)
-	target := UnitLabel(cands[0])
-
-	type row struct {
-		st       sat.Status
-		tier     Tier
-		degraded bool
-	}
-	baseline := func() []row {
-		e := NewFusion()
-		var rows []row
-		for _, v := range e.Check(context.Background(), g, cands) {
-			rows = append(rows, row{v.Status, v.Tier, v.Degraded})
-		}
-		return rows
-	}()
-
-	if err := faultinject.ArmSpec("panic.solve:1:" + target); err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Reset()
-	for _, workers := range []int{1, 8} {
-		e := NewFusion()
-		e.Cfg.Retries = 1
-		e.Parallel = workers
-		vs := e.Check(context.Background(), g, cands)
-		for i, v := range vs {
-			if v.Failure != nil {
-				t.Fatalf("workers=%d slot %d: retry did not recover: %+v", workers, i, v)
-			}
-			wantAttempts := 1
-			if UnitLabel(cands[i]) == target {
-				wantAttempts = 2
-			}
-			if v.Attempts != wantAttempts {
-				t.Errorf("workers=%d slot %d: Attempts = %d, want %d", workers, i, v.Attempts, wantAttempts)
-			}
-			if got := (row{v.Status, v.Tier, v.Degraded}); got != baseline[i] {
-				t.Errorf("workers=%d slot %d: recovered verdict %+v differs from baseline %+v", workers, i, got, baseline[i])
-			}
-		}
-	}
-}
-
 // TestRepeatedPoisoningExhaustsLadder arms a panic that fires on every
-// attempt of one unit: the full ladder (three attempts) is
-// climbed and exhausted, yielding exactly one UnitFailure that records
-// the attempt count — and no goroutine outlives the batch.
+// check of the feasible unit: its one contained attempt yields exactly
+// one UnitFailure, and the final degradation rung — which consults the
+// fallback analysis, and cannot refute a feasible candidate — leaves it
+// Unknown, never Sat. The healthy unit is decided exactly as in a clean
+// run, and no goroutine outlives the batch.
 func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
 	g := resGraph(t, resMixedSrc)
 	cands := resCands(t, g, 2)
-	target := UnitLabel(cands[0])
+
+	mk := map[string]func() Engine{
+		"fusion":   func() Engine { return NewFusion() },
+		"pinpoint": func() Engine { return NewPinpoint(Plain) },
+	}
+	fallbackOf := func(e Engine) *fallbackTier {
+		if f, ok := e.(*Fusion); ok {
+			return &f.fb
+		}
+		return &e.(*Pinpoint).fb
+	}
+	clean := map[string][]Verdict{}
+	target := ""
+	for name, fresh := range mk {
+		e := fresh()
+		clean[name] = e.Check(context.Background(), g, cands)
+		if fallbackOf(e).an != nil {
+			t.Fatalf("%s: a clean run consulted the fallback", name)
+		}
+		for _, v := range clean[name] {
+			if v.Status == sat.Sat {
+				target = UnitLabel(v.Cand)
+			}
+		}
+	}
+	if target == "" {
+		t.Fatal("no feasible candidate to poison")
+	}
 	if err := faultinject.ArmSpec("panic.check:" + target); err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Reset()
 	before := runtime.NumGoroutine()
 
-	mk := map[string]func() Engine{
-		"fusion":   func() Engine { return NewFusion() },
-		"pinpoint": func() Engine { return NewPinpoint(Plain) },
-	}
 	for name, fresh := range mk {
 		for _, workers := range []int{1, 8} {
 			e := fresh()
 			SetParallel(e, workers)
-			SetSupervision(e, 2)
 			vs := e.Check(context.Background(), g, cands)
 			failures := 0
 			for i, v := range vs {
 				if UnitLabel(cands[i]) != target {
-					if v.Failure != nil {
-						t.Errorf("%s workers=%d: healthy unit failed: %+v", name, workers, v)
+					base := clean[name][i]
+					if v.Failure != nil || v.Status != base.Status || v.Tier != base.Tier || v.Degraded != base.Degraded {
+						t.Errorf("%s workers=%d: healthy unit %+v differs from its clean run %+v", name, workers, v, base)
 					}
 					continue
 				}
@@ -158,50 +133,41 @@ func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
 					t.Fatalf("%s workers=%d: poisoned unit has no failure: %+v", name, workers, v)
 				}
 				failures++
-				if v.Failure.Attempts != 3 || v.Attempts != 3 {
-					t.Errorf("%s workers=%d: attempts = %d/%d, want 3/3 (retries=2)",
-						name, workers, v.Failure.Attempts, v.Attempts)
-				}
-				if v.Status == sat.Sat {
-					t.Errorf("%s workers=%d: exhausted ladder claimed Sat", name, workers)
+				if v.Status != sat.Unknown || !v.Degraded {
+					t.Errorf("%s workers=%d: crashed feasible unit must end degraded Unknown: %+v", name, workers, v)
 				}
 			}
 			if failures != 1 {
 				t.Errorf("%s workers=%d: %d failed verdicts, want exactly 1", name, workers, failures)
+			}
+			if fb := fallbackOf(e); fb.g != g || fb.an == nil {
+				t.Errorf("%s workers=%d: the final rung did not consult the fallback", name, workers)
 			}
 		}
 	}
 	waitGoroutines(t, before)
 }
 
-// TestSupervisionConfigNeverChangesVerdicts: with no fault armed, every
-// combination of worker count and retry budget must produce
-// byte-identical verdicts — clean first attempts never re-run, so the
-// retry ladder is invisible until something breaks.
+// TestSupervisionConfigNeverChangesVerdicts: with no fault armed, the
+// worker count must not change a verdict.
 func TestSupervisionConfigNeverChangesVerdicts(t *testing.T) {
 	g := resGraph(t, resMixedSrc)
 	cands := resCands(t, g, 2)
 	var base string
 	for _, workers := range []int{1, 8} {
-		for _, retries := range []int{0, 2} {
-			e := NewFusion()
-			e.Parallel = workers
-			SetSupervision(e, retries)
-			var rows string
-			for _, v := range e.Check(context.Background(), g, cands) {
-				if v.Failure != nil {
-					t.Fatalf("workers=%d retries=%d: unexpected failure %v",
-						workers, retries, v.Failure)
-				}
-				rows += fmt.Sprintf("%s %s degraded=%v attempts=%d\n",
-					v.Status, v.Tier, v.Degraded, v.Attempts)
+		e := NewFusion()
+		e.Parallel = workers
+		var rows string
+		for _, v := range e.Check(context.Background(), g, cands) {
+			if v.Failure != nil {
+				t.Fatalf("workers=%d: unexpected failure %v", workers, v.Failure)
 			}
-			if base == "" {
-				base = rows
-			} else if rows != base {
-				t.Errorf("workers=%d retries=%d: verdicts differ:\n%s\nvs baseline\n%s",
-					workers, retries, rows, base)
-			}
+			rows += fmt.Sprintf("%s %s degraded=%v\n", v.Status, v.Tier, v.Degraded)
+		}
+		if base == "" {
+			base = rows
+		} else if rows != base {
+			t.Errorf("workers=%d: verdicts differ:\n%s\nvs baseline\n%s", workers, rows, base)
 		}
 	}
 }

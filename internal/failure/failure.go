@@ -31,11 +31,6 @@ type UnitFailure struct {
 	// the goroutine header and the hex argument lists are stripped so
 	// the text is byte-identical across runs and worker counts.
 	Stack string
-	// Attempts counts how many times the supervision layer ran the unit
-	// before giving up; 0 or 1 both mean a single attempt (no retry
-	// ladder, or a ladder of height one). It does not enter Digest, so
-	// the same crash groups together whatever the -retries setting.
-	Attempts int
 
 	// digest preserves the stack digest across the bounded JSON round
 	// trip: the wire form drops Stack (stacks can be arbitrarily large
@@ -71,13 +66,13 @@ const maxWireValue = 512
 
 // wireFailure is the bounded JSON form: the sanitized stack is replaced
 // by its digest and the panic value is truncated, so one persisted
-// record stays small no matter what crashed.
+// record stays small no matter what crashed. Records written by older
+// versions may carry a retired "attempts" key, which decoding ignores.
 type wireFailure struct {
-	Unit     string `json:"unit"`
-	Stage    string `json:"stage"`
-	Value    string `json:"value,omitempty"`
-	Digest   string `json:"digest"`
-	Attempts int    `json:"attempts,omitempty"`
+	Unit   string `json:"unit"`
+	Stage  string `json:"stage"`
+	Value  string `json:"value,omitempty"`
+	Digest string `json:"digest"`
 }
 
 // MarshalJSON implements json.Marshaler with the bounded wire form.
@@ -88,7 +83,7 @@ func (f *UnitFailure) MarshalJSON() ([]byte, error) {
 	}
 	return json.Marshal(wireFailure{
 		Unit: f.Unit, Stage: f.Stage, Value: v,
-		Digest: f.Digest(), Attempts: f.Attempts,
+		Digest: f.Digest(),
 	})
 }
 
@@ -100,7 +95,7 @@ func (f *UnitFailure) UnmarshalJSON(data []byte) error {
 	}
 	*f = UnitFailure{
 		Unit: w.Unit, Stage: w.Stage, Value: w.Value,
-		Attempts: w.Attempts, digest: w.Digest,
+		digest: w.Digest,
 	}
 	return nil
 }

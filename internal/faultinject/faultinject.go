@@ -9,7 +9,7 @@
 // Points:
 //
 //	panic.parse   panic.sema   panic.ssa   panic.pdg   panic.absint
-//	panic.enum    panic.check  panic.solve  stall.solve
+//	panic.enum    panic.check  stall.solve
 //	solver.exhaust  cancel.delay  journal.sync
 //
 // Spec syntax: comma-separated "point" or "point:match" entries, e.g.
@@ -19,20 +19,12 @@
 // arms a forced panic only for candidates whose unit label contains
 // "fig1.fl:9".
 //
-// Two points exercise the supervision layer:
-//
-//   - "stall.solve[:match]" wedges every matching unit's solve at the
-//     entry of the SAT core until the solve's context is done — its per-candidate
-//     deadline expiring, or the run being torn down — or until a safety
-//     cap expires. Without a deadline the wedge holds its worker for the
-//     whole cap, which is what the crash-resume smoke uses to land a
-//     kill mid-corpus; with one, the deadline is the only thing that
-//     frees it.
-//   - "panic.solve:<n>[:match]" panics on a matching unit's solve for
-//     its first n attempts and succeeds from attempt n+1 on, so
-//     "panic.solve:1" is recovered by a single retry. The attempt
-//     count is per unit, making the injected fault set deterministic
-//     for any worker count.
+// "stall.solve[:match]" wedges every matching unit's solve at the entry
+// of the SAT core until the solve's context is done — its per-candidate
+// deadline expiring, or the run being torn down — or until a safety cap
+// expires. Without a deadline the wedge holds its worker for the whole
+// cap, which is what the crash-resume smoke uses to land a kill
+// mid-corpus; with one, the deadline is the only thing that frees it.
 //
 // "journal.sync[:match]" fails the checkpoint journal's fsync for
 // matching record keys: the append is rolled back and Record returns an
@@ -45,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -63,7 +54,6 @@ var Points = []string{
 	"panic.absint",
 	"panic.enum",
 	"panic.check",
-	"panic.solve",
 	"stall.solve",
 	"solver.exhaust",
 	"cancel.delay",
@@ -104,17 +94,6 @@ func ArmSpec(spec string) error {
 		if !validPoint(point) {
 			return fmt.Errorf("faultinject: unknown point %q (valid: %s)",
 				point, strings.Join(Points, ", "))
-		}
-		if point == "panic.solve" {
-			// The first match field is the attempt count, mandatory:
-			// "panic.solve:<n>[:match]".
-			nStr := match
-			if i := strings.IndexByte(nStr, ':'); i >= 0 {
-				nStr = nStr[:i]
-			}
-			if n, err := strconv.Atoi(nStr); err != nil || n < 1 {
-				return fmt.Errorf("faultinject: panic.solve needs a positive attempt count: panic.solve:<n>[:match], got %q", entry)
-			}
 		}
 		if armed == nil {
 			armed = map[string][]string{}
@@ -165,29 +144,6 @@ func Fire(point, unit string) {
 // Exhaust reports whether an artificial solver-budget exhaustion is
 // armed for unit (point "solver.exhaust").
 func Exhaust(unit string) bool { return Armed("solver.exhaust", unit) }
-
-// FireSolveAttempt panics with a Fault if "panic.solve:<n>[:match]" is
-// armed for unit and the (1-based) attempt is at most n: the unit's
-// first n solve attempts crash and attempt n+1 succeeds, exercising the
-// retry ladder deterministically at any worker count.
-func FireSolveAttempt(unit string, attempt int) {
-	mu.RLock()
-	entries := armed["panic.solve"]
-	mu.RUnlock()
-	for _, m := range entries {
-		nStr, match := m, ""
-		if i := strings.IndexByte(m, ':'); i >= 0 {
-			nStr, match = m[:i], m[i+1:]
-		}
-		n, err := strconv.Atoi(nStr)
-		if err != nil {
-			continue // ArmSpec validated; unreachable in practice
-		}
-		if (match == "" || strings.Contains(unit, match)) && attempt <= n {
-			panic(Fault{Point: "panic.solve", Unit: unit})
-		}
-	}
-}
 
 var (
 	stallMu  sync.Mutex

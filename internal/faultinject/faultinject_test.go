@@ -78,45 +78,6 @@ func TestArmedSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestArmSpecRejectsPanicSolveWithoutCount(t *testing.T) {
-	defer Reset()
-	for _, spec := range []string{"panic.solve", "panic.solve:", "panic.solve:zero", "panic.solve:0", "panic.solve:-1", "panic.solve:0:unit"} {
-		if err := ArmSpec(spec); err == nil {
-			t.Errorf("ArmSpec(%q) accepted a missing/invalid attempt count", spec)
-		}
-		Reset()
-	}
-}
-
-func TestFireSolveAttemptCountsPerUnit(t *testing.T) {
-	defer Reset()
-	if err := ArmSpec("panic.solve:2:f.fl"); err != nil {
-		t.Fatal(err)
-	}
-	panics := func(unit string, attempt int) (fired bool) {
-		defer func() {
-			if v := recover(); v != nil {
-				f, ok := v.(Fault)
-				if !ok || f.Point != "panic.solve" {
-					t.Fatalf("panicked with %v, want a panic.solve Fault", v)
-				}
-				fired = true
-			}
-		}()
-		FireSolveAttempt(unit, attempt)
-		return false
-	}
-	if !panics("check f.fl:3", 1) || !panics("check f.fl:3", 2) {
-		t.Error("attempts 1..n must crash")
-	}
-	if panics("check f.fl:3", 3) {
-		t.Error("attempt n+1 must succeed")
-	}
-	if panics("check g.fl:1", 1) {
-		t.Error("non-matching unit crashed")
-	}
-}
-
 func TestStallSolveDisarmedIsNoop(t *testing.T) {
 	defer Reset()
 	start := time.Now()

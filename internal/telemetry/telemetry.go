@@ -127,7 +127,7 @@ func (r *Recorder) StageSpan(track int, cat, name string, t0, t1 time.Time) {
 
 // Span records one interval on a trace track, accumulating its duration
 // under the wall counter named by cat alone. For span families whose
-// names are per-unit (the candidate retry ladders): a wall key per unit
+// names are per-unit (the candidate spans): a wall key per unit
 // would bloat the snapshot, so they share the category's key.
 func (r *Recorder) Span(track int, cat, name string, t0, t1 time.Time) {
 	if r == nil {
@@ -150,8 +150,6 @@ type SolveInfo struct {
 	// Tier is the precision tier the attempt's verdict came from; Status
 	// its sat status.
 	Tier, Status string
-	// Attempt is the 1-based retry-ladder rung.
-	Attempt int
 }
 
 // SolveSpan records one solve-attempt interval on a worker track, carrying

@@ -46,7 +46,7 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 		r.Wall("solve.search", time.Millisecond)
 		r.StageSpan(0, "compile", "parse", t0, t0)
 		r.Span(1, "candidate", "u", t0, t0)
-		r.SolveSpan(1, t0, t0, SolveInfo{Unit: "u", Engine: "fusion", Attempt: 1})
+		r.SolveSpan(1, t0, t0, SolveInfo{Unit: "u", Engine: "fusion"})
 	})
 	if n != 0 {
 		t.Fatalf("nil-Recorder path allocates: %.1f allocs/op, want 0", n)
@@ -61,7 +61,7 @@ func BenchmarkNilRecorder(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Count("verdicts.total", 1)
-		r.SolveSpan(1, t0, t0, SolveInfo{Unit: "u", Attempt: 1})
+		r.SolveSpan(1, t0, t0, SolveInfo{Unit: "u"})
 	}
 }
 
@@ -108,9 +108,9 @@ func TestWriteTraceShape(t *testing.T) {
 	r.StageSpan(0, "compile", "parse", base, base.Add(time.Millisecond))
 	r.StageSpan(0, "compile", "sema", base.Add(time.Millisecond), base.Add(2*time.Millisecond))
 	r.SolveSpan(1, base.Add(2*time.Millisecond), base.Add(5*time.Millisecond),
-		SolveInfo{Unit: "null-deref f.fl:3:5", Engine: "fusion", Tier: "exact", Status: "sat", Attempt: 1})
+		SolveInfo{Unit: "null-deref f.fl:3:5", Engine: "fusion", Tier: "exact", Status: "sat"})
 	r.SolveSpan(2, base.Add(2*time.Millisecond), base.Add(4*time.Millisecond),
-		SolveInfo{Unit: "null-deref f.fl:9:5", Engine: "fusion", Tier: "unknown", Status: "unknown", Attempt: 2})
+		SolveInfo{Unit: "null-deref f.fl:9:5", Engine: "fusion", Tier: "unknown", Status: "unknown"})
 
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := r.WriteTrace(path); err != nil {

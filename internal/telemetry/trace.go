@@ -28,9 +28,8 @@ type traceFile struct {
 
 // WriteTrace writes the recorded spans as Chrome trace-event JSON to
 // path: one track (tid) per worker slot plus track 0 for the pipeline's
-// own phases, spans nested by time containment (an attempt span sits
-// under its candidate's ladder span, compile stages under the compile
-// span). Events are sorted by track then start time so the output is
+// own phases, spans nested by time containment (a solve span sits
+// under its candidate's span, compile stages under the compile span). Events are sorted by track then start time so the output is
 // stable for a fixed recording.
 func (r *Recorder) WriteTrace(path string) error {
 	var spans []span
@@ -75,10 +74,9 @@ func (r *Recorder) WriteTrace(path string) error {
 		}
 		if s.solve {
 			ev.Args = map[string]string{
-				"engine":  s.info.Engine,
-				"tier":    s.info.Tier,
-				"status":  s.info.Status,
-				"attempt": strconv.Itoa(s.info.Attempt),
+				"engine": s.info.Engine,
+				"tier":   s.info.Tier,
+				"status": s.info.Status,
 			}
 		}
 		tf.TraceEvents = append(tf.TraceEvents, ev)
