@@ -220,23 +220,6 @@ func BenchmarkSparsePropagation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEnumeration compares the DFS path enumeration with the
-// summary-based one (Algorithm 2's S_t) on a wide call graph.
-func BenchmarkAblationEnumeration(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
-	spec := checker.NullDeref()
-	b.Run("dfs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.NewEngine(sub.Graph).Run(spec)
-		}
-	})
-	b.Run("summary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sparse.NewSummaryEngine(sub.Graph).Run(spec)
-		}
-	})
-}
-
 // BenchmarkAblationAbsint toggles the interval abstract-interpretation
 // tier on the value-constrained checkers, reporting how many queries the
 // tier decides (refuted or pruned before solving) and how many reach the

@@ -5,6 +5,7 @@
 //
 //	fusion [-checker null-deref|cwe-23|cwe-402|cwe-369|cwe-125|all] [-engine NAME]
 //	       [-absint on|nostride|nosimplify|intervals|off]
+//	       [-paths] [-joint] [-dot]
 //	       [-workers N] [-timeout D] [-no-prelude]
 //	       [-fail-fast] [-budget-steps N] [-budget-conflicts N]
 //	       [-budget-deadline D] [-budget-heap N]
@@ -44,7 +45,6 @@ func main() {
 	noPrelude := flag.Bool("no-prelude", false, "do not prepend the standard extern declarations")
 	showPaths := flag.Bool("paths", false, "print the data-dependence path of each report")
 	joint := flag.Bool("joint", false, "additionally check the joint feasibility of multi-argument sinks")
-	enum := flag.String("enum", "dfs", "path enumeration: dfs or summary")
 	dot := flag.Bool("dot", false, "print the program dependence graph in Graphviz DOT format and exit")
 	absintMode := flag.String("absint", "on", "abstract-interpretation tier: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off (fusion engines and -dot annotations)")
 	workers := flag.Int("workers", 1, "worker count for enumeration and checking (output is identical for any count)")
@@ -75,7 +75,7 @@ func main() {
 	cfg := config{
 		path: flag.Arg(0), checker: *checkerName, engine: *engineName,
 		prelude: !*noPrelude, showPaths: *showPaths, joint: *joint,
-		enum: *enum, dot: *dot, absint: mode,
+		dot: *dot, absint: mode,
 		workers: *workers, timeout: *timeout,
 		failFast: *failFast,
 		budget: engines.Budget{
@@ -140,7 +140,6 @@ type config struct {
 	prelude   bool
 	showPaths bool
 	joint     bool
-	enum      string
 	dot       bool
 	absint    driver.AbsintMode
 	workers   int
@@ -273,32 +272,17 @@ func run(cfg config) (outcome, error) {
 	}
 
 	pruned := 0
-	enumerate := func(spec *sparse.Spec) ([]sparse.Candidate, error) {
-		switch cfg.enum {
-		case "", "dfs":
-			e := sparse.NewEngine(g)
-			e.Workers = cfg.workers
-			if useAbsint {
-				e.Oracle = prog.Oracle()
-			}
-			cands := e.RunContext(ctx, spec)
-			pruned += e.Pruned
-			res.failures = append(res.failures, e.Failures...)
-			return cands, nil
-		case "summary":
-			return sparse.NewSummaryEngine(g).RunContext(ctx, spec), nil
-		default:
-			return nil, fmt.Errorf("unknown enumeration %q", cfg.enum)
-		}
-	}
-
 	decided, byStride, byZone, simplified := 0, 0, 0, 0
 specs:
 	for _, spec := range specs {
-		cands, err := enumerate(spec)
-		if err != nil {
-			return res, err
+		e := sparse.NewEngine(g)
+		e.Workers = cfg.workers
+		if useAbsint {
+			e.Oracle = prog.Oracle()
 		}
+		cands := e.RunContext(ctx, spec)
+		pruned += e.Pruned
+		res.failures = append(res.failures, e.Failures...)
 		verdicts := eng.Check(ctx, g, cands)
 		engines.SortVerdicts(verdicts)
 		for _, v := range verdicts {

@@ -97,19 +97,32 @@ fun f(a: int) {
 }
 
 // TestRunJointUndecided: a joint group the budget leaves undecided is
-// reported as such, never as "jointly infeasible" — testdata/jointguard.fl
-// is a real joint bug whose guard a one-step SAT budget cannot decide.
+// reported as such, never as "jointly infeasible" nor as a joint bug —
+// testdata/jointguard.fl is a real joint bug whose guard a one-step SAT
+// budget cannot decide, and a spent deadline or heap budget must bound
+// the joint query as it bounds each candidate.
 func TestRunJointUndecided(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "jointguard.fl")
-	for _, engine := range []string{"fusion", "pinpoint"} {
+	for _, tc := range []struct {
+		engine string
+		budget engines.Budget
+		absint driver.AbsintMode
+	}{
+		{"fusion", engines.Budget{Steps: 1}, driver.AbsintOn},
+		{"pinpoint", engines.Budget{Steps: 1}, driver.AbsintOn},
+		{"fusion", engines.Budget{Deadline: time.Nanosecond}, driver.AbsintOn},
+		{"pinpoint", engines.Budget{Deadline: time.Nanosecond}, driver.AbsintOn},
+		{"fusion", engines.Budget{MaxHeapDelta: 1}, driver.AbsintOff},
+	} {
 		var out bytes.Buffer
-		if _, err := run(config{path: path, checker: "cwe-402", engine: engine, prelude: true, joint: true,
-			budget: engines.Budget{Steps: 1}, out: &out}); err != nil {
+		if _, err := run(config{path: path, checker: "cwe-402", engine: tc.engine, prelude: true, joint: true,
+			absint: tc.absint, budget: tc.budget, out: &out}); err != nil {
 			t.Fatal(err)
 		}
 		s := out.String()
-		if strings.Contains(s, "jointly infeasible") || !strings.Contains(s, "2 tracked arguments: undecided within budget") {
-			t.Errorf("%s: undecided joint group misreported:\n%s", engine, s)
+		if strings.Contains(s, "jointly infeasible") || strings.Contains(s, "JOINT BUG") ||
+			!strings.Contains(s, "2 tracked arguments: undecided within budget") {
+			t.Errorf("%s %+v: undecided joint group misreported:\n%s", tc.engine, tc.budget, s)
 		}
 	}
 }
@@ -169,25 +182,6 @@ func TestRunDOT(t *testing.T) {
 	s := out.String()
 	if !strings.HasPrefix(s, "digraph pdg {") || !strings.Contains(s, "style=dashed") {
 		t.Errorf("unexpected DOT output:\n%.200s", s)
-	}
-}
-
-func TestRunSummaryEnumeration(t *testing.T) {
-	path := writeTemp(t, testSrc)
-	var dfs, sum bytes.Buffer
-	// The abstract tier prunes during DFS but not during summary
-	// enumeration, so compare the two with the tier off.
-	if _, err := run(config{path: path, checker: "null-deref", engine: "fusion", prelude: true, enum: "dfs", absint: driver.AbsintOff, out: &dfs}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run(config{path: path, checker: "null-deref", engine: "fusion", prelude: true, enum: "summary", absint: driver.AbsintOff, out: &sum}); err != nil {
-		t.Fatal(err)
-	}
-	if dfs.String() != sum.String() {
-		t.Errorf("enumerations disagree:\n--- dfs ---\n%s--- summary ---\n%s", dfs.String(), sum.String())
-	}
-	if _, err := run(config{path: path, checker: "null-deref", engine: "fusion", prelude: true, enum: "bogus", out: &sum}); err == nil {
-		t.Error("expected error for unknown enumeration")
 	}
 }
 

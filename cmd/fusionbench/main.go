@@ -5,7 +5,7 @@
 //
 //	fusionbench [-experiment NAME|all] [-scale F] [-subjects a,b,c] [-budget D]
 //	            [-workers N] [-timeout D] [-absint MODE] [-fail-fast]
-//	            [-checkpoint FILE [-resume]]
+//	            [-checkpoint FILE [-resume]] [-smt2dir DIR]
 //	            [-metrics FILE] [-trace FILE] [-pprof-addr ADDR]
 //
 // Exit status: 0 when every experiment ran to completion, 1 on a harness

@@ -376,26 +376,32 @@ func (j *Journal) Close() error { return j.f.Close() }
 
 // engineFingerprint renders the verdict-relevant configuration of an
 // engine run under an absint tier mode (which only Fusion consults).
-// Worker counts are excluded: they may only change cost. Unknown engine types fall back to their name, which is
-// correct as long as they carry no ablation knobs. The mode renders as
-// the four flags earlier journals were keyed by, and the retired
-// `-session` knob as its default literal, so those journals still resume.
+// Worker counts are excluded: they may only change cost. Unknown engine
+// types fall back to their name, which is correct as long as they carry
+// no ablation knobs. The mode renders as the four flags earlier journals
+// were keyed by, and retired knobs — `-session`, the QE cube budget, and
+// Infer's summary depth and spec budget — as the literals they always
+// rendered, so those journals still resume.
 func engineFingerprint(eng engines.Engine, mode driver.AbsintMode) string {
 	switch x := eng.(type) {
 	case *engines.Fusion:
-		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=false budget=%d/%d/%s/%d",
+		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=false budget=%s",
 			mode != driver.AbsintOff, mode == driver.AbsintIntervals,
 			mode == driver.AbsintNoStride, mode == driver.AbsintNoSimplify,
-			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
+			budgetFingerprint(x.Budget))
 	case *engines.Pinpoint:
-		return fmt.Sprintf("%s nosession=false qe=%d budget=%d/%d/%s/%d",
-			x.Name(), x.QEBudget,
-			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
+		return fmt.Sprintf("%s nosession=false qe=0 budget=%s", x.Name(), budgetFingerprint(x.Budget))
 	case *engines.Infer:
-		return fmt.Sprintf("infer depth=%d specbudget=%d", x.MaxSummaryDepth, x.SpecBudget)
+		return "infer depth=3 specbudget=0"
 	default:
 		return eng.Name()
 	}
+}
+
+// budgetFingerprint renders a per-candidate budget as journal keys have
+// always rendered it.
+func budgetFingerprint(b engines.Budget) string {
+	return fmt.Sprintf("%d/%d/%s/%d", b.Steps, b.Conflicts, b.Deadline, b.MaxHeapDelta)
 }
 
 // runDesc renders the full readable run description the journal keys

@@ -392,3 +392,23 @@ func TestRunDescPinsAbsintModes(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineFingerprintsPinned pins the journal keys of the Pinpoint
+// variants and Infer to their literal text, retired knobs included, so
+// journals written before those knobs became constants still resume.
+func TestEngineFingerprintsPinned(t *testing.T) {
+	for _, v := range []engines.Variant{engines.Plain, engines.QE, engines.LFS, engines.HFS, engines.AR} {
+		want := v.String() + " nosession=false qe=0 budget=0/0/0s/0"
+		if got := engineFingerprint(engines.NewPinpoint(v), driver.AbsintOn); got != want {
+			t.Errorf("%v: fingerprint\n got %q\nwant %q", v, got, want)
+		}
+	}
+	p := engines.NewPinpoint(engines.HFS)
+	engines.SetBudget(p, engines.Budget{Steps: 1, Conflicts: 2, Deadline: time.Second, MaxHeapDelta: 3})
+	if got, want := engineFingerprint(p, driver.AbsintOn), "pinpoint+hfs nosession=false qe=0 budget=1/2/1s/3"; got != want {
+		t.Errorf("budgeted pinpoint+hfs: fingerprint\n got %q\nwant %q", got, want)
+	}
+	if got, want := engineFingerprint(engines.NewInfer(), driver.AbsintOn), "infer depth=3 specbudget=0"; got != want {
+		t.Errorf("infer: fingerprint\n got %q\nwant %q", got, want)
+	}
+}

@@ -280,12 +280,15 @@ func Fig11Instances(ctx context.Context, opts Options) ([]Instance, error) {
 		senge.Workers = opts.workers()
 		cands := senge.RunContext(ctx, spec)
 		an := driver.Analyze(sub.Graph, opts.Absint)
+		// Both sides get the paper's 10 s limit per solver call.
+		limit := solver.Options{Ctx: ctx, Timeout: 10 * time.Second}
 		for _, c := range cands {
 			paths := []pdg.Path{c.Path}
 
 			fb := smt.NewBuilder()
 			t0 := time.Now()
 			fr := fusioncore.Solve(ctx, fb, sub.Graph, paths, fusioncore.Options{
+				Solver: limit,
 				Absint: an, DisableAbsintSimplify: opts.Absint == driver.AbsintNoSimplify,
 			})
 			fused := time.Since(t0)
@@ -294,7 +297,7 @@ func Fig11Instances(ctx context.Context, opts Options) ([]Instance, error) {
 			t1 := time.Now()
 			sl := pdg.ComputeSlice(sub.Graph, paths)
 			tr := cond.Translate(eb, sl)
-			sr := solver.Solve(eb, tr.Phi, solver.Options{Ctx: ctx, Timeout: 10 * time.Second})
+			sr := solver.Solve(eb, tr.Phi, limit)
 			standalone := time.Since(t1)
 
 			if fr.Status == sat.Unknown || sr.Status == sat.Unknown {

@@ -98,14 +98,6 @@ type Engine interface {
 // every SMT call to 10 seconds.
 const callTimeout = 10 * time.Second
 
-// SolverConfig carries the per-candidate solver budget.
-type SolverConfig struct {
-	// Budget is the per-candidate resource budget; on exhaustion inside
-	// the bit-precise tier the engine degrades to the zone-then-interval
-	// refuters instead of reporting bare Unknown.
-	Budget Budget
-}
-
 // SortVerdicts orders verdicts by source position — sink line/column
 // first, then source line/column, then argument index — so reports are
 // stable however the candidates were enumerated and checked.
@@ -131,9 +123,10 @@ func SortVerdicts(vs []Verdict) {
 	})
 }
 
-func (c SolverConfig) options() solver.Options {
+// options renders the SAT-level part of a per-candidate budget.
+func options(b Budget) solver.Options {
 	return solver.Options{Timeout: callTimeout,
-		MaxConflicts: c.Budget.Conflicts, MaxDecisions: c.Budget.Steps}
+		MaxConflicts: b.Conflicts, MaxDecisions: b.Steps}
 }
 
 // --- Fusion ---
@@ -143,7 +136,10 @@ func (c SolverConfig) options() solver.Options {
 // independent, so checking parallelizes trivially — the paper runs its
 // analyses with fifteen threads.
 type Fusion struct {
-	Cfg SolverConfig
+	// Budget is the per-candidate resource budget; on exhaustion inside
+	// the bit-precise tier the engine degrades to the zone-then-interval
+	// refuters instead of reporting bare Unknown.
+	Budget Budget
 	// Opts tunes the fused solver (ablations). Opts.Absint is the
 	// engine's abstract-interpretation tier, consulted before every
 	// solve: the caller builds it once per graph (driver.Analyze or
@@ -201,11 +197,22 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 	return vs
 }
 
+// solveOptions is the fused-solver configuration under the engine's
+// per-candidate budget, shared by candidates and joint queries.
+func (e *Fusion) solveOptions() fusioncore.Options {
+	opts := e.Opts
+	opts.Solver = options(e.Budget)
+	if e.Budget.MaxHeapDelta > 0 && opts.MaxHeapDelta == 0 {
+		opts.MaxHeapDelta = e.Budget.MaxHeapDelta
+	}
+	return opts
+}
+
 // attempt decides c on a builder of its own under the per-candidate
 // deadline, derived from the run's context parent: the candidate is
 // solved one-shot, and nothing outlives it.
 func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidate) Verdict {
-	ctx, cancel := withDeadline(parent, e.Cfg.Budget.Deadline)
+	ctx, cancel := withDeadline(parent, e.Budget.Deadline)
 	defer cancel()
 	b := smt.NewBuilder()
 	if faultinject.Enabled() {
@@ -213,13 +220,9 @@ func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidat
 		faultinject.Fire("panic.check", unit)
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
-	opts := e.Opts
-	opts.Solver = e.Cfg.options()
+	opts := e.solveOptions()
 	opts.Solver.Unit = UnitLabel(c)
 	opts.Constraints = c.Constraints(0)
-	if e.Cfg.Budget.MaxHeapDelta > 0 && opts.MaxHeapDelta == 0 {
-		opts.MaxHeapDelta = e.Cfg.Budget.MaxHeapDelta
-	}
 	if faultinject.Exhaust(UnitLabel(c)) {
 		// Artificial solver-step exhaustion: the real budget machinery
 		// runs and exhausts on the first branching decision.
@@ -317,7 +320,8 @@ func (v Variant) String() string {
 // summary cache — every condition ever computed stays resident, which is
 // the memory behaviour Figure 1(c) measures.
 type Pinpoint struct {
-	Cfg     SolverConfig
+	// Budget is the per-candidate resource budget, as for Fusion.
+	Budget  Budget
 	Variant Variant
 	// Parallel is the worker count for Check; 0 or 1 means sequential.
 	// The shared summary cache is single-writer, so candidates serialize
@@ -334,8 +338,6 @@ type Pinpoint struct {
 	cache *smt.Builder
 	// mu guards cache across concurrent candidates.
 	mu sync.Mutex
-	// QEBudget bounds projection in the QE variant.
-	QEBudget int
 	// fb is the lazily-built fallback analysis for the degradation
 	// ladder (the conventional design has no absint tier of its own).
 	fb fallbackTier
@@ -415,9 +417,9 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 	// from translation on runs under the cache lock.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ctx, cancel := withDeadline(parent, e.Cfg.Budget.Deadline)
+	ctx, cancel := withDeadline(parent, e.Budget.Deadline)
 	defer cancel()
-	opts := e.Cfg.options()
+	opts := options(e.Budget)
 	opts.Ctx = ctx
 	opts.Unit = UnitLabel(c)
 	if faultinject.Exhaust(opts.Unit) {
@@ -487,16 +489,11 @@ func (e *Pinpoint) eliminate(ctx context.Context, b *smt.Builder, phi *smt.Term,
 			drop = append(drop, v)
 		}
 	}
-	budget := e.QEBudget
-	if budget == 0 {
-		budget = 64
-	}
-	opts := e.Cfg.options()
+	opts := options(e.Budget)
 	opts.Ctx = ctx
 	opts.Passes = solver.NoPasses
 	opts.WantModel = true
 	res, err := smt.Eliminate(b, phi, drop, smt.QEOptions{
-		MaxCubes: budget,
 		Solve: func(bb *smt.Builder, q *smt.Term) (sat.Status, smt.Assignment) {
 			r := solve(q, opts)
 			return r.Status, r.Model
@@ -539,17 +536,9 @@ func (e *Pinpoint) checkRefined(b *smt.Builder, sl *pdg.Slice, opts solver.Optio
 // syntactic flow is reported without a feasibility check (the precision
 // loss behind its false-positive rate).
 type Infer struct {
-	// MaxSummaryDepth bounds how deep flows are tracked across calls;
-	// deeper flows are missed (the recall loss of limited cross-file
-	// reasoning).
-	MaxSummaryDepth int
 	// Parallel is the worker count for scoring candidates; 0 or 1 means
 	// sequential. The spec join stays single-writer either way.
 	Parallel int
-	// SpecBudget caps the total materialized spec entries; exceeding it
-	// models running out of memory (the paper's wine result). Zero means
-	// 32 million entries.
-	SpecBudget int64
 	// Telemetry and OnVerdict mirror the Fusion fields; Infer never
 	// solves, so only verdict counters and the observer apply.
 	Telemetry *telemetry.Recorder
@@ -560,6 +549,16 @@ type Infer struct {
 	specs map[string][]specEntry
 }
 
+const (
+	// maxSummaryDepth bounds how many calls or returns a flow may cross;
+	// deeper flows are missed (the recall loss of limited cross-file
+	// reasoning).
+	maxSummaryDepth = 3
+	// specBudget caps the total materialized spec entries; exceeding it
+	// models running out of memory (the paper's wine result).
+	specBudget = 32 << 20
+)
+
 // specEntry is one pre/post fact of a compositional function spec.
 type specEntry struct {
 	vertexID int32
@@ -568,7 +567,7 @@ type specEntry struct {
 }
 
 // NewInfer returns the Infer-like engine.
-func NewInfer() *Infer { return &Infer{MaxSummaryDepth: 3} }
+func NewInfer() *Infer { return &Infer{} }
 
 // Name implements Engine.
 func (e *Infer) Name() string { return "infer" }
@@ -592,7 +591,7 @@ func (e *Infer) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidat
 			faultinject.Fire("panic.check", UnitLabel(c))
 		}
 		st := sat.Sat // no feasibility check: every flow is reported
-		if crossings(c.Path) > e.MaxSummaryDepth {
+		if crossings(c.Path) > maxSummaryDepth {
 			st = sat.Unsat // flow too deep for the compositional summary
 		}
 		v := Verdict{Cand: c, Status: st}
@@ -625,10 +624,6 @@ func (e *Infer) buildSpecs(g *pdg.Graph) {
 	if e.specs != nil {
 		return
 	}
-	budget := e.SpecBudget
-	if budget <= 0 {
-		budget = 32 << 20
-	}
 	e.specs = map[string][]specEntry{}
 	var total int64
 	var build func(f *ssa.Function, depth int) []specEntry
@@ -638,7 +633,7 @@ func (e *Infer) buildSpecs(g *pdg.Graph) {
 		}
 		var spec []specEntry
 		for _, v := range f.Values {
-			if total > budget {
+			if total > specBudget {
 				break
 			}
 			spec = append(spec, specEntry{vertexID: int32(v.ID), depth: int8(depth % 127)})
@@ -646,8 +641,8 @@ func (e *Infer) buildSpecs(g *pdg.Graph) {
 			if v.Op == ssa.OpCall && depth < 32 {
 				callee := g.Callee(v)
 				sub := build(callee, depth+1)
-				if total+int64(len(sub)) > budget {
-					total = budget + 1
+				if total+int64(len(sub)) > specBudget {
+					total = specBudget + 1
 					break
 				}
 				// Inline the callee spec at this call site.
@@ -659,7 +654,7 @@ func (e *Infer) buildSpecs(g *pdg.Graph) {
 		return spec
 	}
 	for _, f := range g.Prog.Order {
-		if total > budget {
+		if total > specBudget {
 			break
 		}
 		build(f, 0)

@@ -31,24 +31,28 @@ type JointChecker interface {
 }
 
 // CheckJointPaths implements JointChecker for the fused engine. Like a
-// candidate, each joint query is solved one-shot on a builder of its own,
-// so it is safe concurrently with Check.
-func (e *Fusion) CheckJointPaths(ctx context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status {
+// candidate, each joint query is solved one-shot on a builder of its own
+// under the per-candidate budget, so it is safe concurrently with Check.
+func (e *Fusion) CheckJointPaths(parent context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status {
+	ctx, cancel := withDeadline(parent, e.Budget.Deadline)
+	defer cancel()
 	b := smt.NewBuilder()
-	opts := e.Opts
-	opts.Solver = e.Cfg.options()
-	r := fusioncore.Solve(ctx, b, g, paths, opts)
+	r := fusioncore.Solve(ctx, b, g, paths, e.solveOptions())
 	e.notePeak(b)
 	return r.Status
 }
 
 // CheckJointPaths implements JointChecker for the conventional engine,
-// translating into the summary cache like the per-candidate checks.
-func (e *Pinpoint) CheckJointPaths(ctx context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status {
-	opts := e.Cfg.options()
-	opts.Ctx = ctx
+// translating into the summary cache like the per-candidate checks; the
+// per-candidate deadline starts once the cache lock is held, as in
+// checkOne.
+func (e *Pinpoint) CheckJointPaths(parent context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	ctx, cancel := withDeadline(parent, e.Budget.Deadline)
+	defer cancel()
+	opts := options(e.Budget)
+	opts.Ctx = ctx
 	sl := pdg.ComputeSlice(g, paths)
 	tr := cond.Translate(e.cache, sl)
 	return solver.NewSession(e.cache).Solve(tr.Phi, opts).Status

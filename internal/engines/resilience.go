@@ -78,9 +78,9 @@ func (b Budget) IsZero() bool { return b == Budget{} }
 func SetBudget(e Engine, b Budget) {
 	switch x := e.(type) {
 	case *Fusion:
-		x.Cfg.Budget = b
+		x.Budget = b
 	case *Pinpoint:
-		x.Cfg.Budget = b
+		x.Budget = b
 	}
 }
 

@@ -117,8 +117,8 @@ func TestSetBudget(t *testing.T) {
 	SetBudget(f, b)
 	SetBudget(p, b)
 	SetBudget(NewInfer(), b) // no bit-precise tier: must be a no-op, not a panic
-	if f.Cfg.Budget != b || p.Cfg.Budget != b {
-		t.Errorf("budget not wired: fusion %+v pinpoint %+v", f.Cfg.Budget, p.Cfg.Budget)
+	if f.Budget != b || p.Budget != b {
+		t.Errorf("budget not wired: fusion %+v pinpoint %+v", f.Budget, p.Budget)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestDeadlineExhaustionDegrades(t *testing.T) {
 	runs := map[int][]row{}
 	for _, workers := range []int{1, 8} {
 		e := NewFusion()
-		e.Cfg.Budget.Deadline = time.Nanosecond
+		e.Budget.Deadline = time.Nanosecond
 		e.Parallel = workers
 		vs := e.Check(context.Background(), g, cands)
 		var rows []row

@@ -221,7 +221,7 @@ func TestPinpointDeadlineStartsAfterCacheLock(t *testing.T) {
 
 	check := func(workers int) []Verdict {
 		e := NewPinpoint(Plain)
-		e.Cfg.Budget.Deadline = 300 * time.Millisecond
+		e.Budget.Deadline = 300 * time.Millisecond
 		e.Parallel = workers
 		return e.Check(context.Background(), g, cands)
 	}

@@ -34,9 +34,6 @@ type Options struct {
 	// Solver configures the final standalone solve on the residual
 	// formula.
 	Solver solver.Options
-	// InlineThreshold is the maximum DAG size of a closed return form that
-	// may be propagated across call edges (quick path). Zero means 64.
-	InlineThreshold int
 	// DisableQuickPaths turns off inter-procedural propagation of closed
 	// return forms (ablation).
 	DisableQuickPaths bool
@@ -71,12 +68,9 @@ type Options struct {
 	MaxHeapDelta int64
 }
 
-func (o Options) inlineThreshold() int {
-	if o.InlineThreshold <= 0 {
-		return 64
-	}
-	return o.InlineThreshold
-}
+// inlineThreshold is the maximum DAG size of a closed return form that
+// may be propagated across call edges (quick path).
+const inlineThreshold = 64
 
 // Result reports the fused solve outcome and its cost accounting.
 type Result struct {
@@ -710,7 +704,7 @@ func (st *state) closedRet(f *ssa.Function, local *smt.Term) *smt.Term {
 		}
 		form = def
 	}
-	if form == nil || smt.Size(form) > st.opts.inlineThreshold() {
+	if form == nil || smt.Size(form) > inlineThreshold {
 		return nil
 	}
 	for _, v := range smt.Vars(form) {

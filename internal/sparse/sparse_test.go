@@ -9,10 +9,13 @@ import (
 
 	"fusion/internal/checker"
 	"fusion/internal/driver"
+	"fusion/internal/engines"
 	"fusion/internal/faultinject"
 	"fusion/internal/pdg"
 	"fusion/internal/progen"
+	"fusion/internal/sat"
 	"fusion/internal/sparse"
+	"fusion/internal/ssa"
 )
 
 func buildGraph(t *testing.T, src string) *pdg.Graph {
@@ -439,5 +442,107 @@ fun f(a: int) {
 		} else if cands[0].Sink != base[0].Sink || cands[0].Source != base[0].Source {
 			t.Errorf("workers=%d: surviving candidate differs from sequential run", workers)
 		}
+	}
+}
+
+// TestSummaryPathsAreWellFormed: paths through callee returns must carry
+// CFL-consistent labels — every matched return pops the call it entered
+// through — and be decided by the feasibility engine.
+func TestSummaryPathsAreWellFormed(t *testing.T) {
+	g := buildGraph(t, `
+fun dig(p: ptr): ptr { return p; }
+fun f(a: int) {
+    var n: ptr = null;
+    var q: ptr = dig(dig(n));
+    if (a > 1) {
+        deref(q);
+    }
+}`)
+	cands := sparse.NewEngine(g).Run(checker.NullDeref())
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	for _, c := range cands {
+		var stack []int
+		for _, st := range c.Path {
+			switch st.Kind {
+			case pdg.StepCall:
+				stack = append(stack, st.Site)
+			case pdg.StepReturn:
+				if len(stack) > 0 {
+					if stack[len(stack)-1] != st.Site {
+						t.Fatalf("mismatched return in %s", c.Path)
+					}
+					stack = stack[:len(stack)-1]
+				}
+			}
+		}
+		fus := engines.NewFusion().Check(context.Background(), g, []sparse.Candidate{c})
+		if fus[0].Status == sat.Unknown {
+			t.Errorf("engine could not decide path %s", c.Path)
+		}
+	}
+}
+
+// TestSummaryDivisorConstraints: the divisor constraint must survive a
+// call — it pins the callee's parameter, not a caller vertex.
+func TestSummaryDivisorConstraints(t *testing.T) {
+	g := buildGraph(t, `
+fun divide(d: int): int {
+    var x: int = 100 / d;
+    return x;
+}
+fun f() {
+    var n: int = user_input();
+    var r: int = divide(n * 2 + 1);
+    send(r);
+}`)
+	cands := sparse.NewEngine(g).Run(checker.DivByZero())
+	if len(cands) != 1 {
+		t.Fatalf("got %d candidates, want 1", len(cands))
+	}
+	c := cands[0]
+	if c.ConstrainStep < 0 || c.ConstrainStep >= len(c.Path) {
+		t.Fatalf("bad constraint step %d for path %s", c.ConstrainStep, c.Path)
+	}
+	if c.Path[c.ConstrainStep].V.Op != ssa.OpParam {
+		t.Errorf("constrained vertex is %s, want the divisor", c.Path[c.ConstrainStep].V.Op)
+	}
+	// The odd divisor makes the flow infeasible.
+	fus := engines.NewFusion().Check(context.Background(), g, cands)
+	if fus[0].Status != sat.Unsat {
+		t.Errorf("odd divisor through a call: got %s, want unsat", fus[0].Status)
+	}
+}
+
+// TestSummaryDynBoundConstraints: a dynamically-bounded index sink
+// (buf_read_n) must carry the ConstraintOutOfBoundsDyn payload naming
+// both arguments — a missing payload turns the query into "escapes
+// [0, 0)", a guaranteed false positive.
+func TestSummaryDynBoundConstraints(t *testing.T) {
+	g := buildGraph(t, `
+fun f() {
+    var i: int = user_input();
+    var m: int = user_input();
+    if (0 <= i && i < m) {
+        var q: int = buf_read_n(i, m);
+        send(q);
+    }
+}`)
+	cands := sparse.NewEngine(g).Run(checker.IndexOOB())
+	if len(cands) != 1 {
+		t.Fatalf("got %d candidates, want 1", len(cands))
+	}
+	c := cands[0]
+	if c.ConstrainKind != pdg.ConstraintOutOfBoundsDyn {
+		t.Fatalf("constraint kind = %v, want ConstraintOutOfBoundsDyn", c.ConstrainKind)
+	}
+	if c.ConstrainArg != 0 || c.ConstrainBoundArg != 1 {
+		t.Errorf("constraint args = (%d, %d), want (0, 1)", c.ConstrainArg, c.ConstrainBoundArg)
+	}
+	// The guard proves 0 <= i < m, so the query must be refuted.
+	fus := engines.NewFusion().Check(context.Background(), g, cands)
+	if fus[0].Status != sat.Unsat {
+		t.Errorf("fully guarded dynamic-bound access: got %s, want unsat", fus[0].Status)
 	}
 }
