@@ -284,15 +284,35 @@ func BenchmarkAbsintBuild(b *testing.B) {
 // null-deref and div-by-zero candidate's cond.Translate condition and
 // Fusion's raw residual — the corpus TestProbeResultsPinned pins.
 func BenchmarkProbe(b *testing.B) {
-	phis, err := bench.ProbeCorpus(context.Background(), 0.002)
+	qs, err := bench.ProbeCorpus(context.Background(), 0.002)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, phi := range phis {
-			solver.Probe(context.Background(), phi, 32)
+		for _, q := range qs {
+			solver.Probe(context.Background(), q.Phi, 32)
+		}
+	}
+}
+
+// BenchmarkSolvePipeline measures the shared solver stack below the probe:
+// one op answers every formula of bench.ProbeCorpus at scale 0.002 with a
+// probe-free Session.Solve — default preprocessing, bit-blasting and CDCL
+// search — on freshly built formulas, the corpus TestSolvePipelinePinned
+// pins.
+func BenchmarkSolvePipeline(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		qs, err := bench.ProbeCorpus(context.Background(), 0.002)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, q := range qs {
+			solver.NewSession(q.B).Solve(q.Phi, solver.Options{NoProbe: true})
 		}
 	}
 }

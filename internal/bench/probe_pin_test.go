@@ -22,10 +22,10 @@ const probePinDigest = "5fe7aafc2199ce6962e797157d6dd23ec086f4c644ee29def4908d75
 
 // probeDigest hashes, per formula in corpus order, whether the probe
 // found a model and the model's values sorted by variable name.
-func probeDigest(phis []*smt.Term) (digest string, sat int) {
+func probeDigest(qs []CorpusQuery) (digest string, sat int) {
 	h := sha256.New()
-	for i, phi := range phis {
-		m, ok := solver.Probe(context.Background(), phi, 32)
+	for i, q := range qs {
+		m, ok := solver.Probe(context.Background(), q.Phi, 32)
 		fmt.Fprintf(h, "# %d %v\n", i, ok)
 		if ok {
 			sat++
@@ -51,14 +51,14 @@ func probeDigest(phis []*smt.Term) (digest string, sat int) {
 // finds, and which model it returns, must not move when only its cost
 // does.
 func TestProbeResultsPinned(t *testing.T) {
-	phis, err := ProbeCorpus(context.Background(), 0.002)
+	qs, err := ProbeCorpus(context.Background(), 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, sat := probeDigest(phis)
-	t.Logf("%d formulas, %d probed sat, digest %s", len(phis), sat, got)
-	if sat == 0 || sat == len(phis) {
-		t.Fatalf("probe decided %d of %d formulas; the pin cannot tell a changed search apart", sat, len(phis))
+	got, sat := probeDigest(qs)
+	t.Logf("%d formulas, %d probed sat, digest %s", len(qs), sat, got)
+	if sat == 0 || sat == len(qs) {
+		t.Fatalf("probe decided %d of %d formulas; the pin cannot tell a changed search apart", sat, len(qs))
 	}
 	if got != probePinDigest {
 		t.Errorf("probe results digest %s, want %s", got, probePinDigest)

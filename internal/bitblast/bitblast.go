@@ -28,8 +28,8 @@ type Blaster struct {
 	// repeated identical query reuses the existing guard clause.
 	acts  map[*smt.Term]sat.Lit
 	lTrue sat.Lit
-	// Stop, when non-nil, is polled between the operands of every And and
-	// Or while blasting; once it reports true the blast unwinds and
+	// Stop, when non-nil, is polled before every term the blast encodes
+	// afresh; once it reports true the blast unwinds and
 	// AssertTrue or Assume returns ErrStopped. Every encoding finished
 	// before the stop stays cached — it is complete and correct — but the
 	// terms on the unwound path are never memoized and an unfinished query
@@ -320,6 +320,9 @@ func (b *Blaster) blast(t *smt.Term) []sat.Lit {
 	if lits, ok := b.bits[t]; ok {
 		return lits
 	}
+	if b.Stop != nil && b.Stop() {
+		panic(stopped{})
+	}
 	var out []sat.Lit
 	switch t.Op {
 	case smt.OpVar:
@@ -337,9 +340,6 @@ func (b *Blaster) blast(t *smt.Term) []sat.Lit {
 	case smt.OpAnd, smt.OpOr:
 		out = b.blast(t.Args[0])
 		for _, a := range t.Args[1:] {
-			if b.Stop != nil && b.Stop() {
-				panic(stopped{})
-			}
 			y := b.blast(a)
 			nxt := make([]sat.Lit, t.Width)
 			for i := 0; i < t.Width; i++ {

@@ -122,8 +122,8 @@ func TestWarmMatchesColdVerdicts(t *testing.T) {
 	}
 }
 
-// TestStoppedBlastLeavesNoTrace: a blast stopped between the operands of
-// a conjunction unwinds with ErrStopped, memoizes no unfinished term, and
+// TestStoppedBlastLeavesNoTrace: a stopped blast of a conjunction
+// unwinds with ErrStopped, memoizes no unfinished term, and
 // registers no activation literal or clause for the root — so asking the
 // same query again, unstopped, gets the right answer. A Stop that never
 // fires leaves the encoding variable-for-variable identical to no Stop.

@@ -252,6 +252,7 @@ func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidat
 		rec.Wall("solve.local_preprocess", r.LocalPreprocessTime)
 		rec.Wall("solve.preprocess", r.PreprocessTime)
 		rec.Wall("solve.search", r.SearchTime)
+		rec.Wall("solve.blast", r.BlastTime)
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
 	// The per-candidate deadline firing (run still alive) is budget
@@ -397,6 +398,7 @@ func (e *Pinpoint) attempt(ctx context.Context, g *pdg.Graph, c sparse.Candidate
 	if rec := e.Telemetry; rec != nil {
 		rec.Wall("solve.preprocess", r.PreprocessTime)
 		rec.Wall("solve.search", r.SearchTime)
+		rec.Wall("solve.blast", r.BlastTime)
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
 	if r.Status == sat.Unknown && r.Exhausted {

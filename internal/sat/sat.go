@@ -124,6 +124,12 @@ type Solver struct {
 	seen    []bool
 	toClear []int
 
+	// stamp and addBuf are AddClause's scratch: stamp[l] == stampGen
+	// marks literal l as kept by the current call.
+	stamp    []uint32
+	stampGen uint32
+	addBuf   []Lit
+
 	decisionsAtStart int64
 
 	// assumptions are the pseudo-decisions of the current SolveAssuming
@@ -181,6 +187,7 @@ func (s *Solver) NewVar() int {
 	s.phase = append(s.phase, lFalse)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.stamp = append(s.stamp, 0, 0)
 	s.order.push(v)
 	return v
 }
@@ -214,9 +221,16 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		// only and unit propagation runs at the root.
 		s.cancelUntil(0)
 	}
-	// Normalize: drop duplicate and false literals, detect tautologies.
-	var out []Lit
-	seen := map[Lit]bool{}
+	// Normalize: drop duplicate and false literals, detect tautologies,
+	// keeping the first occurrence of each literal in order. The kept
+	// literals are collected in a reused buffer and stamped with this
+	// call's generation, so a clause costs one exact-size allocation.
+	s.stampGen++
+	if s.stampGen == 0 { // wrapped: clear stale stamps
+		clear(s.stamp)
+		s.stampGen = 1
+	}
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		if l.Var() >= s.NumVars() {
 			panic("sat: literal over unallocated variable")
@@ -227,27 +241,31 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		case lFalse:
 			continue
 		}
-		if seen[l.Flip()] {
+		if s.stamp[l.Flip()] == s.stampGen {
 			return true // tautology
 		}
-		if !seen[l] {
-			seen[l] = true
+		if s.stamp[l] != s.stampGen {
+			s.stamp[l] = s.stampGen
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
+		// Root-level propagation of a unit over a large clause database
+		// can run for a second, so it polls Ctx; a cancelled propagation
+		// leaves the rest of the trail queued for the next one.
 		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		if s.propagate(poll.Stop(s.Ctx, 1)) != nil {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := &clause{lits: append([]Lit(nil), out...)}
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
@@ -271,9 +289,14 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// nil. A non-nil stop is polled before each queued literal; once it reports
+// true, propagate returns nil with the remaining literals still queued, so
+// a caller that passes stop must not take nil for a fixpoint.
+func (s *Solver) propagate(stop func() bool) *clause {
 	for s.qhead < len(s.trail) {
+		if stop != nil && stop() {
+			return nil
+		}
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
@@ -546,7 +569,7 @@ func (s *Solver) SolveAssuming(assumps []Lit) (Status, error) {
 	s.assumptions = append(s.assumptions[:0], assumps...)
 	s.conflictLits = s.conflictLits[:0]
 	// Clauses added since the last solve may have pending root-level units.
-	if s.propagate() != nil {
+	if s.propagate(nil) != nil {
 		s.ok = false
 		return Unsat, nil
 	}
@@ -583,7 +606,7 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 		if stop != nil && stop() {
 			return Unknown, ErrBudget
 		}
-		confl := s.propagate()
+		confl := s.propagate(nil)
 		if confl != nil {
 			s.Conflicts++
 			conflictsThisRestart++
@@ -690,19 +713,20 @@ func (s *Solver) analyzeFinal(p Lit) {
 // ValueOf returns the model value of variable v after a Sat result.
 func (s *Solver) ValueOf(v int) bool { return s.assigns[v] == lTrue }
 
-// varHeap is a max-heap over variable activity with lazy deletion.
+// varHeap is a max-heap over variable activity with lazy deletion. pos
+// holds each variable's index in items, -1 when it is not in the heap.
 type varHeap struct {
 	act   *[]float64
 	items []int
-	pos   map[int]int
+	pos   []int32
 }
 
 func (h *varHeap) less(a, b int) bool { return (*h.act)[h.items[a]] > (*h.act)[h.items[b]] }
 
 func (h *varHeap) swap(a, b int) {
 	h.items[a], h.items[b] = h.items[b], h.items[a]
-	h.pos[h.items[a]] = a
-	h.pos[h.items[b]] = b
+	h.pos[h.items[a]] = int32(a)
+	h.pos[h.items[b]] = int32(b)
 }
 
 func (h *varHeap) up(i int) {
@@ -735,14 +759,14 @@ func (h *varHeap) down(i int) {
 }
 
 func (h *varHeap) push(v int) {
-	if h.pos == nil {
-		h.pos = map[int]int{}
+	for len(h.pos) <= v {
+		h.pos = append(h.pos, -1)
 	}
-	if _, ok := h.pos[v]; ok {
+	if h.pos[v] >= 0 {
 		return
 	}
 	h.items = append(h.items, v)
-	h.pos[v] = len(h.items) - 1
+	h.pos[v] = int32(len(h.items) - 1)
 	h.up(len(h.items) - 1)
 }
 
@@ -756,7 +780,7 @@ func (h *varHeap) pop() (int, bool) {
 	last := len(h.items) - 1
 	h.swap(0, last)
 	h.items = h.items[:last]
-	delete(h.pos, v)
+	h.pos[v] = -1
 	if last > 0 {
 		h.down(0)
 	}
@@ -764,9 +788,8 @@ func (h *varHeap) pop() (int, bool) {
 }
 
 func (h *varHeap) update(v int) {
-	if i, ok := h.pos[v]; ok {
-		h.up(i)
-		h.down(h.pos[v])
-		_ = i
+	if h.pos[v] >= 0 {
+		h.up(int(h.pos[v]))
+		h.down(int(h.pos[v]))
 	}
 }

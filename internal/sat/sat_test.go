@@ -330,3 +330,69 @@ func TestContextCancelledMidSearch(t *testing.T) {
 		t.Fatalf("cancellation not honored: ran %v", elapsed)
 	}
 }
+
+// TestAddClauseNormalizes pins AddClause's normal form: duplicates and
+// root-false literals drop out, the rest keep their first-occurrence
+// order, and a tautology or a root-true literal leaves no clause.
+func TestAddClauseNormalizes(t *testing.T) {
+	s := newSolverWithVars(5)
+	s.AddClause(lits(s, -5)...) // x5 false at the root
+	s.AddClause(lits(s, 3, -1, 3, 5, 2, -1, 4)...)
+	s.AddClause(lits(s, 1, 2, 3, -2)...) // tautology
+	s.AddClause(lits(s, 1, -5, 2)...)    // satisfied at the root
+	if s.NumClauses() != 1 {
+		t.Fatalf("%d clauses attached, want 1", s.NumClauses())
+	}
+	want := lits(s, 3, -1, 2, 4)
+	got := s.clauses[0].lits
+	if len(got) != len(want) {
+		t.Fatalf("clause %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("clause %v, want %v", got, want)
+		}
+	}
+	if !s.AddClause(lits(s, 2, 2)...) || s.value(MkLit(1, false)) != lTrue {
+		t.Error("a duplicated unit must be asserted at the root")
+	}
+}
+
+// TestVarHeapOrder drives the VSIDS heap through pushes, activity bumps
+// and pops, and requires every pop to return a present variable of
+// maximal activity.
+func TestVarHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var act []float64
+	h := &varHeap{act: &act}
+	in := map[int]bool{}
+	for i := 0; i < 5000; i++ {
+		switch op := rng.Intn(4); {
+		case op == 0 && len(in) > 0:
+			v, ok := h.pop()
+			if !ok || !in[v] {
+				t.Fatalf("pop returned %d (ok %v), not in the heap", v, ok)
+			}
+			for u := range in {
+				if act[u] > act[v] {
+					t.Fatalf("pop returned %d (activity %g) before %d (%g)", v, act[v], u, act[u])
+				}
+			}
+			delete(in, v)
+		case op == 1 && len(act) > 0:
+			v := rng.Intn(len(act))
+			act[v] += rng.Float64()
+			h.update(v)
+		default:
+			v := rng.Intn(len(act) + 1)
+			if v == len(act) {
+				act = append(act, rng.Float64())
+			}
+			h.push(v)
+			in[v] = true
+		}
+		if len(h.items) != len(in) {
+			t.Fatalf("heap holds %d variables, want %d", len(h.items), len(in))
+		}
+	}
+}

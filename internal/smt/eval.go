@@ -56,10 +56,21 @@ func Eval(t *Term, a Assignment) uint32 {
 
 // Substitute returns t with every occurrence of the given variables
 // replaced, rebuilding (and re-simplifying) the term bottom-up in b.
+// Subterms whose variable summary misses every replaced variable are
+// returned as they are without being walked.
 func Substitute(b *Builder, t *Term, sub map[*Term]*Term) *Term {
+	var keys uint64
+	prune := true
+	for k := range sub {
+		keys |= k.vars
+		prune = prune && k.vars != 0 // a variable-free key can sit anywhere
+	}
 	memo := map[*Term]*Term{}
 	var walk func(*Term) *Term
 	walk = func(t *Term) *Term {
+		if prune && t.vars&keys == 0 {
+			return t
+		}
 		if r, ok := memo[t]; ok {
 			return r
 		}
@@ -67,23 +78,20 @@ func Substitute(b *Builder, t *Term, sub map[*Term]*Term) *Term {
 		if s, ok := sub[t]; ok {
 			r = s
 		} else {
-			switch t.Op {
-			case OpVar, OpConst:
-				r = t
-			default:
-				args := make([]*Term, len(t.Args))
-				changed := false
-				for i, a := range t.Args {
-					args[i] = walk(a)
-					if args[i] != a {
-						changed = true
-					}
+			r = t
+			var args []*Term // allocated once an argument changes
+			for i, a := range t.Args {
+				na := walk(a)
+				if na != a && args == nil {
+					args = make([]*Term, len(t.Args))
+					copy(args, t.Args[:i])
 				}
-				if !changed {
-					r = t
-				} else {
-					r = Rebuild(b, t.Op, t.Width, args)
+				if args != nil {
+					args[i] = na
 				}
+			}
+			if args != nil {
+				r = Rebuild(b, t.Op, t.Width, args)
 			}
 		}
 		memo[t] = r

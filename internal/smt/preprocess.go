@@ -630,11 +630,13 @@ func trailingZeros(c uint32) int {
 	return n
 }
 
+// containsVar reports whether the variable v occurs in t, walking only
+// subterms whose variable summary admits v.
 func containsVar(t, v *Term) bool {
 	seen := map[*Term]bool{}
 	var walk func(*Term) bool
 	walk = func(t *Term) bool {
-		if seen[t] {
+		if t.vars&v.vars == 0 || seen[t] {
 			return false
 		}
 		seen[t] = true

@@ -12,8 +12,9 @@
 package smt
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math/bits"
 	"strings"
 )
 
@@ -69,6 +70,12 @@ type Term struct {
 	Args  []*Term
 	Const uint32 // value for OpConst
 	Name  string // name for OpVar
+
+	// vars summarizes the term's free variables: every variable owns one
+	// of 64 bits, and a term's summary is the union of its arguments'.
+	// A term whose summary misses every bit of a variable cannot contain
+	// it, which lets Substitute skip it.
+	vars uint64
 }
 
 // IsTrue reports whether t is the constant true (width-1 one).
@@ -121,12 +128,25 @@ func signBit(v uint32, w int) bool { return v>>(uint(w)-1)&1 == 1 }
 // (constant folding, unit elision, double negation). Heavier rewriting
 // lives in the preprocessing passes.
 type Builder struct {
-	terms map[string]*Term
+	terms map[termKey]*Term
 	next  int
+	nvars int
 	fresh int
 	// Bytes-accounting for the memory studies: an estimate of the heap
 	// held by all terms ever built.
 	bytes int64
+}
+
+// termKey identifies a term up to hash-consing: its operator, width,
+// constant, name, and argument IDs — the first three inline, any further
+// ones packed little-endian after the name. n fixes where the name ends.
+type termKey struct {
+	s          string
+	a0, a1, a2 int32
+	n          int32
+	width      int32
+	c          uint32
+	op         Op
 }
 
 // FreshVar returns a new variable guaranteed not to collide with any other
@@ -138,7 +158,7 @@ func (b *Builder) FreshVar(width int) *Term {
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{terms: map[string]*Term{}}
+	return &Builder{terms: map[termKey]*Term{}}
 }
 
 // NumTerms returns the number of distinct terms built.
@@ -148,27 +168,70 @@ func (b *Builder) NumTerms() int { return b.next }
 func (b *Builder) EstimatedBytes() int64 { return b.bytes }
 
 func (b *Builder) intern(op Op, width int, c uint32, name string, args []*Term) *Term {
-	var k strings.Builder
-	k.WriteString(strconv.Itoa(int(op)))
-	k.WriteByte(':')
-	k.WriteString(strconv.Itoa(width))
-	k.WriteByte(':')
-	k.WriteString(strconv.FormatUint(uint64(c), 16))
-	k.WriteByte(':')
-	k.WriteString(name)
-	for _, a := range args {
-		k.WriteByte(',')
-		k.WriteString(strconv.Itoa(a.ID))
+	k := termKey{s: name, n: int32(len(args)), width: int32(width), c: c, op: op}
+	switch len(args) {
+	default:
+		rest := make([]byte, len(name), len(name)+4*(len(args)-3))
+		copy(rest, name)
+		for _, a := range args[3:] {
+			rest = binary.LittleEndian.AppendUint32(rest, uint32(a.ID))
+		}
+		k.s = string(rest)
+		fallthrough
+	case 3:
+		k.a2 = int32(args[2].ID)
+		fallthrough
+	case 2:
+		k.a1 = int32(args[1].ID)
+		fallthrough
+	case 1:
+		k.a0 = int32(args[0].ID)
+	case 0:
 	}
-	key := k.String()
-	if t, ok := b.terms[key]; ok {
+	if t, ok := b.terms[k]; ok {
 		return t
 	}
 	t := &Term{ID: b.next, Op: op, Width: width, Args: args, Const: c, Name: name}
+	if op == OpVar {
+		t.vars = 1 << (b.nvars % 64)
+		b.nvars++
+	}
+	for _, a := range args {
+		t.vars |= a.vars
+	}
 	b.next++
-	b.terms[key] = t
-	b.bytes += int64(64 + 8*len(args) + len(name) + len(key))
+	b.terms[k] = t
+	b.bytes += int64(64 + 8*len(args) + len(name) + legacyKeyLen(op, width, c, name, args))
 	return t
+}
+
+// legacyKeyLen is the length of the decimal string key terms were once
+// interned under ("op:width:hexconst:name,id,id..."). EstimatedBytes
+// still charges it, so the memory columns stay comparable across
+// versions.
+func legacyKeyLen(op Op, width int, c uint32, name string, args []*Term) int {
+	n := decLen(int(op)) + 1 + decLen(width) + 1 + hexLen(c) + 1 + len(name)
+	for _, a := range args {
+		n += 1 + decLen(a.ID)
+	}
+	return n
+}
+
+// hexLen is the length of c's lower-case hexadecimal rendering.
+func hexLen(c uint32) int { return max(1, (bits.Len32(c)+3)/4) }
+
+// decLen is the length of n's decimal rendering.
+func decLen(n int) int {
+	l := 1
+	if n < 0 {
+		l++
+		n = -n
+	}
+	for n >= 10 {
+		n /= 10
+		l++
+	}
+	return l
 }
 
 // Var returns the variable with the given name and width. The same name

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -234,4 +235,144 @@ func TestMixedWidthPanics(t *testing.T) {
 		}
 	}()
 	b.Eq(b.Var("a", 8), b.Var("b", 16))
+}
+
+// TestEstimatedBytesChargesStringKey pins the byte estimate to the
+// decimal string key ("op:width:hexconst:name,id,...") terms were once
+// interned under: every new term still charges that key's length.
+func TestEstimatedBytesChargesStringKey(t *testing.T) {
+	b := NewBuilder()
+	stringKey := func(x *Term) string {
+		k := strconv.Itoa(int(x.Op)) + ":" + strconv.Itoa(x.Width) + ":" +
+			strconv.FormatUint(uint64(x.Const), 16) + ":" + x.Name
+		for _, a := range x.Args {
+			k += "," + strconv.Itoa(a.ID)
+		}
+		return k
+	}
+	rng := rand.New(rand.NewSource(5))
+	pool := []*Term{b.Var("x", 32)}
+	for i := 0; i < 2000; i++ {
+		before, n := b.EstimatedBytes(), b.NumTerms()
+		var x *Term
+		switch rng.Intn(5) {
+		case 0:
+			x = b.Var("v"+strconv.Itoa(rng.Intn(500)), 32)
+		case 1:
+			x = b.Const(rng.Uint32()>>uint(rng.Intn(32)), 32)
+		case 2:
+			x = b.Add(pool[rng.Intn(len(pool))], b.Var("w"+strconv.Itoa(i), 32))
+		case 3:
+			bs := make([]*Term, 2+rng.Intn(6))
+			for j := range bs {
+				bs[j] = b.Ult(b.Var("p"+strconv.Itoa(rng.Intn(40)), 32), b.Const(uint32(j), 32))
+			}
+			x = b.And(bs...)
+		default:
+			x = b.Ite(b.Var("c"+strconv.Itoa(rng.Intn(9)), 1), pool[rng.Intn(len(pool))], b.Const(7, 32))
+		}
+		if x.Width == 32 {
+			pool = append(pool, x)
+		}
+		if b.NumTerms() != n+1 {
+			continue // hit an interned term, or built sub-terms on the way
+		}
+		want := int64(64 + 8*len(x.Args) + len(x.Name) + len(stringKey(x)))
+		if got := b.EstimatedBytes() - before; got != want {
+			t.Fatalf("%v charged %d bytes, want %d", x, got, want)
+		}
+	}
+}
+
+// TestInternSeparatesArguments checks the hash-consing key beyond its
+// three inline argument slots: conjunctions that differ only in a
+// packed argument, or in their argument count, stay distinct.
+func TestInternSeparatesArguments(t *testing.T) {
+	b := NewBuilder()
+	vs := make([]*Term, 6)
+	for i := range vs {
+		vs[i] = b.Var("b"+strconv.Itoa(i), 1)
+	}
+	a4 := b.And(vs[0], vs[1], vs[2], vs[3])
+	if a4 == b.And(vs[0], vs[1], vs[2], vs[4]) || a4 == b.And(vs[0], vs[1], vs[2], vs[3], vs[4]) {
+		t.Fatal("distinct conjunctions interned to one term")
+	}
+	if a4 != b.And(vs[0], vs[1], vs[2], vs[3]) {
+		t.Fatal("identical conjunctions interned to different terms")
+	}
+}
+
+// unprunedSubstitute is Substitute without the variable-summary pruning:
+// it walks every subterm.
+func unprunedSubstitute(b *Builder, t *Term, sub map[*Term]*Term) *Term {
+	memo := map[*Term]*Term{}
+	var walk func(*Term) *Term
+	walk = func(t *Term) *Term {
+		if r, ok := memo[t]; ok {
+			return r
+		}
+		r := t
+		if s, ok := sub[t]; ok {
+			r = s
+		} else if len(t.Args) > 0 {
+			args := make([]*Term, len(t.Args))
+			changed := false
+			for i, a := range t.Args {
+				args[i] = walk(a)
+				changed = changed || args[i] != a
+			}
+			if changed {
+				r = Rebuild(b, t.Op, t.Width, args)
+			}
+		}
+		memo[t] = r
+		return r
+	}
+	return walk(t)
+}
+
+// TestSubstituteMatchesUnprunedWalk substitutes into random formulas over
+// more variables than the summary has bits, so summaries collide, and
+// requires the pruned walk to return the unpruned walk's term — also for
+// a variable-free key, which no summary can rule out.
+func TestSubstituteMatchesUnprunedWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	b := NewBuilder()
+	vars := make([]*Term, 150)
+	for i := range vars {
+		vars[i] = b.Var("s"+strconv.Itoa(i), 8)
+	}
+	var gen func(depth int) *Term
+	gen = func(depth int) *Term {
+		if depth == 0 || rng.Intn(4) == 0 {
+			if rng.Intn(5) == 0 {
+				return b.Const(uint32(rng.Intn(4)), 8)
+			}
+			return vars[rng.Intn(len(vars))]
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return b.Add(gen(depth-1), gen(depth-1))
+		case 1:
+			return b.Mul(gen(depth-1), gen(depth-1))
+		case 2:
+			return b.Ite(b.Ult(gen(depth-1), gen(depth-1)), gen(depth-1), gen(depth-1))
+		default:
+			return b.Xor(gen(depth-1), gen(depth-1))
+		}
+	}
+	for i := 0; i < 300; i++ {
+		phi := b.And(b.Eq(gen(6), gen(6)), b.Ule(gen(5), gen(5)))
+		sub := map[*Term]*Term{}
+		for j := rng.Intn(4); j >= 0; j-- {
+			sub[vars[rng.Intn(len(vars))]] = gen(2)
+		}
+		if i%10 == 0 {
+			sub[b.Const(uint32(rng.Intn(4)), 8)] = gen(1)
+		}
+		want := unprunedSubstitute(b, phi, sub)
+		if got := Substitute(b, phi, sub); got != want {
+			t.Fatalf("Substitute = %v, want %v", got, want)
+		}
+	}
 }

@@ -147,6 +147,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 		act, err = ss.bl.Assume(phi)
 		assumps = []sat.Lit{act}
 	}
+	res.BlastTime = time.Since(t1)
 	var st sat.Status
 	if err == nil {
 		stallFault(opts)

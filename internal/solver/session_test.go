@@ -172,6 +172,23 @@ func TestProbeTimeAttribution(t *testing.T) {
 	}
 }
 
+// TestBlastTimeAttribution: a query that reaches the SAT core reports its
+// bit-blasting time as a part of SearchTime, on both solve entries.
+func TestBlastTimeAttribution(t *testing.T) {
+	b := smt.NewBuilder()
+	x, y := b.Var("x", 32), b.Var("y", 32)
+	phi := b.And(b.Eq(b.Mul(x, y), b.Const(391, 32)), b.Ult(b.Const(1, 32), x), b.Ult(b.Const(1, 32), y))
+	opts := Options{NoProbe: true, Passes: NoPasses}
+	for name, r := range map[string]Result{"one-shot": Solve(b, phi, opts), "session": NewSession(b).Solve(phi, opts)} {
+		if r.Status == sat.Unknown || r.Preprocessed {
+			t.Fatalf("%s: %s did not reach the SAT core: %+v", name, phi, r)
+		}
+		if r.BlastTime <= 0 || r.BlastTime > r.SearchTime {
+			t.Errorf("%s: BlastTime %v, want in (0, SearchTime %v]", name, r.BlastTime, r.SearchTime)
+		}
+	}
+}
+
 // TestCtxCancelledBetweenPhases (satellite): cancellation after the probe
 // must not start preprocessing.
 func TestCtxCancelledBetweenPhases(t *testing.T) {

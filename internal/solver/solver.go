@@ -69,8 +69,11 @@ type Result struct {
 	// (or zeroes out) the search accounting.
 	ProbeTime      time.Duration
 	PreprocessTime time.Duration
-	SearchTime     time.Duration
-	Conflicts      int64
+	// SearchTime is the SAT core's share: bit-blasting the formula and
+	// the CDCL search. BlastTime is the blasting part of it alone.
+	SearchTime time.Duration
+	BlastTime  time.Duration
+	Conflicts  int64
 	// Decisions and Props count the SAT search's branching decisions and
 	// unit propagations for this solve (deltas on a Session, where the
 	// solver's counters accumulate across a candidate's queries). Cost

@@ -269,19 +269,12 @@ type visitKey struct {
 	stack string
 }
 
-// FromSource enumerates candidate flows starting at one source vertex via
+// fromSource enumerates candidate flows starting at one source vertex via
 // depth-first traversal of the data-dependence edges, matching call and
-// return labels with an explicit stack (CFL-reachability).
-func (e *Engine) FromSource(spec *Spec, src *ssa.Value) []Candidate {
-	out, pruned := e.fromSource(context.Background(), spec, src)
-	e.Pruned += pruned
-	return out
-}
-
-// fromSource is FromSource without shared engine state: it returns the
-// pruned count instead of bumping e.Pruned, so concurrent per-source
-// searches need no synchronization. Cancelling ctx stops the traversal
-// at the next polling point.
+// return labels with an explicit stack (CFL-reachability). It touches no
+// shared engine state — it returns the pruned count instead of bumping
+// e.Pruned — so concurrent per-source searches need no synchronization.
+// Cancelling ctx stops the traversal at the next polling point.
 func (e *Engine) fromSource(ctx context.Context, spec *Spec, src *ssa.Value) ([]Candidate, int) {
 	lim := e.Limits.withDefaults()
 	var out []Candidate

@@ -87,18 +87,6 @@ func (r *Recorder) Sched(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// SchedMax raises a scheduling-dependent high-water mark to v.
-func (r *Recorder) SchedMax(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if v > r.sched[name] {
-		r.sched[name] = v
-	}
-	r.mu.Unlock()
-}
-
 // Wall accumulates a wall-clock duration under name.
 func (r *Recorder) Wall(name string, d time.Duration) {
 	if r == nil {

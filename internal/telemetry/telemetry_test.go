@@ -15,7 +15,6 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Count("a", 1)
 	r.Sched("b", 2)
-	r.SchedMax("c", 3)
 	r.Wall("d", time.Second)
 	r.StageSpan(0, "compile", "parse", time.Now(), time.Now())
 	r.Span(1, "candidate", "u", time.Now(), time.Now())
@@ -42,7 +41,6 @@ func TestNilRecorderNoAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(1000, func() {
 		r.Count("verdicts.total", 1)
 		r.Sched("sat.conflicts", 42)
-		r.SchedMax("session.cache_vars_max", 7)
 		r.Wall("solve.search", time.Millisecond)
 		r.StageSpan(0, "compile", "parse", t0, t0)
 		r.Span(1, "candidate", "u", t0, t0)
@@ -155,16 +153,5 @@ func TestWriteTraceShape(t *testing.T) {
 	}
 	if complete != 4 || len(tids) != 3 {
 		t.Fatalf("complete events = %d on %d tracks, want 4 on 3", complete, len(tids))
-	}
-}
-
-// TestSchedMax keeps the high-water-mark semantics honest.
-func TestSchedMax(t *testing.T) {
-	r := New()
-	r.SchedMax("vars", 10)
-	r.SchedMax("vars", 4)
-	r.SchedMax("vars", 17)
-	if v := r.Snapshot().Sched["vars"]; v != 17 {
-		t.Fatalf("SchedMax = %d, want 17", v)
 	}
 }
