@@ -31,7 +31,8 @@ var largest = sync.OnceValues(func() (*pdg.Graph, sparse.Candidate) {
 	var best sparse.Candidate
 	size := -1
 	for _, c := range sparse.NewEngine(sub.Graph).RunContext(context.Background(), checker.NullDeref()) {
-		if n := smt.Size(condition(smt.NewBuilder(), sub.Graph, c)); n > size {
+		b := smt.NewBuilder()
+		if n := b.Size(condition(b, sub.Graph, c)); n > size {
 			best, size = c, n
 		}
 	}

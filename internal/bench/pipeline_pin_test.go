@@ -30,7 +30,7 @@ func pipelineDigest(qs []CorpusQuery) (digest string, searched int) {
 	h := sha256.New()
 	for i, q := range qs {
 		pre := smt.Preprocess(context.Background(), q.B, q.Phi, smt.DefaultPasses())
-		fmt.Fprintf(h, "# %d size %d\n%s\n", i, smt.Size(pre), pre)
+		fmt.Fprintf(h, "# %d size %d\n%s\n", i, q.B.Size(pre), pre)
 		r := solver.NewSession(q.B).Solve(q.Phi, solver.Options{NoProbe: true, WantModel: true})
 		fmt.Fprintf(h, "%s after %d conflicts %d decisions %d props %d terms %d bytes %d\n",
 			r.Status, r.SizeAfter, r.Conflicts, r.Decisions, r.Props, q.B.NumTerms(), q.B.EstimatedBytes())

@@ -704,7 +704,7 @@ func (st *state) closedRet(f *ssa.Function, local *smt.Term) *smt.Term {
 		}
 		form = def
 	}
-	if form == nil || smt.Size(form) > inlineThreshold {
+	if form == nil || st.b.Size(form) > inlineThreshold {
 		return nil
 	}
 	for _, v := range smt.Vars(form) {

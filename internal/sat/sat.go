@@ -129,6 +129,10 @@ type Solver struct {
 	stamp    []uint32
 	stampGen uint32
 	addBuf   []Lit
+	// clauseBlock and litBlock are the unused tails of the blocks problem
+	// clauses are carved from (see newClause).
+	clauseBlock []clause
+	litBlock    []Lit
 
 	decisionsAtStart int64
 
@@ -265,10 +269,38 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.newClause(out)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
+}
+
+// Problem clauses live as long as the solver, so they are carved from
+// blocks instead of costing two allocations each. Blocks grow with the
+// clause database up to these sizes, so a small instance stays small.
+const (
+	clauseBlockMax = 1024
+	litBlockMax    = 4096
+)
+
+// newClause returns a problem clause holding a copy of lits. Its literal
+// slice is capped at its own length, so swapping watches in place never
+// reaches a neighbour's literals. Learned clauses are allocated one by
+// one, since reduceDB drops them.
+func (s *Solver) newClause(lits []Lit) *clause {
+	if len(s.clauseBlock) == 0 {
+		s.clauseBlock = make([]clause, min(max(len(s.clauses), 16), clauseBlockMax))
+	}
+	c := &s.clauseBlock[0]
+	s.clauseBlock = s.clauseBlock[1:]
+	n := len(lits)
+	if len(s.litBlock) < n {
+		s.litBlock = make([]Lit, max(min(max(2*len(s.clauses), 64), litBlockMax), n))
+	}
+	c.lits = s.litBlock[:n:n]
+	s.litBlock = s.litBlock[n:]
+	copy(c.lits, lits)
+	return c
 }
 
 func (s *Solver) attach(c *clause) {

@@ -3,6 +3,8 @@ package sat
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -355,6 +357,54 @@ func TestAddClauseNormalizes(t *testing.T) {
 	}
 	if !s.AddClause(lits(s, 2, 2)...) || s.value(MkLit(1, false)) != lTrue {
 		t.Error("a duplicated unit must be asserted at the root")
+	}
+}
+
+// TestClauseBlocksKeepLiterals adds more clauses than one block holds,
+// including one longer than a literal block, solves (propagation swaps
+// watched literals in place) and adds more between solves, then requires
+// every problem clause to hold exactly the literals it was added with.
+func TestClauseBlocksKeepLiterals(t *testing.T) {
+	const nVars = litBlockMax + 100
+	rng := rand.New(rand.NewSource(9))
+	s := newSolverWithVars(nVars)
+	var added [][]Lit
+	add := func(n int) {
+		for i := 0; i < n; i++ {
+			k := 3 + rng.Intn(3)
+			if i == n/2 {
+				k = litBlockMax + 10
+			}
+			var c []Lit
+			for _, v := range rng.Perm(nVars)[:k] {
+				c = append(c, MkLit(v, rng.Intn(2) == 0))
+			}
+			s.AddClause(c...)
+			added = append(added, c)
+		}
+	}
+	add(clauseBlockMax + 300)
+	if st, err := s.Solve(); err != nil || st != Sat {
+		t.Fatalf("Solve = %v, %v; want sat", st, err)
+	}
+	add(clauseBlockMax)
+	if _, err := s.SolveAssuming([]Lit{MkLit(0, false), MkLit(1, true)}); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumClauses() != len(added) {
+		t.Fatalf("%d problem clauses, want %d", s.NumClauses(), len(added))
+	}
+	for i, c := range s.clauses {
+		if cap(c.lits) != len(c.lits) {
+			t.Fatalf("clause %d: capacity %d past its %d literals", i, cap(c.lits), len(c.lits))
+		}
+		got := append([]Lit(nil), c.lits...)
+		want := append([]Lit(nil), added[i]...)
+		sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+		if !slices.Equal(got, want) {
+			t.Fatalf("clause %d holds %v, was added as %v", i, c.lits, added[i])
+		}
 	}
 }
 

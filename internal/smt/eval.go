@@ -57,47 +57,61 @@ func Eval(t *Term, a Assignment) uint32 {
 // Substitute returns t with every occurrence of the given variables
 // replaced, rebuilding (and re-simplifying) the term bottom-up in b.
 // Subterms whose variable summary misses every replaced variable are
-// returned as they are without being walked.
+// returned as they are without being walked, so t and the replacements
+// must be terms of b.
 func Substitute(b *Builder, t *Term, sub map[*Term]*Term) *Term {
-	var keys uint64
-	prune := true
+	w := substitution{b: b, sub: sub, prune: true}
 	for k := range sub {
-		keys |= k.vars
-		prune = prune && k.vars != 0 // a variable-free key can sit anywhere
+		w.keys |= k.vars
+		w.prune = w.prune && k.vars != 0 // a variable-free key can sit anywhere
 	}
-	memo := map[*Term]*Term{}
-	var walk func(*Term) *Term
-	walk = func(t *Term) *Term {
-		if prune && t.vars&keys == 0 {
-			return t
-		}
-		if r, ok := memo[t]; ok {
-			return r
-		}
-		var r *Term
-		if s, ok := sub[t]; ok {
-			r = s
-		} else {
-			r = t
-			var args []*Term // allocated once an argument changes
-			for i, a := range t.Args {
-				na := walk(a)
-				if na != a && args == nil {
-					args = make([]*Term, len(t.Args))
-					copy(args, t.Args[:i])
-				}
-				if args != nil {
-					args[i] = na
-				}
-			}
-			if args != nil {
-				r = Rebuild(b, t.Op, t.Width, args)
-			}
-		}
-		memo[t] = r
-		return r
+	w.s = b.take(t.ID + 1).withMemo()
+	r := w.walk(t)
+	b.give(w.s)
+	return r
+}
+
+// substitution is one Substitute walk; its memo lives in a scratch table
+// and rebuilt arguments on the table's stack.
+type substitution struct {
+	b     *Builder
+	sub   map[*Term]*Term
+	keys  uint64
+	prune bool
+	s     *scratch
+}
+
+func (w *substitution) walk(t *Term) *Term {
+	if w.prune && t.vars&w.keys == 0 {
+		return t
 	}
-	return walk(t)
+	s := w.s
+	if s.has(t.ID) {
+		return s.memo[t.ID]
+	}
+	r := t
+	if x, ok := w.sub[t]; ok {
+		r = x
+	} else {
+		base := -1 // start of t's arguments on the stack, once one changes
+		for i, a := range t.Args {
+			na := w.walk(a)
+			if na != a && base < 0 {
+				base = len(s.buf)
+				s.buf = append(s.buf, t.Args[:i]...)
+			}
+			if base >= 0 {
+				s.buf = append(s.buf, na)
+			}
+		}
+		if base >= 0 {
+			r = Rebuild(w.b, t.Op, t.Width, s.buf[base:])
+			s.buf = s.buf[:base]
+		}
+	}
+	s.mark(t.ID)
+	s.memo[t.ID] = r
+	return r
 }
 
 // Rebuild constructs op(args) through the Builder's canonicalizing
@@ -146,7 +160,8 @@ func Rebuild(b *Builder, op Op, width int, args []*Term) *Term {
 }
 
 // RenameVars returns t with every variable renamed through fn, creating
-// fresh variables in b. It is how conditions are cloned per calling context.
+// fresh variables in b, which must have built t. It is how conditions are
+// cloned per calling context.
 func RenameVars(b *Builder, t *Term, fn func(name string) string) *Term {
 	sub := map[*Term]*Term{}
 	for _, v := range Vars(t) {

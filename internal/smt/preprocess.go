@@ -44,23 +44,8 @@ func solveEqsAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 	// inlined into single uses. Inlining a big definition into many uses
 	// trades named, propagation-friendly structure for deep expression
 	// towers that are much harder on the SAT core.
-	occurs := map[*Term]int{}
-	seen := map[*Term]bool{}
-	var countOcc func(t *Term)
-	countOcc = func(t *Term) {
-		if t.Op == OpVar {
-			occurs[t]++
-			return
-		}
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		for _, a := range t.Args {
-			countOcc(a)
-		}
-	}
-	countOcc(phi)
+	occurs := b.take(phi.ID + 1).withCounts()
+	countOcc(occurs, phi)
 
 	const inlineSize = 8
 	sub := map[*Term]*Term{}
@@ -84,12 +69,12 @@ func solveEqsAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 				continue
 			}
 			t = Substitute(b, t, sub)
-			if containsVar(t, v) {
+			if containsVar(b, t, v) {
 				continue
 			}
 			// occurs counts the defining equation itself, so <= 2 means at
 			// most one other use.
-			if Size(t) > inlineSize && occurs[v] > 2 {
+			if b.Size(t) > inlineSize && occurs.countOf(v.ID) > 2 {
 				continue
 			}
 			sub[v] = t
@@ -97,6 +82,7 @@ func solveEqsAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 			break
 		}
 	}
+	b.give(occurs)
 	if len(sub) == 0 {
 		return phi
 	}
@@ -106,6 +92,21 @@ func solveEqsAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 		phi = Substitute(b, phi, map[*Term]*Term{v: sub[v]})
 	}
 	return phi
+}
+
+// countOcc counts in s how often each variable occurs under t: once per
+// argument slot of a distinct non-variable subterm, and once for t itself.
+func countOcc(s *scratch, t *Term) {
+	if t.Op == OpVar {
+		s.bump(t.ID)
+		return
+	}
+	if !s.mark(t.ID) {
+		return
+	}
+	for _, a := range t.Args {
+		countOcc(s, a)
+	}
 }
 
 // Preprocess runs the passes round-robin until a fixpoint or the round
@@ -328,33 +329,42 @@ func equalityPropAllow(b *Builder, phi *Term, allow func(name string) bool) *Ter
 // multiplication, division and remainder by powers of two become shifts and
 // masks, which bit-blast to far fewer gates.
 func StrengthReduce(b *Builder, phi *Term) *Term {
-	memo := map[*Term]*Term{}
-	var walk func(*Term) *Term
-	walk = func(t *Term) *Term {
-		if r, ok := memo[t]; ok {
-			return r
-		}
-		var r *Term
-		switch t.Op {
-		case OpVar, OpConst:
-			r = t
-		default:
-			args := make([]*Term, len(t.Args))
-			changed := false
-			for i, a := range t.Args {
-				args[i] = walk(a)
-				changed = changed || args[i] != a
-			}
-			cur := t
-			if changed {
-				cur = Rebuild(b, t.Op, t.Width, args)
-			}
-			r = reduceOne(b, cur)
-		}
-		memo[t] = r
-		return r
+	w := reducer{b: b, s: b.take(phi.ID + 1).withMemo()}
+	r := w.walk(phi)
+	b.give(w.s)
+	return r
+}
+
+// reducer is one StrengthReduce walk; its memo lives in a scratch table
+// and rebuilt arguments on the table's stack.
+type reducer struct {
+	b *Builder
+	s *scratch
+}
+
+func (w *reducer) walk(t *Term) *Term {
+	s := w.s
+	if s.has(t.ID) {
+		return s.memo[t.ID]
 	}
-	return walk(phi)
+	r := t
+	if t.Op != OpVar && t.Op != OpConst {
+		base := len(s.buf)
+		changed := false
+		for _, a := range t.Args {
+			na := w.walk(a)
+			s.buf = append(s.buf, na)
+			changed = changed || na != a
+		}
+		if changed {
+			r = Rebuild(w.b, t.Op, t.Width, s.buf[base:])
+		}
+		s.buf = s.buf[:base]
+		r = reduceOne(w.b, r)
+	}
+	s.mark(t.ID)
+	s.memo[t.ID] = r
+	return r
 }
 
 func reduceOne(b *Builder, t *Term) *Term {
@@ -501,7 +511,6 @@ func GaussianEliminate(b *Builder, phi *Term) *Term {
 }
 
 func gaussianAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
-	conjs := Conjuncts(phi)
 	sub := map[*Term]*Term{}
 	var order []*Term
 	for _, cj := range Conjuncts(phi) {
@@ -562,7 +571,7 @@ func gaussianAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 		}
 		// Avoid self-referential substitutions through earlier pivots.
 		rhs = Substitute(b, rhs, sub)
-		if containsVar(rhs, pivot) {
+		if containsVar(b, rhs, pivot) {
 			continue
 		}
 		sub[pivot] = rhs
@@ -571,7 +580,6 @@ func gaussianAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 	if len(sub) == 0 {
 		return phi
 	}
-	_ = conjs
 	// Sequential application, as in SolveEqs: earlier replacement terms may
 	// mention later pivots.
 	for _, v := range order {
@@ -585,8 +593,8 @@ func gaussianAllow(b *Builder, phi *Term, allow func(name string) bool) *Term {
 // string key with the leaf abstracted away. Two terms with the same shape
 // and distinct leaves have identical value images of size 2^(w - tz), where
 // tz accumulates the trailing zeros lost to even multipliers and shifts.
-func uncShape(t *Term, parents map[*Term]int, allow func(name string) bool, tz int) (string, int, bool) {
-	if parents[t] > 1 {
+func uncShape(t *Term, parents *scratch, allow func(name string) bool, tz int) (string, int, bool) {
+	if parents.countOf(t.ID) > 1 {
 		return "", 0, false
 	}
 	switch t.Op {
@@ -632,25 +640,26 @@ func trailingZeros(c uint32) int {
 
 // containsVar reports whether the variable v occurs in t, walking only
 // subterms whose variable summary admits v.
-func containsVar(t, v *Term) bool {
-	seen := map[*Term]bool{}
-	var walk func(*Term) bool
-	walk = func(t *Term) bool {
-		if t.vars&v.vars == 0 || seen[t] {
-			return false
-		}
-		seen[t] = true
-		if t == v {
-			return true
-		}
-		for _, a := range t.Args {
-			if walk(a) {
-				return true
-			}
-		}
+func containsVar(b *Builder, t, v *Term) bool {
+	s := b.take(t.ID + 1)
+	found := findVar(s, t, v)
+	b.give(s)
+	return found
+}
+
+func findVar(s *scratch, t, v *Term) bool {
+	if t.vars&v.vars == 0 || !s.mark(t.ID) {
 		return false
 	}
-	return walk(t)
+	if t == v {
+		return true
+	}
+	for _, a := range t.Args {
+		if findVar(s, a, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // --- Unconstrained-variable elimination ---
@@ -681,76 +690,11 @@ func unconstrainedAllow(b *Builder, phi *Term, allow func(name string) bool) *Te
 }
 
 func unconstrainedOnce(b *Builder, phi *Term, allow func(name string) bool) *Term {
-	// Count parents of every node in the DAG.
-	parents := map[*Term]int{}
-	var count func(*Term)
-	seen := map[*Term]bool{}
-	count = func(t *Term) {
-		for _, a := range t.Args {
-			parents[a]++
-			if !seen[a] {
-				seen[a] = true
-				count(a)
-			}
-		}
-	}
-	parents[phi]++ // the root has the formula itself as a parent
-	count(phi)
-
-	// unconstrained reports whether t's value can be chosen freely.
-	memo := map[*Term]int8{}
-	var unc func(t *Term) bool
-	unc = func(t *Term) bool {
-		if v, ok := memo[t]; ok {
-			return v == 1
-		}
-		res := false
-		if parents[t] <= 1 {
-			switch t.Op {
-			case OpVar:
-				res = allow == nil || allow(t.Name)
-			case OpNot, OpNeg:
-				res = unc(t.Args[0])
-			case OpXor:
-				res = unc(t.Args[0]) || unc(t.Args[1])
-			case OpAdd:
-				res = unc(t.Args[0]) || unc(t.Args[1])
-			case OpSub:
-				res = unc(t.Args[0]) || unc(t.Args[1])
-			case OpMul:
-				res = (unc(t.Args[0]) && t.Args[1].IsConst() && t.Args[1].Const&1 == 1) ||
-					(unc(t.Args[1]) && t.Args[0].IsConst() && t.Args[0].Const&1 == 1)
-			case OpEq:
-				res = unc(t.Args[0]) || unc(t.Args[1])
-			case OpUlt, OpUle, OpSlt, OpSle:
-				// Unconstrained when both sides are independent
-				// unconstrained terms...
-				res = unc(t.Args[0]) && unc(t.Args[1])
-			case OpIte:
-				res = unc(t.Args[1]) && unc(t.Args[2])
-			}
-			// ...or when both sides are the same function shape applied to
-			// distinct unconstrained leaves (e.g. 2a < 2b in the paper's
-			// motivating example): the images coincide and contain at
-			// least two values, so both comparison outcomes are
-			// realizable.
-			if !res && len(t.Args) == 2 && t.Args[0] != t.Args[1] {
-				switch t.Op {
-				case OpEq, OpUlt, OpUle, OpSlt, OpSle:
-					s0, tz0, ok0 := uncShape(t.Args[0], parents, allow, 0)
-					s1, tz1, ok1 := uncShape(t.Args[1], parents, allow, 0)
-					w := t.Args[0].Width
-					res = ok0 && ok1 && s0 == s1 && tz0 == tz1 && tz0 < w
-				}
-			}
-		}
-		if res {
-			memo[t] = 1
-		} else {
-			memo[t] = 0
-		}
-		return res
-	}
+	// Count parents of every node in the DAG; the root has the formula
+	// itself as a parent.
+	w := uncWalk{parents: b.take(phi.ID + 1).withCounts(), memo: b.take(phi.ID + 1).withCounts(), allow: allow}
+	w.parents.bump(phi.ID)
+	countParents(w.parents, phi)
 
 	// Any conjunct that is an unconstrained boolean is satisfiable
 	// independently of the rest: drop it.
@@ -758,16 +702,85 @@ func unconstrainedOnce(b *Builder, phi *Term, allow func(name string) bool) *Ter
 	kept := make([]*Term, 0, len(conjs))
 	changed := false
 	for _, cj := range conjs {
-		if unc(cj) {
+		if w.unc(cj) {
 			changed = true
 			continue
 		}
 		kept = append(kept, cj)
 	}
+	b.give(w.memo)
+	b.give(w.parents)
 	if !changed {
 		return phi
 	}
 	return b.And(kept...)
+}
+
+// countParents adds one to the parent count of each argument slot under
+// t, walking each subterm once: from its first parent.
+func countParents(s *scratch, t *Term) {
+	for _, a := range t.Args {
+		if s.bump(a.ID) == 1 {
+			countParents(s, a)
+		}
+	}
+}
+
+// uncWalk decides which subterms' values can be chosen freely, given
+// their parent counts; memo counts 1 for unconstrained, 0 otherwise.
+type uncWalk struct {
+	parents, memo *scratch
+	allow         func(name string) bool
+}
+
+// unc reports whether t's value can be chosen freely.
+func (w *uncWalk) unc(t *Term) bool {
+	if w.memo.has(t.ID) {
+		return w.memo.count[t.ID] == 1
+	}
+	res := false
+	if w.parents.countOf(t.ID) <= 1 {
+		switch t.Op {
+		case OpVar:
+			res = w.allow == nil || w.allow(t.Name)
+		case OpNot, OpNeg:
+			res = w.unc(t.Args[0])
+		case OpXor:
+			res = w.unc(t.Args[0]) || w.unc(t.Args[1])
+		case OpAdd:
+			res = w.unc(t.Args[0]) || w.unc(t.Args[1])
+		case OpSub:
+			res = w.unc(t.Args[0]) || w.unc(t.Args[1])
+		case OpMul:
+			res = (w.unc(t.Args[0]) && t.Args[1].IsConst() && t.Args[1].Const&1 == 1) ||
+				(w.unc(t.Args[1]) && t.Args[0].IsConst() && t.Args[0].Const&1 == 1)
+		case OpEq:
+			res = w.unc(t.Args[0]) || w.unc(t.Args[1])
+		case OpUlt, OpUle, OpSlt, OpSle:
+			// Unconstrained when both sides are independent
+			// unconstrained terms...
+			res = w.unc(t.Args[0]) && w.unc(t.Args[1])
+		case OpIte:
+			res = w.unc(t.Args[1]) && w.unc(t.Args[2])
+		}
+		// ...or when both sides are the same function shape applied to
+		// distinct unconstrained leaves (e.g. 2a < 2b in the paper's
+		// motivating example): the images coincide and contain at
+		// least two values, so both comparison outcomes are
+		// realizable.
+		if !res && len(t.Args) == 2 && t.Args[0] != t.Args[1] {
+			switch t.Op {
+			case OpEq, OpUlt, OpUle, OpSlt, OpSle:
+				s0, tz0, ok0 := uncShape(t.Args[0], w.parents, w.allow, 0)
+				s1, tz1, ok1 := uncShape(t.Args[1], w.parents, w.allow, 0)
+				width := t.Args[0].Width
+				res = ok0 && ok1 && s0 == s1 && tz0 == tz1 && tz0 < width
+			}
+		}
+	}
+	w.memo.mark(t.ID)
+	w.memo.count[t.ID] = int32(boolVal(res))
+	return res
 }
 
 // PassesWithKeep returns the default pipeline restricted so that variables

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -126,7 +127,9 @@ func signBit(v uint32, w int) bool { return v>>(uint(w)-1)&1 == 1 }
 
 // Builder hash-conses terms and performs cheap local canonicalization
 // (constant folding, unit elision, double negation). Heavier rewriting
-// lives in the preprocessing passes.
+// lives in the preprocessing passes. A Builder is not safe for concurrent
+// use, not even by walks that only read its terms: they borrow its scratch
+// tables.
 type Builder struct {
 	terms map[termKey]*Term
 	next  int
@@ -135,6 +138,102 @@ type Builder struct {
 	// Bytes-accounting for the memory studies: an estimate of the heap
 	// held by all terms ever built.
 	bytes int64
+	// keyBuf holds the packed argument IDs of the key being looked up.
+	keyBuf []byte
+	// free holds the scratch tables no walk is using (see take).
+	free []*scratch
+}
+
+// scratch is the ID-indexed table of one walk over a Builder's terms. Term
+// IDs are dense per Builder (0..next), so the walk's visited set, memo or
+// counts are slices indexed by ID instead of a map: stamp[id] == gen marks
+// entry id as set in the current walk, and taking the table for a new walk
+// bumps gen, which clears every entry at once. A walk takes its table from
+// the Builder and gives it back when it ends, so a walk nested in another
+// (a rebuild inside Substitute, Substitute inside SolveEqs) never shares a
+// table with it. A walk looks up only subterms of the terms it was given,
+// which, being built before them, have smaller IDs; terms built during the
+// walk are never looked up in its table.
+type scratch struct {
+	gen   uint32
+	stamp []uint32
+	memo  []*Term // per-term results of a rewriting walk
+	count []int32 // per-term counts of a counting walk
+	buf   []*Term // operand or argument stack
+}
+
+// take returns a cleared scratch table covering the IDs below n. Tables
+// grow to a quarter past the larger of n and the term count, so a table
+// reused while the Builder grows is reallocated only now and then.
+func (b *Builder) take(n int) *scratch {
+	var s *scratch
+	if k := len(b.free); k > 0 {
+		s, b.free = b.free[k-1], b.free[:k-1]
+	} else {
+		s = &scratch{}
+	}
+	if len(s.stamp) < n {
+		m := max(n, b.next)
+		s.stamp = make([]uint32, m+m/4)
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: clear stale stamps
+		clear(s.stamp)
+		s.gen = 1
+	}
+	return s
+}
+
+// give returns a table taken with take; the walk must not use it again.
+func (b *Builder) give(s *scratch) {
+	s.buf = s.buf[:0]
+	b.free = append(b.free, s)
+}
+
+// has reports whether entry id was set in the current walk.
+func (s *scratch) has(id int) bool { return s.stamp[id] == s.gen }
+
+// mark sets entry id and reports whether it was unset.
+func (s *scratch) mark(id int) bool {
+	if s.stamp[id] == s.gen {
+		return false
+	}
+	s.stamp[id] = s.gen
+	return true
+}
+
+// withMemo sizes the memo slice to the table and returns s.
+func (s *scratch) withMemo() *scratch {
+	if len(s.memo) < len(s.stamp) {
+		s.memo = make([]*Term, len(s.stamp))
+	}
+	return s
+}
+
+// withCounts sizes the count slice to the table and returns s.
+func (s *scratch) withCounts() *scratch {
+	if len(s.count) < len(s.stamp) {
+		s.count = make([]int32, len(s.stamp))
+	}
+	return s
+}
+
+// countOf returns entry id's count, zero when it is unset.
+func (s *scratch) countOf(id int) int32 {
+	if !s.has(id) {
+		return 0
+	}
+	return s.count[id]
+}
+
+// bump sets entry id (at zero when it was unset), adds one to its count,
+// and returns the new count.
+func (s *scratch) bump(id int) int32 {
+	if s.mark(id) {
+		s.count[id] = 0
+	}
+	s.count[id]++
+	return s.count[id]
 }
 
 // termKey identifies a term up to hash-consing: its operator, width,
@@ -168,15 +267,25 @@ func (b *Builder) NumTerms() int { return b.next }
 func (b *Builder) EstimatedBytes() int64 { return b.bytes }
 
 func (b *Builder) intern(op Op, width int, c uint32, name string, args []*Term) *Term {
+	k, t := b.lookup(op, width, c, name, args)
+	if t == nil {
+		t = b.add(k, op, width, c, name, args)
+	}
+	return t
+}
+
+// lookup returns the interned term for the key, or nil and the key to
+// add it under. Arguments past the third are packed after the name in
+// keyBuf; the lookup converts them inside the index expression, which
+// the compiler does without allocating, and a miss copies them out.
+func (b *Builder) lookup(op Op, width int, c uint32, name string, args []*Term) (termKey, *Term) {
 	k := termKey{s: name, n: int32(len(args)), width: int32(width), c: c, op: op}
 	switch len(args) {
 	default:
-		rest := make([]byte, len(name), len(name)+4*(len(args)-3))
-		copy(rest, name)
+		b.keyBuf = append(b.keyBuf[:0], name...)
 		for _, a := range args[3:] {
-			rest = binary.LittleEndian.AppendUint32(rest, uint32(a.ID))
+			b.keyBuf = binary.LittleEndian.AppendUint32(b.keyBuf, uint32(a.ID))
 		}
-		k.s = string(rest)
 		fallthrough
 	case 3:
 		k.a2 = int32(args[2].ID)
@@ -188,9 +297,18 @@ func (b *Builder) intern(op Op, width int, c uint32, name string, args []*Term) 
 		k.a0 = int32(args[0].ID)
 	case 0:
 	}
-	if t, ok := b.terms[k]; ok {
-		return t
+	if len(args) <= 3 {
+		return k, b.terms[k]
 	}
+	if t := b.terms[termKey{string(b.keyBuf), k.a0, k.a1, k.a2, k.n, k.width, k.c, k.op}]; t != nil {
+		return k, t
+	}
+	k.s = string(b.keyBuf)
+	return k, nil
+}
+
+// add interns a new term under k; the term keeps args.
+func (b *Builder) add(k termKey, op Op, width int, c uint32, name string, args []*Term) *Term {
 	t := &Term{ID: b.next, Op: op, Width: width, Args: args, Const: c, Name: name}
 	if op == OpVar {
 		t.vars = 1 << (b.nvars % 64)
@@ -284,51 +402,77 @@ func (b *Builder) nary(op Op, xs []*Term) *Term {
 		width = xs[0].Width
 	}
 	allOnes := mask(^uint32(0), width)
-	unit, zero := allOnes, uint32(0) // and: unit=1s, absorbing=0
+	f := flattener{op: op, width: width, unit: allOnes} // and: unit=1s, absorbing=0
 	if op == OpOr {
-		unit, zero = 0, allOnes
+		f.unit, f.zero = 0, allOnes
 	}
-	var flat []*Term
-	seen := map[*Term]bool{}
-	var push func(t *Term) bool // returns false when absorbed
-	push = func(t *Term) bool {
-		if t.Width != width {
-			panic(fmt.Sprintf("smt: %s: mixed widths %d and %d", op, width, t.Width))
+	// Nested operands of op have smaller IDs than the xs holding them.
+	hi := 0
+	for _, x := range xs {
+		hi = max(hi, x.ID)
+	}
+	f.s = b.take(hi + 1)
+	absorbed := false
+	for _, x := range xs {
+		if !f.push(x) {
+			absorbed = true
+			break
 		}
-		if t.Op == op {
-			for _, a := range t.Args {
-				if !push(a) {
-					return false
-				}
-			}
-			return true
+	}
+	var r *Term
+	switch flat := f.s.buf; {
+	case absorbed:
+		r = b.Const(f.zero, width)
+	case len(flat) == 0:
+		r = b.Const(f.unit, width)
+	case len(flat) == 1:
+		r = flat[0]
+	default:
+		var k termKey
+		if k, r = b.lookup(op, width, 0, "", flat); r == nil {
+			r = b.add(k, op, width, 0, "", slices.Clone(flat))
 		}
-		if t.IsConst() {
-			if t.Const == unit {
-				return true
-			}
-			if t.Const == zero {
+	}
+	b.give(f.s)
+	return r
+}
+
+// flattener collects the operands of an n-ary op into its table's buffer:
+// nested op terms are flattened, units dropped, and each operand kept at
+// its first occurrence, marked in the table by ID.
+type flattener struct {
+	op         Op
+	width      int
+	unit, zero uint32
+	s          *scratch
+}
+
+// push adds t's operands; it returns false when the absorbing constant
+// turns up.
+func (f *flattener) push(t *Term) bool {
+	if t.Width != f.width {
+		panic(fmt.Sprintf("smt: %s: mixed widths %d and %d", f.op, f.width, t.Width))
+	}
+	if t.Op == f.op {
+		for _, a := range t.Args {
+			if !f.push(a) {
 				return false
 			}
 		}
-		if !seen[t] {
-			seen[t] = true
-			flat = append(flat, t)
-		}
 		return true
 	}
-	for _, x := range xs {
-		if !push(x) {
-			return b.Const(zero, width)
+	if t.IsConst() {
+		if t.Const == f.unit {
+			return true
+		}
+		if t.Const == f.zero {
+			return false
 		}
 	}
-	switch len(flat) {
-	case 0:
-		return b.Const(unit, width)
-	case 1:
-		return flat[0]
+	if f.s.mark(t.ID) {
+		f.s.buf = append(f.s.buf, t)
 	}
-	return b.intern(op, width, 0, "", flat)
+	return true
 }
 
 func (b *Builder) binary(op Op, x, y *Term, width int) *Term {
@@ -537,22 +681,22 @@ func (b *Builder) Implies(x, y *Term) *Term {
 }
 
 // Size returns the number of distinct sub-terms of t (its DAG size).
-func Size(t *Term) int {
-	seen := map[*Term]bool{}
-	var walk func(*Term)
-	count := 0
-	walk = func(t *Term) {
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		count++
-		for _, a := range t.Args {
-			walk(a)
-		}
+func (b *Builder) Size(t *Term) int {
+	s := b.take(t.ID + 1)
+	n := dagSize(s, t)
+	b.give(s)
+	return n
+}
+
+func dagSize(s *scratch, t *Term) int {
+	if !s.mark(t.ID) {
+		return 0
 	}
-	walk(t)
-	return count
+	n := 1
+	for _, a := range t.Args {
+		n += dagSize(s, a)
+	}
+	return n
 }
 
 // TreeSize returns the size of t expanded as a tree, capped at limit to

@@ -69,7 +69,7 @@ func modelCovers(m smt.Assignment, phi *smt.Term) bool {
 
 func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	var res Result
-	res.SizeBefore = smt.Size(phi)
+	res.SizeBefore = ss.b.Size(phi)
 	if cancelled(opts.Ctx) {
 		return res // Status zero value is Unknown
 	}
@@ -94,7 +94,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	t0 := time.Now()
 	phi = smt.Preprocess(opts.Ctx, ss.b, phi, passes)
 	res.PreprocessTime = time.Since(t0)
-	res.SizeAfter = smt.Size(phi)
+	res.SizeAfter = ss.b.Size(phi)
 	if phi.IsTrue() {
 		res.Status = sat.Sat
 		res.Preprocessed = true

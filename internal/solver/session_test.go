@@ -67,9 +67,14 @@ func TestSessionWarmMatchesCold(t *testing.T) {
 		warm := ss.Solve(phi, Options{})
 
 		// The cold solve must see the formula through a fresh builder to
-		// prove independence from the warm builder's term history.
+		// prove independence from the warm builder's term history; the
+		// SMT-LIB round trip rebuilds every subterm there, constants too.
 		cb := smt.NewBuilder()
-		cold := Solve(cb, smt.RenameVars(cb, phi, func(n string) string { return n }), Options{})
+		coldPhi, err := smt.ParseSMTLIB(cb, smt.ToSMTLIB(phi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := Solve(cb, coldPhi, Options{})
 		if warm.Status != cold.Status {
 			t.Fatalf("iter %d: warm %s != cold %s for %s",
 				iter, warm.Status, cold.Status, phi)
