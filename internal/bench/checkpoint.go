@@ -83,6 +83,8 @@ type unitRecord struct {
 	Conflicts     int64 `json:"confl,omitempty"`
 	Decisions     int64 `json:"decis,omitempty"`
 	Props         int64 `json:"props,omitempty"`
+	SatVars       int   `json:"satv,omitempty"`
+	SatClauses    int   `json:"satc,omitempty"`
 	SolveNS       int64 `json:"ns,omitempty"`
 
 	Failure *failure.UnitFailure `json:"fail,omitempty"`
@@ -104,6 +106,8 @@ func unitRecordOf(idx int, v engines.Verdict) unitRecord {
 		Conflicts:       v.Conflicts,
 		Decisions:       v.Decisions,
 		Props:           v.Props,
+		SatVars:         v.Vars,
+		SatClauses:      v.Clauses,
 		SolveNS:         v.SolveTime.Nanoseconds(),
 		Failure:         v.Failure,
 	}
@@ -125,6 +129,8 @@ func (u *unitRecord) verdict(c sparse.Candidate) engines.Verdict {
 		Conflicts:       u.Conflicts,
 		Decisions:       u.Decisions,
 		Props:           u.Props,
+		Vars:            u.SatVars,
+		Clauses:         u.SatClauses,
 		SolveTime:       time.Duration(u.SolveNS),
 		Failure:         u.Failure,
 	}

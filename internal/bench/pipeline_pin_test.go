@@ -14,13 +14,18 @@ import (
 )
 
 // pipelinePinDigest is the SHA-256 of the solve pipeline's output on
-// ProbeCorpus at scale 0.002 (see pipelineDigest), taken with the
-// map-keyed term interning, Substitute memo, clause deduplication and
-// VSIDS position index that the slice- and struct-keyed kernels
-// replaced. Those kernels change only what the pipeline costs; a change
-// to what it builds, blasts or searches must update the digest and say
-// why.
-const pipelinePinDigest = "2a8a97f9dad4dda81b88dcada2172a19f11cc492154a8c8b43635a72b422a612"
+// ProbeCorpus at scale 0.002 (see pipelineDigest). A change to what the
+// pipeline builds, blasts or searches must update the digest and say
+// why; a change to what it costs must leave it alone.
+//
+// It last changed when the blaster began encoding a product with one
+// constant operand by the signed digits of the constant instead of the
+// full shift-add multiplier: fewer variables and clauses, so different
+// search counters and models. Preprocessing output, term counts, byte
+// estimates and every status stayed the same (outcomePinDigest did not
+// move), and the flat clause store that landed first left this digest
+// unchanged.
+const pipelinePinDigest = "c85205800d44ac50dc4b38bb037d1e06d24f9917d6c648ba4916f4bce46f68bb"
 
 // pipelineDigest hashes, per formula in corpus order: the default
 // preprocessing's output and DAG size, the builder's term count and byte
@@ -52,6 +57,58 @@ func pipelineDigest(qs []CorpusQuery) (digest string, searched int) {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)), searched
+}
+
+// outcomePinDigest is the SHA-256 of what the solve pipeline decides on
+// ProbeCorpus at scale 0.002 (see outcomeDigest). Unlike
+// pipelinePinDigest it leaves out the search counters and the model, so
+// a change to how a formula is blasted or searched keeps it; only a
+// change to what preprocessing builds, to a byte estimate or to a
+// verdict moves it.
+const outcomePinDigest = "b66a8ead0853111ed71b4cec7c68f366d90130a429c274dcd52332624ada2c00"
+
+// outcomeDigest hashes, per formula in corpus order: the default
+// preprocessing's output and DAG size, then a probe-free Session.Solve's
+// status and SizeAfter with the builder's term count and byte estimate.
+// It fails t when a sat model does not satisfy its formula.
+func outcomeDigest(t *testing.T, qs []CorpusQuery) (digest string, sats, unsats int) {
+	h := sha256.New()
+	for i, q := range qs {
+		pre := smt.Preprocess(context.Background(), q.B, q.Phi, smt.DefaultPasses())
+		fmt.Fprintf(h, "# %d size %d\n%s\n", i, q.B.Size(pre), pre)
+		r := solver.NewSession(q.B).Solve(q.Phi, solver.Options{NoProbe: true, WantModel: true})
+		fmt.Fprintf(h, "%s after %d terms %d bytes %d\n",
+			r.Status, r.SizeAfter, q.B.NumTerms(), q.B.EstimatedBytes())
+		switch r.Status {
+		case sat.Sat:
+			sats++
+			if smt.Eval(q.Phi, r.Model) != 1 {
+				t.Errorf("formula %d: the sat model does not satisfy it", i)
+			}
+		case sat.Unsat:
+			unsats++
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), sats, unsats
+}
+
+// TestSolveOutcomePinned pins what the solve pipeline builds and decides
+// on the corpus, and checks every sat model: a change to the CNF the
+// blaster emits or to how the SAT core stores it may change the search
+// and the models, never a verdict.
+func TestSolveOutcomePinned(t *testing.T) {
+	qs, err := ProbeCorpus(context.Background(), 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, sats, unsats := outcomeDigest(t, qs)
+	t.Logf("%d formulas, %d sat, %d unsat, digest %s", len(qs), sats, unsats, got)
+	if sats == 0 || unsats == 0 {
+		t.Fatalf("%d sat and %d unsat of %d formulas; the pin cannot tell a changed verdict apart", sats, unsats, len(qs))
+	}
+	if got != outcomePinDigest {
+		t.Errorf("solve outcome digest %s, want %s", got, outcomePinDigest)
+	}
 }
 
 // TestSolvePipelinePinned pins what preprocessing builds and what the

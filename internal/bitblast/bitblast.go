@@ -7,6 +7,7 @@ package bitblast
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"fusion/internal/sat"
 	"fusion/internal/smt"
@@ -315,6 +316,80 @@ func (b *Blaster) divmod(num, den []sat.Lit) (q, r []sat.Lit) {
 	return q, r
 }
 
+// mulVec returns x * y by the shift-add multiplier: one row per bit of x.
+func (b *Blaster) mulVec(x, y []sat.Lit) []sat.Lit {
+	w := len(x)
+	acc := b.constVec(0, w)
+	for i := 0; i < w; i++ {
+		// acc += (y << i) masked by x[i].
+		addend := make([]sat.Lit, w)
+		for j := 0; j < w; j++ {
+			if j < i {
+				addend[j] = b.litFalse()
+			} else {
+				addend[j] = b.and2(x[i], y[j-i])
+			}
+		}
+		acc, _ = b.addVec(acc, addend, b.litFalse())
+	}
+	return acc
+}
+
+// mulConst returns c * y, adding or subtracting y << k for each nonzero
+// signed digit of c at position k, least significant first. The digits
+// are c's binary ones, or its non-adjacent form (NAF) when that has
+// strictly fewer nonzero digits: 0xFFFFFFFF is −1 in NAF, one
+// subtraction instead of 32 additions. The low k bits of y << k are
+// constant false and fold away, so a product costs about two gates per
+// bit per nonzero digit, where the generic multiplier pays a full
+// shift-add row for every bit of the constant.
+func (b *Blaster) mulConst(c uint32, y []sat.Lit) []sat.Lit {
+	w := len(y)
+	c = uint32(uint64(c) & (1<<uint(w) - 1))
+	// NAF digits: at an odd remainder take the digit (+1 or −1) that
+	// leaves a multiple of 4. A digit at position w is a multiple of 2^w
+	// and drops out.
+	var digits [32]int8
+	nonzero := 0
+	for k, n := 0, uint64(c); k < w && n != 0; k, n = k+1, n>>1 {
+		switch n & 3 {
+		case 1:
+			digits[k] = 1
+			n--
+			nonzero++
+		case 3:
+			digits[k] = -1
+			n++
+			nonzero++
+		}
+	}
+	if nonzero >= bits.OnesCount32(c) {
+		for k := 0; k < w; k++ {
+			digits[k] = int8(c >> uint(k) & 1)
+		}
+	}
+	acc := b.constVec(0, w)
+	for k, d := range digits[:w] {
+		if d == 0 {
+			continue
+		}
+		sh := make([]sat.Lit, w)
+		for j := range sh {
+			if j < k {
+				sh[j] = b.litFalse()
+			} else {
+				sh[j] = y[j-k]
+			}
+		}
+		if d > 0 {
+			acc, _ = b.addVec(acc, sh, b.litFalse())
+		} else {
+			acc, _ = b.addVec(acc, b.notVec(sh), b.lTrue)
+		}
+	}
+	return acc
+}
+
 // blast returns the literal vector (LSB first) representing t.
 func (b *Blaster) blast(t *smt.Term) []sat.Lit {
 	if lits, ok := b.bits[t]; ok {
@@ -365,21 +440,14 @@ func (b *Blaster) blast(t *smt.Term) []sat.Lit {
 		out, _ = b.addVec(x, b.notVec(y), b.lTrue)
 	case smt.OpMul:
 		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
-		w := t.Width
-		acc := b.constVec(0, w)
-		for i := 0; i < w; i++ {
-			// acc += (y << i) masked by x[i].
-			addend := make([]sat.Lit, w)
-			for j := 0; j < w; j++ {
-				if j < i {
-					addend[j] = b.litFalse()
-				} else {
-					addend[j] = b.and2(x[i], y[j-i])
-				}
-			}
-			acc, _ = b.addVec(acc, addend, b.litFalse())
+		switch {
+		case t.Args[0].Op == smt.OpConst:
+			out = b.mulConst(t.Args[0].Const, y)
+		case t.Args[1].Op == smt.OpConst:
+			out = b.mulConst(t.Args[1].Const, x)
+		default:
+			out = b.mulVec(x, y)
 		}
-		out = acc
 	case smt.OpUDiv, smt.OpURem:
 		x, y := b.blast(t.Args[0]), b.blast(t.Args[1])
 		q, r := b.divmod(x, y)

@@ -66,6 +66,10 @@ type Verdict struct {
 	Conflicts int64
 	Decisions int64
 	Props     int64
+	// Vars and Clauses are the size of the CNF this candidate's solve
+	// blasted (see solver.Result), cost-only like Conflicts.
+	Vars    int
+	Clauses int
 	// ConditionSize is the DAG size of the condition solved (0 when the
 	// engine never materializes one).
 	ConditionSize int
@@ -240,6 +244,8 @@ func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidat
 		Conflicts:       r.Conflicts,
 		Decisions:       r.Decisions,
 		Props:           r.Props,
+		Vars:            r.Vars,
+		Clauses:         r.Clauses,
 		SolveTime:       time.Since(t0), ConditionSize: r.SizeBefore,
 		Tier: tierOf(r.Status, r.DecidedByAbsint, r.DecidedByStride, r.DecidedByZone),
 	}
@@ -392,6 +398,8 @@ func (e *Pinpoint) attempt(ctx context.Context, g *pdg.Graph, c sparse.Candidate
 		Conflicts: r.Conflicts,
 		Decisions: r.Decisions,
 		Props:     r.Props,
+		Vars:      r.Vars,
+		Clauses:   r.Clauses,
 		SolveTime: time.Since(t0), ConditionSize: size,
 		Tier: tierOf(r.Status, false, false, false),
 	}
@@ -718,6 +726,8 @@ func recordVerdicts(r *telemetry.Recorder, vs []Verdict) {
 		r.Sched("sat.conflicts", v.Conflicts)
 		r.Sched("sat.decisions", v.Decisions)
 		r.Sched("sat.propagations", v.Props)
+		r.Sched("sat.vars", int64(v.Vars))
+		r.Sched("sat.clauses", int64(v.Clauses))
 		r.Wall("solve.total", v.SolveTime)
 	}
 }

@@ -107,7 +107,7 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 			}
 		}
 		for _, c := range s.clauses {
-			lines = append(lines, render(c.lits))
+			lines = append(lines, render(s.lits(c)))
 		}
 	}
 	nv := s.NumVars()

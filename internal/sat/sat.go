@@ -53,11 +53,33 @@ func (b lbool) flip() lbool {
 	return lUndef
 }
 
+// cref addresses a clause: an index into Solver.headers. Clauses are
+// addressed by 32-bit refs rather than Go pointers, so the clause store,
+// the watch lists and the reasons hold nothing the garbage collector must
+// scan.
+type cref uint32
+
+// crefUndef is the reason of a decision, an assumption, a root-level unit
+// and an unassigned variable, and propagate's "no conflict".
+const crefUndef = ^cref(0)
+
+// clause is a clause's header. Its literals are arena[start:start+size];
+// a size of 0 marks a learned clause reduceDB deleted, whose literals the
+// next compaction reclaims. Every clause keeps an activity, because
+// bumping a problem clause past 1e20 rescales the learned ones.
 type clause struct {
-	lits     []Lit
-	learned  bool
-	activity float64
+	start, size uint32
+	activity    float64
 }
+
+// watchList is one literal's watch list: pool[off:off+n], with room for
+// cap entries before it must move.
+type watchList struct{ off, n, cap uint32 }
+
+// minWatchRoom is the room a watch list gets when it first moves into the
+// pool; a list that fills up moves to the end of the pool with twice its
+// room.
+const minWatchRoom = 4
 
 // Status is a solver verdict.
 type Status int
@@ -85,15 +107,25 @@ var ErrBudget = errors.New("sat: budget exhausted")
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses  []*clause
-	learnts  []*clause
-	watches  [][]*clause // watches[lit] = clauses watching lit
-	assigns  []lbool
-	level    []int32
-	reason   []*clause
-	trail    []Lit
-	trailLim []int
-	qhead    int
+	// arena holds the literals of every clause, problem and learned, and
+	// headers their headers. wasted counts the arena literals of deleted
+	// clauses.
+	arena   []Lit
+	headers []clause
+	wasted  int
+	clauses []cref // problem clauses, in the order added
+	learnts []cref
+	// watches[lit] lists the clauses watching lit, in pool. poolWaste
+	// counts the pool entries that lists left behind when they moved.
+	watches   []watchList
+	pool      []cref
+	poolWaste int
+	assigns   []lbool
+	level     []int32
+	reason    []cref
+	trail     []Lit
+	trailLim  []int
+	qhead     int
 
 	activity []float64
 	varInc   float64
@@ -123,16 +155,13 @@ type Solver struct {
 
 	seen    []bool
 	toClear []int
+	learnt  []Lit // analyze's learned-clause buffer
 
 	// stamp and addBuf are AddClause's scratch: stamp[l] == stampGen
 	// marks literal l as kept by the current call.
 	stamp    []uint32
 	stampGen uint32
 	addBuf   []Lit
-	// clauseBlock and litBlock are the unused tails of the blocks problem
-	// clauses are carved from (see newClause).
-	clauseBlock []clause
-	litBlock    []Lit
 
 	decisionsAtStart int64
 
@@ -186,11 +215,11 @@ func (s *Solver) NewVar() int {
 	v := len(s.assigns)
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lFalse)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.watches = append(s.watches, watchList{}, watchList{})
 	s.stamp = append(s.stamp, 0, 0)
 	s.order.push(v)
 	return v
@@ -228,7 +257,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Normalize: drop duplicate and false literals, detect tautologies,
 	// keeping the first occurrence of each literal in order. The kept
 	// literals are collected in a reused buffer and stamped with this
-	// call's generation, so a clause costs one exact-size allocation.
+	// call's generation, then copied into the arena.
 	s.stampGen++
 	if s.stampGen == 0 { // wrapped: clear stale stamps
 		clear(s.stamp)
@@ -262,8 +291,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		// Root-level propagation of a unit over a large clause database
 		// can run for a second, so it polls Ctx; a cancelled propagation
 		// leaves the rest of the trail queued for the next one.
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate(poll.Stop(s.Ctx, 1)) != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate(poll.Stop(s.Ctx, 1)) != crefUndef {
 			s.ok = false
 			return false
 		}
@@ -275,40 +304,66 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
-// Problem clauses live as long as the solver, so they are carved from
-// blocks instead of costing two allocations each. Blocks grow with the
-// clause database up to these sizes, so a small instance stays small.
-const (
-	clauseBlockMax = 1024
-	litBlockMax    = 4096
-)
-
-// newClause returns a problem clause holding a copy of lits. Its literal
-// slice is capped at its own length, so swapping watches in place never
-// reaches a neighbour's literals. Learned clauses are allocated one by
-// one, since reduceDB drops them.
-func (s *Solver) newClause(lits []Lit) *clause {
-	if len(s.clauseBlock) == 0 {
-		s.clauseBlock = make([]clause, min(max(len(s.clauses), 16), clauseBlockMax))
-	}
-	c := &s.clauseBlock[0]
-	s.clauseBlock = s.clauseBlock[1:]
-	n := len(lits)
-	if len(s.litBlock) < n {
-		s.litBlock = make([]Lit, max(min(max(2*len(s.clauses), 64), litBlockMax), n))
-	}
-	c.lits = s.litBlock[:n:n]
-	s.litBlock = s.litBlock[n:]
-	copy(c.lits, lits)
+// newClause copies lits to the end of the arena and returns the new
+// clause's ref. Learned clauses come from analyze's reused buffer, so
+// neither kind costs an allocation of its own.
+func (s *Solver) newClause(lits []Lit) cref {
+	c := cref(len(s.headers))
+	s.headers = append(s.headers, clause{start: uint32(len(s.arena)), size: uint32(len(lits))})
+	s.arena = append(s.arena, lits...)
 	return c
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Flip()] = append(s.watches[c.lits[0].Flip()], c)
-	s.watches[c.lits[1].Flip()] = append(s.watches[c.lits[1].Flip()], c)
+// lits returns clause c's literals, capped at their own length, so
+// swapping watches in place never reaches a neighbour's literals. The
+// slice is valid until the next clause is added or the arena compacted.
+func (s *Solver) lits(c cref) []Lit {
+	h := s.headers[c]
+	return s.arena[h.start : h.start+h.size : h.start+h.size]
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	s.watch(lits[0].Flip(), c)
+	s.watch(lits[1].Flip(), c)
+}
+
+// watch appends c to lit's watch list, moving the list to the end of the
+// pool with twice its room when it is full. A move can compact the pool,
+// so a caller walking a list must re-read its offset after a watch.
+func (s *Solver) watch(lit Lit, c cref) {
+	w := &s.watches[lit]
+	if w.n == w.cap {
+		room := max(2*w.cap, minWatchRoom)
+		if len(s.pool)+int(room) > cap(s.pool) {
+			s.compactPool(int(room))
+		}
+		off := uint32(len(s.pool))
+		s.pool = append(s.pool, s.pool[w.off:w.off+w.n]...)[:off+room]
+		s.poolWaste += int(w.cap)
+		w.off, w.cap = off, room
+	}
+	s.pool[w.off+w.n] = c
+	w.n++
+}
+
+// compactPool copies every watch list, with its room, into a new pool
+// with space for need more entries and half as much again, leaving the
+// entries moved lists left behind. Lists keep their order and length.
+func (s *Solver) compactPool(need int) {
+	live := len(s.pool) - s.poolWaste
+	pool := make([]cref, 0, max((live+need)*3/2, 1024))
+	for i := range s.watches {
+		w := &s.watches[i]
+		off := uint32(len(pool))
+		pool = append(pool, s.pool[w.off:w.off+w.n]...)[:off+w.cap]
+		w.off = off
+	}
+	s.pool = pool
+	s.poolWaste = 0
+}
+
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assigns[v] = lFalse
@@ -321,39 +376,47 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns the conflicting clause or
-// nil. A non-nil stop is polled before each queued literal; once it reports
-// true, propagate returns nil with the remaining literals still queued, so
-// a caller that passes stop must not take nil for a fixpoint.
-func (s *Solver) propagate(stop func() bool) *clause {
+// crefUndef. A non-nil stop is polled before each queued literal; once it
+// reports true, propagate returns crefUndef with the remaining literals
+// still queued, so a caller that passes stop must not take crefUndef for
+// a fixpoint.
+//
+// The watch list of p is walked by index and compacted in place: a new
+// watch goes to another literal's list, but moving that list can
+// reallocate or compact the pool, so every access re-reads the offset.
+func (s *Solver) propagate(stop func() bool) cref {
 	for s.qhead < len(s.trail) {
 		if stop != nil && stop() {
-			return nil
+			return crefUndef
 		}
 		p := s.trail[s.qhead]
 		s.qhead++
-		ws := s.watches[p]
-		kept := ws[:0]
-		var confl *clause
-		for i := 0; i < len(ws); i++ {
-			c := ws[i]
-			if confl != nil {
-				kept = append(kept, c)
+		ws := &s.watches[p]
+		n, kept := ws.n, uint32(0)
+		confl := crefUndef
+		for i := uint32(0); i < n; i++ {
+			c := s.pool[ws.off+i]
+			if confl != crefUndef {
+				s.pool[ws.off+kept] = c
+				kept++
 				continue
 			}
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Flip() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Flip() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			if s.value(c.lits[0]) == lTrue {
-				kept = append(kept, c)
+			if s.value(lits[0]) == lTrue {
+				s.pool[ws.off+kept] = c
+				kept++
 				continue
 			}
 			// Find a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Flip()] = append(s.watches[c.lits[1].Flip()], c)
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watch(lits[1].Flip(), c)
 					found = true
 					break
 				}
@@ -361,21 +424,22 @@ func (s *Solver) propagate(stop func() bool) *clause {
 			if found {
 				continue
 			}
-			kept = append(kept, c)
-			if s.value(c.lits[0]) == lFalse {
+			s.pool[ws.off+kept] = c
+			kept++
+			if s.value(lits[0]) == lFalse {
 				confl = c
 				continue
 			}
 			s.Props++
-			s.uncheckedEnqueue(c.lits[0], c)
+			s.uncheckedEnqueue(lits[0], c)
 		}
-		s.watches[p] = kept
-		if confl != nil {
+		ws.n = kept
+		if confl != crefUndef {
 			s.qhead = len(s.trail)
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -389,20 +453,22 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	h := &s.headers[c]
+	h.activity += s.claInc
+	if h.activity > 1e20 {
 		for _, l := range s.learnts {
-			l.activity *= 1e-20
+			s.headers[l].activity *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// clause (asserting literal first), in a buffer the next call reuses, and
+// the backjump level.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -413,7 +479,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range s.lits(confl)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -440,12 +506,12 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		if counter == 0 {
 			break
 		}
-		if p != -1 && confl != nil {
+		if p != -1 && confl != crefUndef {
 			// Put p first so the reason iteration skips it.
-			if confl.lits[0] != p {
-				for i, l := range confl.lits {
+			if lits := s.lits(confl); lits[0] != p {
+				for i, l := range lits {
 					if l == p {
-						confl.lits[0], confl.lits[i] = confl.lits[i], confl.lits[0]
+						lits[0], lits[i] = lits[i], lits[0]
 						break
 					}
 				}
@@ -475,6 +541,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		s.seen[v] = false
 	}
 	s.toClear = s.toClear[:0]
+	s.learnt = learnt
 	return learnt, back
 }
 
@@ -487,7 +554,7 @@ func (s *Solver) cancelUntil(level int) {
 		v := l.Var()
 		s.phase[v] = s.assigns[v]
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:s.trailLim[level]]
@@ -520,51 +587,93 @@ func luby(i int64) int64 {
 	}
 }
 
-// reduceDB removes half of the learnt clauses with the lowest activity.
+// reduceDB removes half of the learnt clauses with the lowest activity,
+// and compacts the arena once more than half of it is garbage.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 100 {
 		return
 	}
 	// Partial selection: keep clauses that are reasons or highly active.
-	lim := medianActivity(s.learnts)
+	lim := medianActivity(s.headers, s.learnts)
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if s.isReason(c) || c.activity >= lim || len(c.lits) <= 2 {
+		if h := &s.headers[c]; s.isReason(c) || h.activity >= lim || h.size <= 2 {
 			kept = append(kept, c)
 		} else {
 			s.detach(c)
+			s.wasted += int(h.size)
+			h.size = 0
 		}
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func medianActivity(cs []*clause) float64 {
+func medianActivity(headers []clause, cs []cref) float64 {
 	if len(cs) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, c := range cs {
-		sum += c.activity
+		sum += headers[c].activity
 	}
 	return sum / float64(len(cs))
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	v := c.lits[0].Var()
+func (s *Solver) isReason(c cref) bool {
+	v := s.lits(c)[0].Var()
 	return s.assigns[v] != lUndef && s.reason[v] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, w := range []Lit{c.lits[0].Flip(), c.lits[1].Flip()} {
-		ws := s.watches[w]
-		for i, x := range ws {
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	for _, w := range [2]Lit{lits[0].Flip(), lits[1].Flip()} {
+		ws := &s.watches[w]
+		list := s.pool[ws.off : ws.off+ws.n]
+		for i, x := range list {
 			if x == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[w] = ws[:len(ws)-1]
+				list[i] = list[len(list)-1]
+				ws.n--
 				break
 			}
 		}
 	}
+}
+
+// compact copies the live clauses into a new arena and header table in
+// their order, then relocates the clause lists, the watches and the
+// reasons. A deleted clause is neither watched nor a reason, so its ref
+// appears nowhere.
+func (s *Solver) compact() {
+	arena := make([]Lit, 0, len(s.arena)-s.wasted)
+	headers := make([]clause, 0, len(s.clauses)+len(s.learnts))
+	for i := range s.headers {
+		h := &s.headers[i]
+		if h.size == 0 {
+			continue
+		}
+		headers = append(headers, clause{start: uint32(len(arena)), size: h.size, activity: h.activity})
+		arena = append(arena, s.arena[h.start:h.start+h.size]...)
+		h.start = uint32(len(headers) - 1) // the forwarding ref
+	}
+	relocate := func(cs []cref) {
+		for i, c := range cs {
+			cs[i] = cref(s.headers[c].start)
+		}
+	}
+	relocate(s.clauses)
+	relocate(s.learnts)
+	for _, w := range s.watches {
+		relocate(s.pool[w.off : w.off+w.n])
+	}
+	for v, r := range s.reason {
+		if r != crefUndef {
+			s.reason[v] = cref(s.headers[r].start)
+		}
+	}
+	s.arena, s.headers, s.wasted = arena, headers, 0
 }
 
 // Solve runs the CDCL search and returns Sat, Unsat, or an error when the
@@ -601,7 +710,7 @@ func (s *Solver) SolveAssuming(assumps []Lit) (Status, error) {
 	s.assumptions = append(s.assumptions[:0], assumps...)
 	s.conflictLits = s.conflictLits[:0]
 	// Clauses added since the last solve may have pending root-level units.
-	if s.propagate(nil) != nil {
+	if s.propagate(nil) != crefUndef {
 		s.ok = false
 		return Unsat, nil
 	}
@@ -639,7 +748,7 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 			return Unknown, ErrBudget
 		}
 		confl := s.propagate(nil)
-		if confl != nil {
+		if confl != crefUndef {
 			s.Conflicts++
 			conflictsThisRestart++
 			if s.decisionLevel() == 0 {
@@ -649,9 +758,9 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 			learnt, back := s.analyze(confl)
 			s.cancelUntil(back)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learned: true}
+				c := s.newClause(learnt)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -707,7 +816,7 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 			s.Decisions++
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 
@@ -728,10 +837,10 @@ func (s *Solver) analyzeFinal(p Lit) {
 		if !s.seen[v] {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == crefUndef {
 			s.conflictLits = append(s.conflictLits, l)
 		} else {
-			for _, q := range s.reason[v].lits {
+			for _, q := range s.lits(s.reason[v]) {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}

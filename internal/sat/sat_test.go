@@ -346,7 +346,7 @@ func TestAddClauseNormalizes(t *testing.T) {
 		t.Fatalf("%d clauses attached, want 1", s.NumClauses())
 	}
 	want := lits(s, 3, -1, 2, 4)
-	got := s.clauses[0].lits
+	got := s.lits(s.clauses[0])
 	if len(got) != len(want) {
 		t.Fatalf("clause %v, want %v", got, want)
 	}
@@ -360,12 +360,13 @@ func TestAddClauseNormalizes(t *testing.T) {
 	}
 }
 
-// TestClauseBlocksKeepLiterals adds more clauses than one block holds,
-// including one longer than a literal block, solves (propagation swaps
-// watched literals in place) and adds more between solves, then requires
-// every problem clause to hold exactly the literals it was added with.
-func TestClauseBlocksKeepLiterals(t *testing.T) {
-	const nVars = litBlockMax + 100
+// TestArenaKeepsLiterals adds clauses of mixed lengths, one of them
+// longer than the rest together, solves (propagation swaps watched
+// literals in place, neighbours in the arena must not see it) and adds
+// more between solves, then requires every problem clause to hold exactly
+// the literals it was added with.
+func TestArenaKeepsLiterals(t *testing.T) {
+	const nVars = 4200
 	rng := rand.New(rand.NewSource(9))
 	s := newSolverWithVars(nVars)
 	var added [][]Lit
@@ -373,7 +374,7 @@ func TestClauseBlocksKeepLiterals(t *testing.T) {
 		for i := 0; i < n; i++ {
 			k := 3 + rng.Intn(3)
 			if i == n/2 {
-				k = litBlockMax + 10
+				k = nVars - 10
 			}
 			var c []Lit
 			for _, v := range rng.Perm(nVars)[:k] {
@@ -383,11 +384,11 @@ func TestClauseBlocksKeepLiterals(t *testing.T) {
 			added = append(added, c)
 		}
 	}
-	add(clauseBlockMax + 300)
+	add(1300)
 	if st, err := s.Solve(); err != nil || st != Sat {
 		t.Fatalf("Solve = %v, %v; want sat", st, err)
 	}
-	add(clauseBlockMax)
+	add(1000)
 	if _, err := s.SolveAssuming([]Lit{MkLit(0, false), MkLit(1, true)}); err != nil {
 		t.Fatal(err)
 	}
@@ -395,15 +396,16 @@ func TestClauseBlocksKeepLiterals(t *testing.T) {
 		t.Fatalf("%d problem clauses, want %d", s.NumClauses(), len(added))
 	}
 	for i, c := range s.clauses {
-		if cap(c.lits) != len(c.lits) {
-			t.Fatalf("clause %d: capacity %d past its %d literals", i, cap(c.lits), len(c.lits))
+		lits := s.lits(c)
+		if cap(lits) != len(lits) {
+			t.Fatalf("clause %d: capacity %d past its %d literals", i, cap(lits), len(lits))
 		}
-		got := append([]Lit(nil), c.lits...)
+		got := append([]Lit(nil), lits...)
 		want := append([]Lit(nil), added[i]...)
 		sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
 		sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
 		if !slices.Equal(got, want) {
-			t.Fatalf("clause %d holds %v, was added as %v", i, c.lits, added[i])
+			t.Fatalf("clause %d holds %v, was added as %v", i, lits, added[i])
 		}
 	}
 }
@@ -443,6 +445,95 @@ func TestVarHeapOrder(t *testing.T) {
 		}
 		if len(h.items) != len(in) {
 			t.Fatalf("heap holds %d variables, want %d", len(h.items), len(in))
+		}
+	}
+}
+
+// TestReduceDBReclaimsArena runs a random 3-SAT instance through many
+// reductions of the learned-clause database and then checks the clause
+// store: the arena holds under twice its live literals, the garbage count
+// is exact, every live clause is watched by exactly its first two
+// literals, the watch lists tile the pool without overlap, and every
+// reason is a live clause that implies its variable.
+func TestReduceDBReclaimsArena(t *testing.T) {
+	const nVars = 250
+	rng := rand.New(rand.NewSource(3))
+	s := newSolverWithVars(nVars)
+	for i := 0; i < nVars*426/100; i++ {
+		var c []Lit
+		for _, v := range rng.Perm(nVars)[:3] {
+			c = append(c, MkLit(v, rng.Intn(2) == 0))
+		}
+		s.AddClause(c...)
+	}
+	s.MaxConflicts = 30000
+	if _, err := s.Solve(); err != nil && err != ErrBudget {
+		t.Fatal(err)
+	}
+	t.Logf("%d conflicts, %d learned clauses kept, arena %d literals", s.Conflicts, len(s.learnts), len(s.arena))
+	if s.Conflicts < 5000 {
+		t.Fatalf("only %d conflicts; the instance does not exercise reduceDB", s.Conflicts)
+	}
+	live := make(map[cref]bool)
+	liveLits := 0
+	for _, cs := range [][]cref{s.clauses, s.learnts} {
+		for _, c := range cs {
+			if live[c] {
+				t.Fatalf("clause %d listed twice", c)
+			}
+			live[c] = true
+			liveLits += len(s.lits(c))
+		}
+	}
+	if len(s.headers) >= len(s.clauses)+int(s.Conflicts)/2 {
+		t.Errorf("%d headers for %d problem clauses after %d conflicts: deleted clauses were never reclaimed",
+			len(s.headers), len(s.clauses), s.Conflicts)
+	}
+	if len(s.arena) > 2*liveLits {
+		t.Errorf("arena holds %d literals, %d of them live", len(s.arena), liveLits)
+	}
+	if s.wasted != len(s.arena)-liveLits {
+		t.Errorf("wasted %d, want %d", s.wasted, len(s.arena)-liveLits)
+	}
+	watched := make(map[cref][]Lit)
+	owner := make([]int, len(s.pool))
+	capSum := 0
+	for l, w := range s.watches {
+		if w.n > w.cap || int(w.off+w.cap) > len(s.pool) {
+			t.Fatalf("watch list of %d: %+v out of a pool of %d", l, w, len(s.pool))
+		}
+		capSum += int(w.cap)
+		for i := w.off; i < w.off+w.cap; i++ {
+			if owner[i] != 0 {
+				t.Fatalf("watch lists of %d and %d overlap at %d", owner[i]-1, l, i)
+			}
+			owner[i] = l + 1
+		}
+		for _, c := range s.pool[w.off : w.off+w.n] {
+			watched[c] = append(watched[c], Lit(l))
+		}
+	}
+	if s.poolWaste != len(s.pool)-capSum {
+		t.Errorf("poolWaste %d, want %d", s.poolWaste, len(s.pool)-capSum)
+	}
+	for c := range live {
+		lits := s.lits(c)
+		got := watched[c]
+		if len(got) != 2 || !slices.Contains(got, lits[0].Flip()) || !slices.Contains(got, lits[1].Flip()) {
+			t.Fatalf("clause %d %v is watched from %v", c, lits, got)
+		}
+	}
+	if len(watched) != len(live) {
+		t.Errorf("%d clauses watched, %d live", len(watched), len(live))
+	}
+	for v, r := range s.reason {
+		if r == crefUndef {
+			continue
+		}
+		if !live[r] {
+			t.Errorf("variable %d has the dead reason %d", v, r)
+		} else if s.lits(r)[0].Var() != v {
+			t.Errorf("variable %d has reason %d %v, which does not imply it", v, r, s.lits(r))
 		}
 	}
 }

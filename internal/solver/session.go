@@ -133,6 +133,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	}
 	s.Ctx = opts.Ctx
 	before := s.Stats()
+	vars, clauses := s.NumVars(), s.NumClauses()
 
 	// A blast the context stops unwinds without memoizing its unfinished
 	// terms or registering an activation literal, so the stack stays
@@ -148,6 +149,8 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 		assumps = []sat.Lit{act}
 	}
 	res.BlastTime = time.Since(t1)
+	res.Vars = s.NumVars() - vars
+	res.Clauses = s.NumClauses() - clauses
 	var st sat.Status
 	if err == nil {
 		stallFault(opts)

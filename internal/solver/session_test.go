@@ -194,6 +194,24 @@ func TestBlastTimeAttribution(t *testing.T) {
 	}
 }
 
+// TestResultCountsCNF: Vars and Clauses report the CNF a solve's blast
+// added. A query that reaches the SAT core adds some; repeating it on the
+// same session reuses every encoding and its guard, so it adds none.
+func TestResultCountsCNF(t *testing.T) {
+	b := smt.NewBuilder()
+	x, y := b.Var("x", 16), b.Var("y", 16)
+	phi := b.And(b.Eq(b.Mul(x, b.Const(3, 16)), y), b.Ult(b.Const(7, 16), y))
+	opts := Options{NoProbe: true, Passes: NoPasses}
+	ss := NewSession(b)
+	first, again := ss.Solve(phi, opts), ss.Solve(phi, opts)
+	if first.Status != sat.Sat || first.Vars == 0 || first.Clauses == 0 {
+		t.Fatalf("first solve: %s with %d variables and %d clauses, want sat with a CNF", first.Status, first.Vars, first.Clauses)
+	}
+	if again.Status != sat.Sat || again.Vars != 0 || again.Clauses != 0 {
+		t.Errorf("repeated solve: %s with %d variables and %d clauses, want sat with none", again.Status, again.Vars, again.Clauses)
+	}
+}
+
 // TestCtxCancelledBetweenPhases (satellite): cancellation after the probe
 // must not start preprocessing.
 func TestCtxCancelledBetweenPhases(t *testing.T) {

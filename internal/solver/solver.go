@@ -80,6 +80,12 @@ type Result struct {
 	// counters only; they never influence a verdict.
 	Decisions int64
 	Props     int64
+	// Vars and Clauses count the SAT variables and problem clauses this
+	// solve's blast added: the size of the CNF it built, zero when the
+	// formula was decided before blasting or its encodings were all
+	// cached. Cost counters like Conflicts.
+	Vars    int
+	Clauses int
 	// Exhausted reports that the search hit its own resource budget
 	// (conflicts, decisions, or deadline) rather than being cancelled
 	// from outside. Callers use it to fall back to cheaper tiers: a
