@@ -5,8 +5,7 @@
 //
 //	fusionbench [-experiment NAME|all] [-scale F] [-subjects a,b,c] [-budget D]
 //	            [-workers N] [-timeout D] [-absint MODE] [-fail-fast]
-//	            [-checkpoint FILE [-resume]] [-smt2dir DIR]
-//	            [-metrics FILE] [-trace FILE] [-pprof-addr ADDR]
+//	            [-smt2dir DIR] [-metrics FILE] [-trace FILE] [-pprof-addr ADDR]
 //
 // Exit status: 0 when every experiment ran to completion, 1 on a harness
 // error, 2 on bad usage or when any engine run contained a unit crash.
@@ -37,12 +36,10 @@ func main() {
 	subjects := flag.String("subjects", "", "comma-separated subject names (default: per experiment)")
 	budget := flag.Duration("budget", 5*time.Minute, "per-engine-run time budget (must be >= 0)")
 	smt2dir := flag.String("smt2dir", "", "dump every SMT instance as SMT-LIB v2 files into this directory and exit")
-	workers := flag.Int("workers", 0, "worker count for compilation, enumeration, and checking (0 = sequential; output is identical for any count)")
+	workers := flag.Int("workers", 0, "worker count for compilation, enumeration, and checking (0 = sequential; verdict and count columns are identical for any count, Pinpoint's Cond-Mem cells may differ)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none; must be >= 0)")
 	absintFlag := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
 	failFast := flag.Bool("fail-fast", false, "stop after the first experiment whose runs contained a unit crash (default: run all experiments, summarize at the end)")
-	checkpoint := flag.String("checkpoint", "", "journal completed engine runs to this file (append-only JSONL, fsync'd per record) so a crashed invocation can resume")
-	resume := flag.Bool("resume", false, "replay runs a previous crashed invocation completed in the -checkpoint journal instead of re-running them")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
 	trace := flag.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing) to this file")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
@@ -61,10 +58,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fusionbench: %s must be >= 0, got %v\n", name, d)
 			os.Exit(2)
 		}
-	}
-	if *resume && *checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "fusionbench: -resume requires -checkpoint")
-		os.Exit(2)
 	}
 
 	ctx := context.Background()
@@ -117,27 +110,6 @@ func main() {
 			}
 		}
 	}
-	if *checkpoint != "" {
-		if !*resume {
-			// A fresh run must not replay a stale journal for a different
-			// configuration; truncate and start over.
-			if err := os.Truncate(*checkpoint, 0); err != nil && !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, "fusionbench:", err)
-				os.Exit(1)
-			}
-		}
-		j, err := bench.OpenJournal(*checkpoint)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fusionbench:", err)
-			os.Exit(1)
-		}
-		defer j.Close()
-		opts.Journal = j
-		if *resume && (j.Len() > 0 || j.Units() > 0) {
-			fmt.Fprintf(os.Stderr, "fusionbench: resuming: %d completed run(s), %d unit record(s) in %s\n",
-				j.Len(), j.Units(), *checkpoint)
-		}
-	}
 	if *subjects != "" {
 		for _, name := range strings.Split(*subjects, ",") {
 			s, err := progen.SubjectByName(strings.TrimSpace(name))
@@ -173,7 +145,6 @@ func main() {
 	}
 	for _, name := range names {
 		start := time.Now()
-		opts.Experiment = name
 		out, err := bench.Experiments[name](ctx, opts)
 		if err != nil {
 			writeArtifacts()

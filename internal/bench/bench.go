@@ -152,18 +152,13 @@ func Run(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engin
 
 // RunWorkers is Run with a worker count for enumeration and checking.
 func RunWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget, workers int) Cost {
-	return runWorkers(ctx, sub, spec, eng, budget, workers, driver.AbsintOff, nil, "")
+	return runWorkers(ctx, sub, spec, eng, budget, workers, driver.AbsintOff)
 }
 
-// runWorkers is RunWorkers with the run's absint tier mode and an
-// optional unit-granularity journal. A Fusion engine without an analysis
-// of its own gets driver.Analyze(sub.Graph, mode) for the run (so
-// AbsintOff means "the engine as configured"). When j is non-nil,
-// candidates a previous (crashed) process already checked under runKey
-// are replayed from their records, and each fresh verdict is
-// checkpointed as it settles — so a crash mid-subject resumes at the
-// first unchecked candidate.
-func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget, workers int, mode driver.AbsintMode, j *Journal, runKey string) Cost {
+// runWorkers is RunWorkers with the run's absint tier mode. A Fusion
+// engine without an analysis of its own gets driver.Analyze(sub.Graph,
+// mode) for the run (so AbsintOff means "the engine as configured").
+func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget, workers int, mode driver.AbsintMode) Cost {
 	if budget.Time == 0 {
 		budget = DefaultBudget
 	}
@@ -192,12 +187,7 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 	cost.AbsintPruned = senge.Pruned
 	cost.Failures = append(cost.Failures, senge.Failures...)
 
-	var verdicts []engines.Verdict
-	if j != nil && runKey != "" {
-		verdicts = checkJournaled(rctx, sub, eng, cands, j, runKey)
-	} else {
-		verdicts = eng.Check(rctx, sub.Graph, cands)
-	}
+	verdicts := eng.Check(rctx, sub.Graph, cands)
 	cost.Time = time.Since(start)
 	cost.CondMB = mb(eng.ConditionBytes())
 	if rctx.Err() != nil && ctx.Err() == nil {
@@ -258,45 +248,6 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 		}
 	}
 	return cost
-}
-
-// checkJournaled is the unit-granularity resume path around
-// Engine.Check: candidates whose records a previous process fsync'd are
-// replayed (the record's unit label must match the candidate's — a
-// mismatch means the key collided or enumeration changed, and the
-// candidate is re-run); the rest are checked for real, with each final
-// verdict journaled as it settles. Verdicts produced after the run
-// context expired are partial cancellation results and are never
-// recorded. Engines without a verdict observer (wrappers) simply skip
-// unit records — the whole-run summary record still lands.
-func checkJournaled(rctx context.Context, sub *Subject, eng engines.Engine, cands []sparse.Candidate, j *Journal, runKey string) []engines.Verdict {
-	verdicts := make([]engines.Verdict, len(cands))
-	todo := make([]sparse.Candidate, 0, len(cands))
-	todoIdx := make([]int, 0, len(cands))
-	for i, c := range cands {
-		if u, ok := j.LookupUnit(runKey, i); ok && u.Unit == engines.UnitLabel(c) {
-			verdicts[i] = u.verdict(c)
-			continue
-		}
-		todo = append(todo, c)
-		todoIdx = append(todoIdx, i)
-	}
-	installed := engines.SetOnVerdict(eng, func(ti int, v engines.Verdict) {
-		if rctx.Err() != nil {
-			return
-		}
-		// Best-effort, like the summary record: a full disk must not kill
-		// the run it checkpoints.
-		_ = j.RecordUnit(runKey, todoIdx[ti], v)
-	})
-	vs := eng.Check(rctx, sub.Graph, todo)
-	if installed {
-		engines.SetOnVerdict(eng, nil)
-	}
-	for ti, v := range vs {
-		verdicts[todoIdx[ti]] = v
-	}
-	return verdicts
 }
 
 func mb(n int64) float64 { return float64(n) / (1 << 20) }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"fusion/internal/engines"
 	"fusion/internal/progen"
 	"fusion/internal/sparse"
+	"fusion/internal/telemetry"
 )
 
 // tinyOpts keeps experiment tests fast.
@@ -304,5 +306,32 @@ func TestFig11InstancesHonorAbsintMode(t *testing.T) {
 	}
 	if decided(driver.AbsintOn) == 0 {
 		t.Error("-absint on: no instance decided by the tier")
+	}
+}
+
+// TestMetricsCountersWorkerInvariant: the counters section of the
+// metrics snapshot is derived from verdicts only, so its rendered bytes
+// must be identical whatever the worker count — the contract that lets
+// CI diff metrics files across configurations.
+func TestMetricsCountersWorkerInvariant(t *testing.T) {
+	ctx := context.Background()
+	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) []byte {
+		rec := telemetry.New()
+		o := Options{Absint: driver.AbsintOff, Scale: 0.02, Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
+			Workers: workers, Telemetry: rec}
+		o.run(ctx, sub, checker.NullDeref(), engines.NewFusion())
+		b, err := rec.CountersJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	seq, par := run(1), run(8)
+	if !bytes.Equal(seq, par) {
+		t.Fatalf("counters differ between workers 1 and 8:\n%s\nvs\n%s", seq, par)
 	}
 }

@@ -32,26 +32,19 @@ type Options struct {
 	Budget Budget
 	// Workers is the worker count for subject compilation, candidate
 	// enumeration, and engine checking (the paper runs its analyses with
-	// fifteen threads); 0 or 1 means sequential. Output is deterministic
-	// regardless of the worker count.
+	// fifteen threads); 0 or 1 means sequential. Verdict and count columns
+	// are identical for any worker count; Pinpoint's Cond-Mem cells
+	// (fig10, table3) may differ, because the summary cache's size
+	// depends on the order in which workers take its lock.
 	Workers int
 	// Absint is the abstract-interpretation tier mode of every fused
 	// engine the experiments construct (the zero value is the full
 	// tier, like `-absint=on`); the absint ablation overrides it per row.
 	Absint driver.AbsintMode
 	// OnCost observes every scored engine run, in completion order. The
-	// command-line harness uses it to tally contained unit failures and
-	// degraded verdicts for its exit status. Replayed journal records are
-	// observed too, so exit-status accounting survives a resume.
+	// command-line harness uses it to tally contained unit failures for
+	// its exit status.
 	OnCost func(Cost)
-	// Journal, when non-nil, checkpoints every scored engine run at two
-	// granularities: each candidate's verdict as it settles (kind "unit")
-	// and the whole run's summary when it completes. Completed records
-	// are replayed instead of re-run, so a crash mid-subject resumes at
-	// the first unchecked candidate. Experiment names the experiment
-	// currently running, scoping the journal keys.
-	Journal    *Journal
-	Experiment string
 	// Telemetry, when non-nil, records compile-stage spans, solve spans,
 	// and counters for every run the experiment issues (the -metrics and
 	// -trace artifacts).
@@ -99,35 +92,12 @@ func (o Options) run(ctx context.Context, sub *Subject, spec *sparse.Spec, eng e
 }
 
 // runBudget is run with an explicit budget override (some experiments
-// tighten the per-variant budget below o.Budget). With a journal, a run
-// a previous (crashed) process completed is replayed from its record —
-// including its recorded times, so replayed table rows are byte-identical
-// to the original's — and a freshly completed run is checkpointed before
-// the next one starts. A run cut short by cancellation is never recorded:
-// its partial Unknown verdicts must not masquerade as the real result on
-// resume.
+// tighten the per-variant budget below o.Budget).
 func (o Options) runBudget(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget) Cost {
 	if o.Telemetry != nil {
 		engines.SetTelemetry(eng, o.Telemetry)
 	}
-	var key, desc string
-	if o.Journal != nil {
-		// Key occurrence counters advance on replay and live runs alike,
-		// keeping the key sequence identical between a fresh run and a
-		// resumed one.
-		key, desc = o.Journal.Key(o.runDesc(sub, spec, eng, budget))
-		if c, ok := o.Journal.Lookup(key); ok {
-			if o.OnCost != nil {
-				o.OnCost(c)
-			}
-			return c
-		}
-	}
-	c := runWorkers(ctx, sub, spec, eng, budget, o.workers(), o.Absint, o.Journal, key)
-	if o.Journal != nil && ctx.Err() == nil {
-		// Best-effort: a full disk must not kill the run it checkpoints.
-		_ = o.Journal.Record(key, desc, c)
-	}
+	c := runWorkers(ctx, sub, spec, eng, budget, o.workers(), o.Absint)
 	if o.OnCost != nil {
 		o.OnCost(c)
 	}

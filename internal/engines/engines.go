@@ -157,13 +157,6 @@ type Fusion struct {
 	// of every Check. Nil — the default — costs one pointer check per
 	// site.
 	Telemetry *telemetry.Recorder
-	// OnVerdict, when non-nil, observes each candidate's final verdict as
-	// soon as it settles, before Check returns; i is the candidate's input
-	// index. Called from worker goroutines concurrently — the observer
-	// synchronizes itself. Verdicts synthesized for slots that crashed
-	// outside the supervised region are not observed (they still appear
-	// in Check's result).
-	OnVerdict func(i int, v Verdict)
 	mu        sync.Mutex
 	peak      int64
 	// fb is the lazily-built fallback analysis the degradation ladder
@@ -190,11 +183,7 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 		},
 	}
 	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := s.check(ctx, g, cands[i], w)
-		if e.OnVerdict != nil {
-			e.OnVerdict(i, v)
-		}
-		return v
+		return s.check(ctx, g, cands[i], w)
 	})
 	attachFailures(vs, fails, cands)
 	recordVerdicts(e.Telemetry, vs)
@@ -336,11 +325,9 @@ type Pinpoint struct {
 	// the per-candidate slicing with a running solve, faithfully to the
 	// design's memory behaviour.
 	Parallel int
-	// Telemetry and OnVerdict mirror the Fusion fields: per-candidate and
-	// solve spans plus verdict counters, and a concurrent
-	// final-verdict observer.
+	// Telemetry mirrors the Fusion field: per-candidate and solve spans
+	// plus verdict counters.
 	Telemetry *telemetry.Recorder
-	OnVerdict func(i int, v Verdict)
 	// cache is the shared term store standing in for the summary cache.
 	cache *smt.Builder
 	// mu guards cache across concurrent candidates.
@@ -372,11 +359,7 @@ func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candi
 		fallback: e.fb.analysis,
 	}
 	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := s.check(ctx, g, cands[i], w)
-		if e.OnVerdict != nil {
-			e.OnVerdict(i, v)
-		}
-		return v
+		return s.check(ctx, g, cands[i], w)
 	})
 	attachFailures(vs, fails, cands)
 	recordVerdicts(e.Telemetry, vs)
@@ -549,10 +532,9 @@ type Infer struct {
 	// Parallel is the worker count for scoring candidates; 0 or 1 means
 	// sequential. The spec join stays single-writer either way.
 	Parallel int
-	// Telemetry and OnVerdict mirror the Fusion fields; Infer never
-	// solves, so only verdict counters and the observer apply.
+	// Telemetry mirrors the Fusion field; Infer never solves, so only
+	// verdict counters apply.
 	Telemetry *telemetry.Recorder
-	OnVerdict func(i int, v Verdict)
 	bytes     int64
 	// specs holds the materialized per-function spec tables, kept alive
 	// for the engine's lifetime like a summary cache.
@@ -604,11 +586,7 @@ func (e *Infer) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidat
 		if crossings(c.Path) > maxSummaryDepth {
 			st = sat.Unsat // flow too deep for the compositional summary
 		}
-		v := Verdict{Cand: c, Status: st}
-		if e.OnVerdict != nil {
-			e.OnVerdict(i, v)
-		}
-		return v
+		return Verdict{Cand: c, Status: st}
 	})
 	attachFailures(vs, fails, cands)
 	recordVerdicts(e.Telemetry, vs)
@@ -743,24 +721,6 @@ func SetTelemetry(e Engine, r *telemetry.Recorder) {
 	case *Infer:
 		x.Telemetry = r
 	}
-}
-
-// SetOnVerdict installs a per-verdict observer on engines that support
-// one, reporting whether it was installed. Callers that journal every
-// verdict must fall back to whole-run recording when it returns false
-// (wrapper engines).
-func SetOnVerdict(e Engine, fn func(int, Verdict)) bool {
-	switch x := e.(type) {
-	case *Fusion:
-		x.OnVerdict = fn
-	case *Pinpoint:
-		x.OnVerdict = fn
-	case *Infer:
-		x.OnVerdict = fn
-	default:
-		return false
-	}
-	return true
 }
 
 // All returns every engine the evaluation compares, freshly constructed.

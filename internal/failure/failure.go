@@ -9,7 +9,6 @@
 package failure
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -31,12 +30,6 @@ type UnitFailure struct {
 	// the goroutine header and the hex argument lists are stripped so
 	// the text is byte-identical across runs and worker counts.
 	Stack string
-
-	// digest preserves the stack digest across the bounded JSON round
-	// trip: the wire form drops Stack (stacks can be arbitrarily large
-	// and a persisted record must stay bounded) but keeps its digest so
-	// grouping and reporting survive a journal replay.
-	digest string
 }
 
 // Error implements error.
@@ -45,59 +38,13 @@ func (f *UnitFailure) Error() string {
 }
 
 // Digest returns a short stable identifier for the failure's stack,
-// suitable for grouping identical crashes across units. A failure
-// deserialized from its bounded wire form has no stack anymore and
-// reports the digest computed before serialization.
+// suitable for grouping identical crashes across units.
 func (f *UnitFailure) Digest() string {
-	if f.Stack == "" && f.digest != "" {
-		return f.digest
-	}
 	h := fnv.New32a()
 	h.Write([]byte(f.Stage))
 	h.Write([]byte{0})
 	h.Write([]byte(f.Stack))
 	return fmt.Sprintf("%08x", h.Sum32())
-}
-
-// maxWireValue bounds the panic value persisted in the wire form: a
-// panic carrying a rendered formula or a huge input must not make a
-// journal record unbounded.
-const maxWireValue = 512
-
-// wireFailure is the bounded JSON form: the sanitized stack is replaced
-// by its digest and the panic value is truncated, so one persisted
-// record stays small no matter what crashed. Records written by older
-// versions may carry a retired "attempts" key, which decoding ignores.
-type wireFailure struct {
-	Unit   string `json:"unit"`
-	Stage  string `json:"stage"`
-	Value  string `json:"value,omitempty"`
-	Digest string `json:"digest"`
-}
-
-// MarshalJSON implements json.Marshaler with the bounded wire form.
-func (f *UnitFailure) MarshalJSON() ([]byte, error) {
-	v := f.Value
-	if len(v) > maxWireValue {
-		v = v[:maxWireValue] + " [truncated]"
-	}
-	return json.Marshal(wireFailure{
-		Unit: f.Unit, Stage: f.Stage, Value: v,
-		Digest: f.Digest(),
-	})
-}
-
-// UnmarshalJSON implements json.Unmarshaler for the bounded wire form.
-func (f *UnitFailure) UnmarshalJSON(data []byte) error {
-	var w wireFailure
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*f = UnitFailure{
-		Unit: w.Unit, Stage: w.Stage, Value: w.Value,
-		digest: w.Digest,
-	}
-	return nil
 }
 
 // FromPanic builds a UnitFailure from a recovered panic value. Call it

@@ -1,7 +1,6 @@
 package failure
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -61,61 +60,5 @@ func TestSanitizeStack(t *testing.T) {
 	want := "main.work\n\tmain.go:42"
 	if got != want {
 		t.Errorf("SanitizeStack:\n%q\nwant\n%q", got, want)
-	}
-}
-
-// TestBoundedWireForm: the JSON form must stay small no matter what
-// crashed — the stack is replaced by its digest and the panic value is
-// truncated — and a round trip (journal write, crash, replay) must
-// preserve the digest so crash grouping survives a resume.
-func TestBoundedWireForm(t *testing.T) {
-	f := capture("null-deref f.fl:3:5", "solve")
-	f.Value = strings.Repeat("v", 3*maxWireValue)
-	want := f.Digest()
-
-	data, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) > 2048 {
-		t.Errorf("wire form not bounded: %d bytes", len(data))
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := raw["Stack"]; ok {
-		t.Error("stack persisted in the wire form")
-	}
-
-	var g UnitFailure
-	if err := json.Unmarshal(data, &g); err != nil {
-		t.Fatal(err)
-	}
-	if g.Digest() != want {
-		t.Errorf("digest %s after round trip, want %s", g.Digest(), want)
-	}
-	if g.Stack != "" {
-		t.Error("stack resurrected after round trip")
-	}
-	if !strings.HasSuffix(g.Value, " [truncated]") || len(g.Value) != maxWireValue+len(" [truncated]") {
-		t.Errorf("value not truncated to the bound: %d bytes", len(g.Value))
-	}
-	if g.Unit != f.Unit || g.Stage != f.Stage {
-		t.Errorf("fields lost across round trip: %+v", g)
-	}
-
-	// A second trip has no stack to recompute from: the carried digest
-	// must keep reporting the original.
-	data2, err := json.Marshal(&g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h UnitFailure
-	if err := json.Unmarshal(data2, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Digest() != want {
-		t.Errorf("digest %s after second round trip, want %s", h.Digest(), want)
 	}
 }

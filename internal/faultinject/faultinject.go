@@ -10,7 +10,7 @@
 //
 //	panic.parse   panic.sema   panic.ssa   panic.pdg   panic.absint
 //	panic.enum    panic.check  stall.solve
-//	solver.exhaust  cancel.delay  journal.sync
+//	solver.exhaust  cancel.delay
 //
 // Spec syntax: comma-separated "point" or "point:match" entries, e.g.
 //
@@ -23,13 +23,7 @@
 // of the SAT core until the solve's context is done — its per-candidate
 // deadline expiring, or the run being torn down — or until a safety cap
 // expires. Without a deadline the wedge holds its worker for the whole
-// cap, which is what the crash-resume smoke uses to land a kill
-// mid-corpus; with one, the deadline is the only thing that frees it.
-//
-// "journal.sync[:match]" fails the checkpoint journal's fsync for
-// matching record keys: the append is rolled back and Record returns an
-// error instead of claiming durability, exercising the journal's
-// write-then-publish discipline.
+// cap; with one, the deadline is the only thing that frees it.
 package faultinject
 
 import (
@@ -57,7 +51,6 @@ var Points = []string{
 	"stall.solve",
 	"solver.exhaust",
 	"cancel.delay",
-	"journal.sync",
 }
 
 // Fault is the panic value raised by Fire, so containment layers can

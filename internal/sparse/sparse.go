@@ -101,37 +101,21 @@ func (c Candidate) ApplyConstraint(sl *pdg.Slice, pathIdx int) {
 	sl.Constraints = append(sl.Constraints, c.Constraints(pathIdx)...)
 }
 
-// Limits bound the path enumeration. Zero fields take defaults.
-type Limits struct {
-	MaxPathsPerSource int // default 8
-	MaxPathLen        int // default 512
-	MaxStepsPerSource int // default 200k
-	MaxCallDepth      int // default 64
+// enumLimits bounds one per-source search.
+type enumLimits struct {
+	pathsPerSource, pathLen, stepsPerSource, callDepth int
 }
 
-func (l Limits) withDefaults() Limits {
-	if l.MaxPathsPerSource == 0 {
-		l.MaxPathsPerSource = 8
-	}
-	if l.MaxPathLen == 0 {
-		l.MaxPathLen = 512
-	}
-	if l.MaxStepsPerSource == 0 {
-		l.MaxStepsPerSource = 200_000
-	}
-	if l.MaxCallDepth == 0 {
-		l.MaxCallDepth = 64
-	}
-	return l
-}
+// limits is what every search runs under. Only tests inside the package
+// change it, to exercise truncation.
+var limits = enumLimits{pathsPerSource: 8, pathLen: 512, stepsPerSource: 200_000, callDepth: 64}
 
 // Engine enumerates candidate flows on a program dependence graph.
 type Engine struct {
-	G      *pdg.Graph
-	Limits Limits
+	G *pdg.Graph
 	// Oracle, when set, vetoes candidates that are already proven
 	// infeasible (e.g. by the absint invariants); pruned candidates still
-	// count against MaxPathsPerSource so enumeration order and the
+	// count against the per-source path bound so enumeration order and the
 	// surviving report set are unchanged. Must be safe for concurrent use
 	// when Workers > 1 (the absint oracle is: the analysis is read-only
 	// after construction).
@@ -148,7 +132,7 @@ type Engine struct {
 	Failures []*failure.UnitFailure
 }
 
-// NewEngine returns an engine with default limits.
+// NewEngine returns an engine over g.
 func NewEngine(g *pdg.Graph) *Engine { return &Engine{G: g} }
 
 // Sources returns the spec's source vertices in deterministic order.
@@ -276,7 +260,7 @@ type visitKey struct {
 // e.Pruned — so concurrent per-source searches need no synchronization.
 // Cancelling ctx stops the traversal at the next polling point.
 func (e *Engine) fromSource(ctx context.Context, spec *Spec, src *ssa.Value) ([]Candidate, int) {
-	lim := e.Limits.withDefaults()
+	lim := limits
 	var out []Candidate
 	steps := 0
 	pruned := 0
@@ -295,17 +279,17 @@ func (e *Engine) fromSource(ctx context.Context, spec *Spec, src *ssa.Value) ([]
 
 	var dfs func(v *ssa.Value, path pdg.Path, stack []int)
 	dfs = func(v *ssa.Value, path pdg.Path, stack []int) {
-		if found() >= lim.MaxPathsPerSource || len(path) >= lim.MaxPathLen {
+		if found() >= lim.pathsPerSource || len(path) >= lim.pathLen {
 			return
 		}
 		steps++
-		if steps > lim.MaxStepsPerSource {
+		if steps > lim.stepsPerSource {
 			return
 		}
 		if steps&1023 == 0 && ctx.Err() != nil {
 			// Cancelled: burn the step budget so every pending frame of
 			// this source bails out immediately.
-			steps = lim.MaxStepsPerSource + 1
+			steps = lim.stepsPerSource + 1
 			return
 		}
 		key := visitKey{v: v, stack: stackKey(stack)}
@@ -327,7 +311,7 @@ func (e *Engine) fromSource(ctx context.Context, spec *Spec, src *ssa.Value) ([]
 					if a != v || idx >= len(callee.Params) {
 						continue
 					}
-					if len(stack) >= lim.MaxCallDepth {
+					if len(stack) >= lim.callDepth {
 						continue
 					}
 					np := path.Extend(callee.Params[idx], pdg.StepCall, u.Site)
@@ -351,7 +335,7 @@ func (e *Engine) fromSource(ctx context.Context, spec *Spec, src *ssa.Value) ([]
 							Path:          path.Extend(u, pdg.StepIntra, 0),
 							ConstrainStep: -1,
 						})
-						if found() >= lim.MaxPathsPerSource {
+						if found() >= lim.pathsPerSource {
 							return
 						}
 					}
@@ -382,7 +366,7 @@ func (e *Engine) fromSource(ctx context.Context, spec *Spec, src *ssa.Value) ([]
 							cand.ConstrainBoundArg = is.BoundArg
 						}
 						emit(cand)
-						if found() >= lim.MaxPathsPerSource {
+						if found() >= lim.pathsPerSource {
 							return
 						}
 					}
@@ -404,7 +388,7 @@ func (e *Engine) fromSource(ctx context.Context, spec *Spec, src *ssa.Value) ([]
 						ConstrainStep:  len(np) - 2,
 						ConstrainValue: 0,
 					})
-					if found() >= lim.MaxPathsPerSource {
+					if found() >= lim.pathsPerSource {
 						return
 					}
 				}

@@ -2,8 +2,6 @@ package sparse_test
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -226,22 +224,6 @@ fun f() {
 	}
 }
 
-func TestLimitsRespected(t *testing.T) {
-	g := buildGraph(t, `
-fun f() {
-    var p: ptr = null;
-    deref(p);
-    deref(p);
-    deref(p);
-}`)
-	eng := sparse.NewEngine(g)
-	eng.Limits.MaxPathsPerSource = 2
-	cands := eng.Run(checker.NullDeref())
-	if len(cands) > 2 {
-		t.Fatalf("limit ignored: got %d candidates", len(cands))
-	}
-}
-
 func TestSourcesDeterministic(t *testing.T) {
 	g := buildGraph(t, `
 fun f() {
@@ -265,38 +247,18 @@ fun f() {
 	}
 }
 
-// deepChainSrc builds a call chain of the given depth where every level
-// calls the level below at two call sites — 2^depth syntactic paths from
-// source to sink, the shape that stresses the visited-set (stackKey) dedup
-// and the enumeration limits.
-func deepChainSrc(depth int) string {
-	var b strings.Builder
-	b.WriteString("fun leaf(x: int): int { return x + 1; }\n")
-	prev := "leaf"
-	for i := 0; i < depth; i++ {
-		cur := fmt.Sprintf("mid%d", i)
-		fmt.Fprintf(&b, "fun %s(x: int): int {\n", cur)
-		fmt.Fprintf(&b, "    var a: int = %s(x);\n    var b2: int = %s(a);\n", prev, prev)
-		b.WriteString("    return a + b2;\n}\n")
-		prev = cur
-	}
-	fmt.Fprintf(&b, "fun root() {\n    var n: int = user_input();\n")
-	fmt.Fprintf(&b, "    var r: int = %s(n);\n    send(r);\n}\n", prev)
-	return b.String()
-}
-
 func TestDeepChainDedupStableCounts(t *testing.T) {
-	g := buildGraph(t, deepChainSrc(8))
+	g := buildGraph(t, sparse.DeepChainSrc(8))
 	spec := checker.PrivateLeak()
 	spec.IsSource = sparse.ExternCallSource("user_input")
 
-	// Defaults cap the blow-up at MaxPathsPerSource and repeated runs are
+	// The per-source path bound caps the blow-up and repeated runs are
 	// deterministic: same count, same paths.
 	var first []string
 	for trial := 0; trial < 3; trial++ {
 		cands := sparse.NewEngine(g).Run(spec)
 		if len(cands) != 8 {
-			t.Fatalf("trial %d: got %d candidates, want MaxPathsPerSource=8", trial, len(cands))
+			t.Fatalf("trial %d: got %d candidates, want the per-source bound 8", trial, len(cands))
 		}
 		var paths []string
 		for _, c := range cands {
@@ -311,29 +273,6 @@ func TestDeepChainDedupStableCounts(t *testing.T) {
 				t.Fatalf("trial %d: path %d differs:\n  %s\n  %s", trial, i, first[i], paths[i])
 			}
 		}
-	}
-
-	// An explicit zero-equivalent limit set behaves exactly like defaults.
-	e := sparse.NewEngine(g)
-	e.Limits = sparse.Limits{MaxPathsPerSource: 8, MaxPathLen: 512,
-		MaxStepsPerSource: 200_000, MaxCallDepth: 64}
-	if got := len(e.Run(spec)); got != 8 {
-		t.Errorf("explicit defaults: got %d candidates, want 8", got)
-	}
-
-	// Tighter per-source path budget truncates to exactly that budget.
-	e2 := sparse.NewEngine(g)
-	e2.Limits = sparse.Limits{MaxPathsPerSource: 3}
-	if got := len(e2.Run(spec)); got != 3 {
-		t.Errorf("MaxPathsPerSource=3: got %d candidates", got)
-	}
-
-	// A call-depth cap below the chain depth finds no complete flow, but
-	// enumeration still terminates cleanly.
-	e3 := sparse.NewEngine(g)
-	e3.Limits = sparse.Limits{MaxCallDepth: 3}
-	if got := len(e3.Run(spec)); got != 0 {
-		t.Errorf("MaxCallDepth=3: got %d candidates, want 0", got)
 	}
 }
 
