@@ -292,7 +292,7 @@ func BenchmarkProbe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
-			solver.Probe(context.Background(), q.Phi, 32)
+			solver.Probe(context.Background(), q.B, q.Phi, 32)
 		}
 	}
 }

@@ -93,7 +93,8 @@ func TestPhaseCancellationLatency(t *testing.T) {
 		run  func(ctx context.Context)
 	}{
 		{"probe", func(ctx context.Context) {
-			solver.Probe(ctx, condition(smt.NewBuilder(), g, big), 32)
+			b := smt.NewBuilder()
+			solver.Probe(ctx, b, condition(b, g, big), 32)
 		}},
 		{"preprocess", func(ctx context.Context) {
 			b := smt.NewBuilder()

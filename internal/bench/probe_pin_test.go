@@ -25,7 +25,7 @@ const probePinDigest = "5fe7aafc2199ce6962e797157d6dd23ec086f4c644ee29def4908d75
 func probeDigest(qs []CorpusQuery) (digest string, sat int) {
 	h := sha256.New()
 	for i, q := range qs {
-		m, ok := solver.Probe(context.Background(), q.Phi, 32)
+		m, ok := solver.Probe(context.Background(), q.B, q.Phi, 32)
 		fmt.Fprintf(h, "# %d %v\n", i, ok)
 		if ok {
 			sat++

@@ -85,7 +85,7 @@ func TestSessionWarmVsColdCorpus(t *testing.T) {
 // paper's 10-second limit. Unknown when the search runs out of budget;
 // searched reports that the SAT core ran.
 func bareSolve(b *smt.Builder, phi *smt.Term) (st sat.Status, searched bool) {
-	if _, ok := solver.Probe(context.Background(), phi, 32); ok {
+	if _, ok := solver.Probe(context.Background(), b, phi, 32); ok {
 		return sat.Sat, false
 	}
 	phi = smt.Preprocess(context.Background(), b, phi, smt.DefaultPasses())

@@ -24,7 +24,7 @@ type Blaster struct {
 	// bits caches the literal vector (LSB first) of every blasted term.
 	bits map[*smt.Term][]sat.Lit
 	// gates structurally hashes AND/XOR gates.
-	gates map[gateKey]sat.Lit
+	gates gateTable
 	// acts maps an asserted query root to its activation literal, so a
 	// repeated identical query reuses the existing guard clause.
 	acts  map[*smt.Term]sat.Lit
@@ -66,19 +66,13 @@ func (b *Blaster) guarded(fn func()) (err error) {
 	return nil
 }
 
-type gateKey struct {
-	op   byte // 'a' and, 'x' xor
-	a, b sat.Lit
-}
-
 // New returns a Blaster over the given solver. It allocates one variable
 // pinned to true for constant literals.
 func New(s *sat.Solver) *Blaster {
 	b := &Blaster{
-		S:     s,
-		bits:  map[*smt.Term][]sat.Lit{},
-		gates: map[gateKey]sat.Lit{},
-		acts:  map[*smt.Term]sat.Lit{},
+		S:    s,
+		bits: map[*smt.Term][]sat.Lit{},
+		acts: map[*smt.Term]sat.Lit{},
 	}
 	v := s.NewVar()
 	b.lTrue = sat.MkLit(v, false)
@@ -115,14 +109,15 @@ func (b *Blaster) and2(x, y sat.Lit) sat.Lit {
 	if x > y {
 		x, y = y, x
 	}
-	if g, ok := b.gates[gateKey{'a', x, y}]; ok {
+	k := gateKey(gateAnd, x, y)
+	if g, ok := b.gates.get(k); ok {
 		return g
 	}
 	g := b.fresh()
 	b.S.AddClause(g.Flip(), x)
 	b.S.AddClause(g.Flip(), y)
 	b.S.AddClause(g, x.Flip(), y.Flip())
-	b.gates[gateKey{'a', x, y}] = g
+	b.gates.put(k, g)
 	return g
 }
 
@@ -159,14 +154,15 @@ func (b *Blaster) xor2(x, y sat.Lit) sat.Lit {
 	if x > y {
 		x, y = y, x
 	}
-	g, ok := b.gates[gateKey{'x', x, y}]
+	k := gateKey(gateXor, x, y)
+	g, ok := b.gates.get(k)
 	if !ok {
 		g = b.fresh()
 		b.S.AddClause(g.Flip(), x, y)
 		b.S.AddClause(g.Flip(), x.Flip(), y.Flip())
 		b.S.AddClause(g, x.Flip(), y)
 		b.S.AddClause(g, x, y.Flip())
-		b.gates[gateKey{'x', x, y}] = g
+		b.gates.put(k, g)
 	}
 	if flip {
 		return g.Flip()

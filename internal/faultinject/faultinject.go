@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -114,8 +113,8 @@ func Enabled() bool {
 	return len(armed) > 0
 }
 
-// Armed reports whether point would fire for unit.
-func Armed(point, unit string) bool {
+// armedFor reports whether point would fire for unit.
+func armedFor(point, unit string) bool {
 	mu.RLock()
 	defer mu.RUnlock()
 	for _, match := range armed[point] {
@@ -129,14 +128,14 @@ func Armed(point, unit string) bool {
 // Fire panics with a Fault if point is armed for unit; otherwise it is
 // a no-op. Place it at the top of the contained region for the stage.
 func Fire(point, unit string) {
-	if Armed(point, unit) {
+	if armedFor(point, unit) {
 		panic(Fault{Point: point, Unit: unit})
 	}
 }
 
 // Exhaust reports whether an artificial solver-budget exhaustion is
 // armed for unit (point "solver.exhaust").
-func Exhaust(unit string) bool { return Armed("solver.exhaust", unit) }
+func Exhaust(unit string) bool { return armedFor("solver.exhaust", unit) }
 
 var (
 	stallMu  sync.Mutex
@@ -159,7 +158,7 @@ func SetStallCap(d time.Duration) time.Duration {
 // solve's deadline expiring or the run being cancelled — or after the
 // safety cap, whichever comes first.
 func StallSolve(ctx context.Context, unit string) {
-	if !Armed("stall.solve", unit) {
+	if !armedFor("stall.solve", unit) {
 		return
 	}
 	stallMu.Lock()
@@ -180,28 +179,9 @@ func StallSolve(ctx context.Context, unit string) {
 // Delay sleeps for d if "cancel.delay" is armed for unit, modeling a
 // unit that keeps running for a while after cancellation was asked.
 func Delay(unit string, d time.Duration) {
-	if Armed("cancel.delay", unit) {
+	if armedFor("cancel.delay", unit) {
 		time.Sleep(d)
 	}
-}
-
-// ArmedSpec renders the currently armed points back into spec syntax,
-// sorted, for diagnostics.
-func ArmedSpec() string {
-	mu.RLock()
-	defer mu.RUnlock()
-	var entries []string
-	for point, matches := range armed {
-		for _, m := range matches {
-			if m == "" {
-				entries = append(entries, point)
-			} else {
-				entries = append(entries, point+":"+m)
-			}
-		}
-	}
-	sort.Strings(entries)
-	return strings.Join(entries, ",")
 }
 
 func validPoint(p string) bool {

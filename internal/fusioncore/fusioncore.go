@@ -215,7 +215,7 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 				return res
 			}
 			t0 := time.Now()
-			_, ok := solver.Probe(ctx, rawSt.phi, 32)
+			_, ok := solver.Probe(ctx, b, rawSt.phi, 32)
 			graphProbeTime = time.Since(t0)
 			if ok {
 				res.Status = sat.Sat

@@ -36,3 +36,23 @@ func TestAddClauseAllocs(t *testing.T) {
 	}
 	t.Logf("%.3f allocs per clause", perClause)
 }
+
+// TestNewVarAllocs: the per-variable slices, the trail and the heap grow
+// by doubling, so N variables cost O(log N) allocations: each of the
+// eleven slices moves once per doubling of N. Append's quarter-step
+// growth of a large slice would move each about three times per doubling.
+func TestNewVarAllocs(t *testing.T) {
+	newVars := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			s := New()
+			for i := 0; i < n; i++ {
+				s.NewVar()
+			}
+		})
+	}
+	small, large := newVars(1<<12), newVars(1<<16)
+	if limit := small + 12*4; large > limit {
+		t.Errorf("2^16 NewVar calls: %v allocs, want at most %v (2^12 calls: %v, plus 12 per doubling)", large, limit, small)
+	}
+	t.Logf("2^12 variables: %v allocs, 2^16: %v", small, large)
+}

@@ -213,6 +213,9 @@ func (s *Solver) Stats() Stats {
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assigns)
+	if v == cap(s.assigns) {
+		s.reserveVars(max(2*v, minRoom))
+	}
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
@@ -223,6 +226,44 @@ func (s *Solver) NewVar() int {
 	s.stamp = append(s.stamp, 0, 0)
 	s.order.push(v)
 	return v
+}
+
+// minRoom is the capacity a growing slice of the solver starts from.
+const minRoom = 16
+
+// reserveVars moves every per-variable slice, and the trail and the heap,
+// which never hold more entries than there are variables, to room for n
+// variables. NewVar doubles n, so N variables cost O(log N) allocations
+// per slice: append would grow a large slice by about a quarter at a
+// time, copying and zeroing it several times over.
+func (s *Solver) reserveVars(n int) {
+	s.assigns = withCap(s.assigns, n)
+	s.level = withCap(s.level, n)
+	s.reason = withCap(s.reason, n)
+	s.activity = withCap(s.activity, n)
+	s.phase = withCap(s.phase, n)
+	s.seen = withCap(s.seen, n)
+	s.watches = withCap(s.watches, 2*n)
+	s.stamp = withCap(s.stamp, 2*n)
+	s.trail = withCap(s.trail, n)
+	s.order.items = withCap(s.order.items, n)
+	s.order.pos = withCap(s.order.pos, n)
+}
+
+// withCap returns xs moved to a slice of capacity n >= len(xs).
+func withCap[T any](xs []T, n int) []T {
+	out := make([]T, len(xs), n)
+	copy(out, xs)
+	return out
+}
+
+// grow returns xs with room for k more elements, doubling its capacity
+// when it must move (see reserveVars).
+func grow[T any](xs []T, k int) []T {
+	if len(xs)+k <= cap(xs) {
+		return xs
+	}
+	return withCap(xs, max(2*cap(xs), len(xs)+k, minRoom))
 }
 
 func (s *Solver) value(l Lit) lbool {
@@ -299,7 +340,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return true
 	}
 	c := s.newClause(out)
-	s.clauses = append(s.clauses, c)
+	s.clauses = append(grow(s.clauses, 1), c)
 	s.attach(c)
 	return true
 }
@@ -309,8 +350,8 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // neither kind costs an allocation of its own.
 func (s *Solver) newClause(lits []Lit) cref {
 	c := cref(len(s.headers))
-	s.headers = append(s.headers, clause{start: uint32(len(s.arena)), size: uint32(len(lits))})
-	s.arena = append(s.arena, lits...)
+	s.headers = append(grow(s.headers, 1), clause{start: uint32(len(s.arena)), size: uint32(len(lits))})
+	s.arena = append(grow(s.arena, len(lits)), lits...)
 	return c
 }
 
@@ -348,11 +389,11 @@ func (s *Solver) watch(lit Lit, c cref) {
 }
 
 // compactPool copies every watch list, with its room, into a new pool
-// with space for need more entries and half as much again, leaving the
-// entries moved lists left behind. Lists keep their order and length.
+// with twice the space the lists and need more entries take, leaving out
+// the entries moved lists left behind. Lists keep their order and length.
 func (s *Solver) compactPool(need int) {
 	live := len(s.pool) - s.poolWaste
-	pool := make([]cref, 0, max((live+need)*3/2, 1024))
+	pool := make([]cref, 0, max(2*(live+need), 1024))
 	for i := range s.watches {
 		w := &s.watches[i]
 		off := uint32(len(pool))
@@ -555,7 +596,7 @@ func (s *Solver) cancelUntil(level int) {
 		s.phase[v] = s.assigns[v]
 		s.assigns[v] = lUndef
 		s.reason[v] = crefUndef
-		s.order.pushIfAbsent(v)
+		s.order.push(v)
 	}
 	s.trail = s.trail[:s.trailLim[level]]
 	s.trailLim = s.trailLim[:level]
@@ -587,14 +628,14 @@ func luby(i int64) int64 {
 	}
 }
 
-// reduceDB removes half of the learnt clauses with the lowest activity,
-// and compacts the arena once more than half of it is garbage.
+// reduceDB deletes every learned clause whose activity is below the mean
+// activity of the learned clauses, unless it is a reason or binary, and
+// compacts the arena once more than half of it is garbage.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 100 {
 		return
 	}
-	// Partial selection: keep clauses that are reasons or highly active.
-	lim := medianActivity(s.headers, s.learnts)
+	lim := meanActivity(s.headers, s.learnts)
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
 		if h := &s.headers[c]; s.isReason(c) || h.activity >= lim || h.size <= 2 {
@@ -611,7 +652,7 @@ func (s *Solver) reduceDB() {
 	}
 }
 
-func medianActivity(headers []clause, cs []cref) float64 {
+func meanActivity(headers []clause, cs []cref) float64 {
 	if len(cs) == 0 {
 		return 0
 	}
@@ -761,7 +802,7 @@ func (s *Solver) search(restartBudget int64, conflictsAtStart int64) (Status, er
 				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
 				c := s.newClause(learnt)
-				s.learnts = append(s.learnts, c)
+				s.learnts = append(grow(s.learnts, 1), c)
 				s.attach(c)
 				s.bumpClause(c)
 				s.uncheckedEnqueue(learnt[0], c)
@@ -910,8 +951,6 @@ func (h *varHeap) push(v int) {
 	h.pos[v] = int32(len(h.items) - 1)
 	h.up(len(h.items) - 1)
 }
-
-func (h *varHeap) pushIfAbsent(v int) { h.push(v) }
 
 func (h *varHeap) pop() (int, bool) {
 	if len(h.items) == 0 {

@@ -10,129 +10,227 @@ import "fmt"
 // span of instructions allocates nothing. The arithmetic is Eval's — foldBinary and mask — so a Program
 // and Eval agree on every node under every assignment.
 //
+// Slots are numbered in that post-order, so a walk over 0..Len()-1 meets
+// every node after its arguments. After compilation a Program holds no
+// term but its variables: callers read the DAG's shape off the slots
+// (Op, Width, Args, Const, Input) without a term-keyed lookup.
+//
 // Run reads the variables from a separate inputs array: in[i] holds the
 // raw value of Vars()[i], which the variable's instruction masks to its
 // width on read, exactly as Eval reads a[t].
 type Program struct {
-	code   []instr
-	args   []int32 // n-ary operand slots, indexed by instr.a/instr.b
-	slot   map[*Term]int32
-	input  map[*Term]int32 // a variable's index in vars
+	code []instr
+	// args holds And and Or operand slots, indexed by instr.x[0:2].
+	args []int32
+	// at maps a slot to its instruction in code, or a constant's slot k
+	// to -1-k, its entry in consts.
+	at     []int32
 	vars   []*Term
 	consts []constSlot
-	nslots int32
+	roots  []int32
 	all    Span
 	mark   []uint32 // per-slot visit stamps for Span
 	stamp  uint32
 }
 
-// instr computes one node: vals[dst] = op(vals[a], vals[b], vals[c]). For
-// a variable, a indexes the inputs; for And and Or, args[a:b] are the
-// operands.
+// instr computes one node: vals[dst] = op(vals[x[0]], vals[x[1]],
+// vals[x[2]]). For a variable, x[0] indexes the inputs; for And and Or,
+// args[x[0]:x[1]] are the operands.
 type instr struct {
-	op      uint8 // an Op
-	w, aw   uint8 // result width; first operand's width (foldBinary's w)
-	dst     int32
-	a, b, c int32
+	op    uint8 // an Op
+	w, aw uint8 // result width; first operand's width (foldBinary's w)
+	dst   int32
+	x     [3]int32
 }
 
-// constSlot is a constant node's slot and value.
+// constSlot is a constant node's slot, value and width.
 type constSlot struct {
 	slot int32
 	v    uint32
+	w    uint8
 }
 
 // Span is a contiguous run of a Program's instructions.
 type Span struct{ lo, hi int32 }
 
-// Compile compiles the DAG under roots. Its full pass, All, evaluates every
-// node of it.
-func Compile(roots ...*Term) *Program {
-	p := &Program{slot: map[*Term]int32{}, input: map[*Term]int32{}}
-	var visit func(t *Term)
-	visit = func(t *Term) {
-		if _, ok := p.slot[t]; ok {
-			return
-		}
-		for _, a := range t.Args {
-			visit(a)
-		}
-		s := p.nslots
-		p.nslots++
-		p.slot[t] = s
-		switch t.Op {
-		case OpConst:
-			p.consts = append(p.consts, constSlot{s, t.Const})
-			return
-		case OpVar:
-			p.input[t] = int32(len(p.vars))
-			p.vars = append(p.vars, t)
-		}
-		p.emit(t, s)
-	}
+// Compile compiles the DAG under roots, which must be terms of b; Root(i)
+// is roots[i]'s slot. Its full pass, All, evaluates every node of it. The
+// term-to-slot map lives in one of b's scratch tables for the length of
+// the call, and the Program's slices are sized by a counting walk first,
+// so compiling costs a fixed number of allocations whatever the DAG's size.
+func (b *Builder) Compile(roots ...*Term) *Program {
+	top := 0
 	for _, r := range roots {
-		visit(r)
+		top = max(top, r.ID)
 	}
+	s := b.take(top + 1)
+	var sh dagShape
+	for _, r := range roots {
+		sh.count(s, r)
+	}
+	b.give(s)
+	p := &Program{
+		// The full pass, and room for spans as long again.
+		code:   make([]instr, 0, 2*(sh.nodes-sh.consts)),
+		args:   make([]int32, 0, sh.nary),
+		at:     make([]int32, 0, sh.nodes),
+		vars:   make([]*Term, 0, sh.vars),
+		consts: make([]constSlot, 0, sh.consts),
+		roots:  make([]int32, len(roots)),
+	}
+	c := compiler{p: p, s: b.take(top + 1).withCounts()}
+	for i, r := range roots {
+		p.roots[i] = c.visit(r)
+	}
+	b.give(c.s)
 	p.all = Span{0, int32(len(p.code))}
-	p.mark = make([]uint32, p.nslots)
 	return p
 }
 
-// emit appends the instruction computing t into slot s; t's operands
-// must already have slots.
-func (p *Program) emit(t *Term, s int32) {
-	in := instr{op: uint8(t.Op), w: uint8(t.Width), dst: s}
+// dagShape counts what a Program of a DAG holds: its distinct nodes,
+// constants and variables, and the operands of its And and Or nodes.
+type dagShape struct{ nodes, consts, vars, nary int }
+
+func (sh *dagShape) count(s *scratch, t *Term) {
+	if !s.mark(t.ID) {
+		return
+	}
+	sh.nodes++
+	switch t.Op {
+	case OpConst:
+		sh.consts++
+	case OpVar:
+		sh.vars++
+	case OpAnd, OpOr:
+		sh.nary += len(t.Args)
+	}
+	for _, a := range t.Args {
+		sh.count(s, a)
+	}
+}
+
+// compiler is one Compile walk: s marks the visited terms and maps each
+// to its slot by ID.
+type compiler struct {
+	p *Program
+	s *scratch
+}
+
+// visit compiles t after its arguments and returns its slot.
+func (c *compiler) visit(t *Term) int32 {
+	if !c.s.mark(t.ID) {
+		return c.s.count[t.ID]
+	}
+	for _, a := range t.Args {
+		c.visit(a)
+	}
+	p := c.p
+	slot := int32(len(p.at))
+	c.s.count[t.ID] = slot
+	if t.Op == OpConst {
+		p.at = append(p.at, -1-int32(len(p.consts)))
+		p.consts = append(p.consts, constSlot{slot, t.Const, uint8(t.Width)})
+		return slot
+	}
+	p.at = append(p.at, int32(len(p.code)))
+	in := instr{op: uint8(t.Op), w: uint8(t.Width), dst: slot}
 	switch t.Op {
 	case OpVar:
-		in.a = p.input[t]
+		in.x[0] = int32(len(p.vars))
+		p.vars = append(p.vars, t)
 	case OpAnd, OpOr:
-		in.a = int32(len(p.args))
-		for _, x := range t.Args {
-			p.args = append(p.args, p.slot[x])
+		in.x[0] = int32(len(p.args))
+		for _, a := range t.Args {
+			p.args = append(p.args, c.s.count[a.ID])
 		}
-		in.b = int32(len(p.args))
+		in.x[1] = int32(len(p.args))
 	case OpNot, OpNeg:
-		in.a = p.slot[t.Args[0]]
+		in.x[0] = c.s.count[t.Args[0].ID]
 	case OpIte:
-		in.a, in.b, in.c = p.slot[t.Args[0]], p.slot[t.Args[1]], p.slot[t.Args[2]]
+		for i, a := range t.Args {
+			in.x[i] = c.s.count[a.ID]
+		}
 	default:
 		if _, ok := foldBinary(t.Op, 0, 0, t.Args[0].Width); !ok {
 			panic(fmt.Sprintf("smt: compile: unhandled operator %s", t.Op))
 		}
 		in.aw = uint8(t.Args[0].Width)
-		in.a, in.b = p.slot[t.Args[0]], p.slot[t.Args[1]]
+		in.x[0], in.x[1] = c.s.count[t.Args[0].ID], c.s.count[t.Args[1].ID]
 	}
 	p.code = append(p.code, in)
+	return slot
+}
+
+// Len returns the number of slots; slots are numbered in post-order.
+func (p *Program) Len() int { return len(p.at) }
+
+// Root returns the slot of the i-th root passed to Compile.
+func (p *Program) Root(i int) int32 { return p.roots[i] }
+
+// Op returns the operator of slot s's node.
+func (p *Program) Op(s int32) Op {
+	if k := p.at[s]; k >= 0 {
+		return Op(p.code[k].op)
+	}
+	return OpConst
+}
+
+// Width returns the width of slot s's node.
+func (p *Program) Width(s int32) int {
+	if k := p.at[s]; k >= 0 {
+		return int(p.code[k].w)
+	}
+	return int(p.consts[-1-p.at[s]].w)
+}
+
+// Const returns the value of constant slot s.
+func (p *Program) Const(s int32) uint32 {
+	k := p.at[s]
+	if k >= 0 {
+		panic(fmt.Sprintf("smt: slot %d is not a constant", s))
+	}
+	return p.consts[-1-k].v
+}
+
+// Input returns variable slot s's index in Vars().
+func (p *Program) Input(s int32) int32 {
+	k := p.at[s]
+	if k < 0 || Op(p.code[k].op) != OpVar {
+		panic(fmt.Sprintf("smt: slot %d is not a variable", s))
+	}
+	return p.code[k].x[0]
+}
+
+// Args returns the slots of slot s's operands, in the term's argument
+// order; constants and variables have none. The slice belongs to the
+// Program and must not be modified.
+func (p *Program) Args(s int32) []int32 {
+	k := p.at[s]
+	if k < 0 {
+		return nil
+	}
+	in := &p.code[k]
+	switch Op(in.op) {
+	case OpVar:
+		return nil
+	case OpAnd, OpOr:
+		return p.args[in.x[0]:in.x[1]]
+	case OpNot, OpNeg:
+		return in.x[:1]
+	case OpIte:
+		return in.x[:3]
+	}
+	return in.x[:2]
 }
 
 // Vars returns the compiled DAG's free variables in first-occurrence
 // order; Run reads Vars()[i]'s raw value from in[i].
 func (p *Program) Vars() []*Term { return p.vars }
 
-// Input returns variable v's index in Vars(); v must be a variable of
-// the compiled DAG.
-func (p *Program) Input(v *Term) int32 {
-	i, ok := p.input[v]
-	if !ok {
-		panic(fmt.Sprintf("smt: %s is not a variable of the compiled DAG", v.Name))
-	}
-	return i
-}
-
-// Slot returns the slot holding t's value; t must be a node of the
-// compiled DAG.
-func (p *Program) Slot(t *Term) int32 {
-	s, ok := p.slot[t]
-	if !ok {
-		panic(fmt.Sprintf("smt: term %d is not in the compiled DAG", t.ID))
-	}
-	return s
-}
-
 // Slots returns a fresh slot array with the constants written; Run never
 // overwrites them.
 func (p *Program) Slots() []uint32 {
-	vals := make([]uint32, p.nslots)
+	vals := make([]uint32, len(p.at))
 	for _, c := range p.consts {
 		vals[c.slot] = c.v
 	}
@@ -142,28 +240,32 @@ func (p *Program) Slots() []uint32 {
 // All returns the span that evaluates every node of the compiled DAG.
 func (p *Program) All() Span { return p.all }
 
-// Span appends a re-evaluation of the sub-DAGs under roots, which must be
-// nodes of the compiled DAG, and returns it: running it refreshes exactly
-// the slots of those sub-DAGs from the current inputs.
-func (p *Program) Span(roots ...*Term) Span {
+// Span appends a re-evaluation of the sub-DAGs under the given slots and
+// returns it: running it refreshes exactly the slots of those sub-DAGs
+// from the current inputs. Its instructions are copies of the full
+// pass's, in the same post-order.
+func (p *Program) Span(roots ...int32) Span {
+	if p.mark == nil {
+		p.mark = make([]uint32, len(p.at))
+	}
 	p.stamp++
 	lo := int32(len(p.code))
-	var visit func(t *Term)
-	visit = func(t *Term) {
-		s := p.Slot(t)
-		if p.mark[s] == p.stamp || t.Op == OpConst {
-			return
-		}
-		p.mark[s] = p.stamp
-		for _, a := range t.Args {
-			visit(a)
-		}
-		p.emit(t, s)
-	}
 	for _, r := range roots {
-		visit(r)
+		p.respan(r)
 	}
 	return Span{lo, int32(len(p.code))}
+}
+
+func (p *Program) respan(s int32) {
+	k := p.at[s]
+	if k < 0 || p.mark[s] == p.stamp {
+		return
+	}
+	p.mark[s] = p.stamp
+	for _, a := range p.Args(s) {
+		p.respan(a)
+	}
+	p.code = append(p.code, p.code[k])
 }
 
 // Run executes span s over vals, which Slots allocated, reading the
@@ -175,28 +277,28 @@ func (p *Program) Run(in, vals []uint32, s Span) {
 		var v uint32
 		switch Op(ins.op) {
 		case OpVar:
-			v = mask(in[ins.a], int(ins.w))
+			v = mask(in[ins.x[0]], int(ins.w))
 		case OpNot:
-			v = mask(^vals[ins.a], int(ins.w))
+			v = mask(^vals[ins.x[0]], int(ins.w))
 		case OpNeg:
-			v = mask(-vals[ins.a], int(ins.w))
+			v = mask(-vals[ins.x[0]], int(ins.w))
 		case OpAnd:
 			v = mask(^uint32(0), int(ins.w))
-			for _, x := range p.args[ins.a:ins.b] {
+			for _, x := range p.args[ins.x[0]:ins.x[1]] {
 				v &= vals[x]
 			}
 		case OpOr:
-			for _, x := range p.args[ins.a:ins.b] {
+			for _, x := range p.args[ins.x[0]:ins.x[1]] {
 				v |= vals[x]
 			}
 		case OpIte:
-			if vals[ins.a] == 1 {
-				v = vals[ins.b]
+			if vals[ins.x[0]] == 1 {
+				v = vals[ins.x[1]]
 			} else {
-				v = vals[ins.c]
+				v = vals[ins.x[2]]
 			}
 		default:
-			v, _ = foldBinary(Op(ins.op), vals[ins.a], vals[ins.b], int(ins.aw))
+			v, _ = foldBinary(Op(ins.op), vals[ins.x[0]], vals[ins.x[1]], int(ins.aw))
 		}
 		vals[ins.dst] = v
 	}

@@ -106,6 +106,76 @@ func subterms(roots ...*smt.Term) []*smt.Term {
 	return out
 }
 
+// compileAll compiles the DAG under roots with every node of it as a
+// further root, and returns the Program and each node's slot.
+func compileAll(b *smt.Builder, roots []*smt.Term) (*smt.Program, map[*smt.Term]int32) {
+	nodes := subterms(roots...)
+	p := b.Compile(append(append([]*smt.Term{}, roots...), nodes...)...)
+	slot := map[*smt.Term]int32{}
+	for j, n := range nodes {
+		slot[n] = p.Root(len(roots) + j)
+	}
+	return p, slot
+}
+
+// TestProgramShapeMatchesTerms: the slots describe the compiled DAG
+// exactly. Every node has its own slot, numbered after its arguments'
+// (post-order), with the term's operator, width, operand slots in
+// argument order, constant value or variable index, and the roots passed
+// as the only roots compile to the same program as with every node added.
+func TestProgramShapeMatchesTerms(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for iter := 0; iter < 200; iter++ {
+		g := &termGen{b: smt.NewBuilder(), rng: rng, vars: map[int][]*smt.Term{}}
+		for _, w := range genWidths {
+			for i := 0; i < 3; i++ {
+				g.vars[w] = append(g.vars[w], g.b.Var(fmt.Sprintf("v%d_%d", w, i), w))
+			}
+		}
+		var roots []*smt.Term
+		for i := 0; i < 3; i++ {
+			roots = append(roots, g.term(genWidths[rng.Intn(len(genWidths))], 5))
+		}
+		p, slot := compileAll(g.b, roots)
+		if p.Len() != len(slot) {
+			t.Fatalf("iter %d: %d slots for %d nodes", iter, p.Len(), len(slot))
+		}
+		bare := g.b.Compile(roots...)
+		if bare.Len() != p.Len() || len(bare.Vars()) != len(p.Vars()) {
+			t.Fatalf("iter %d: extra roots changed the program", iter)
+		}
+		for i := range roots {
+			if bare.Root(i) != p.Root(i) {
+				t.Fatalf("iter %d: root %d at slot %d alone, %d with every node", iter, i, bare.Root(i), p.Root(i))
+			}
+		}
+		for n, s := range slot {
+			if p.Op(s) != n.Op || p.Width(s) != n.Width {
+				t.Fatalf("iter %d: slot %d is %s/%d, term %v", iter, s, p.Op(s), p.Width(s), n)
+			}
+			switch n.Op {
+			case smt.OpConst:
+				if p.Const(s) != n.Const {
+					t.Fatalf("iter %d: constant slot %d holds %#x, term %v", iter, s, p.Const(s), n)
+				}
+			case smt.OpVar:
+				if v := p.Vars()[p.Input(s)]; v != n {
+					t.Fatalf("iter %d: variable slot %d reads %v, term %v", iter, s, v, n)
+				}
+			}
+			args := p.Args(s)
+			if len(args) != len(n.Args) {
+				t.Fatalf("iter %d: slot %d has %d operands, term %v", iter, s, len(args), n)
+			}
+			for i, a := range n.Args {
+				if args[i] != slot[a] || args[i] >= s {
+					t.Fatalf("iter %d: operand %d of slot %d is slot %d, want %d below it", iter, i, s, args[i], slot[a])
+				}
+			}
+		}
+	}
+}
+
 // TestProgramMatchesEval is the differential test of the compiled
 // evaluator against the reference interpreter: on random terms over every
 // operator, under random raw assignments (some variables left unassigned),
@@ -126,10 +196,10 @@ func TestProgramMatchesEval(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			roots = append(roots, g.term(genWidths[rng.Intn(len(genWidths))], 5))
 		}
-		p := smt.Compile(roots...)
+		p, slot := compileAll(g.b, roots)
 		spans := make([]smt.Span, len(roots))
-		for i, r := range roots {
-			spans[i] = p.Span(r)
+		for i := range roots {
+			spans[i] = p.Span(p.Root(i))
 		}
 		in, vals := make([]uint32, len(p.Vars())), p.Slots()
 		assign := func() smt.Assignment {
@@ -147,7 +217,7 @@ func TestProgramMatchesEval(t *testing.T) {
 			t.Helper()
 			for _, n := range nodes {
 				seen[n.Op] = true
-				if got, want := vals[p.Slot(n)], smt.Eval(n, asg); got != want {
+				if got, want := vals[slot[n]], smt.Eval(n, asg); got != want {
 					t.Fatalf("iter %d, %s: %v = %#x compiled, %#x by Eval", iter, what, n, got, want)
 				}
 			}

@@ -75,7 +75,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	}
 	if !opts.NoProbe && !phi.IsConst() {
 		t0 := time.Now()
-		m, ok := Probe(opts.Ctx, phi, 32)
+		m, ok := Probe(opts.Ctx, ss.b, phi, 32)
 		res.ProbeTime = time.Since(t0)
 		if ok {
 			res.Status = sat.Sat
