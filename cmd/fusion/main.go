@@ -7,8 +7,8 @@
 //	       [-absint on|nostride|nosimplify|intervals|off]
 //	       [-paths] [-joint] [-dot]
 //	       [-workers N] [-timeout D] [-no-prelude]
-//	       [-fail-fast] [-budget-steps N] [-budget-conflicts N]
-//	       [-budget-deadline D] [-budget-heap N]
+//	       [-fail-fast] [-budget-steps N] [-budget-deadline D]
+//	       [-budget-heap N]
 //	       [-metrics FILE] [-trace FILE] [-pprof-addr ADDR] file.fl
 //
 // Engines: fusion (default), fusion-unopt, pinpoint, pinpoint+qe,
@@ -16,8 +16,8 @@
 //
 // Exit status: 0 = analysis completed with no findings; 1 = analysis
 // completed and reported findings; 2 = the run was impaired — a unit
-// failed (contained crash), a verdict degraded to a cheaper tier, or the
-// input could not be analyzed at all.
+// failed (contained crash), a candidate exhausted its budget and was left
+// undecided, or the input could not be analyzed at all.
 package main
 
 import (
@@ -50,8 +50,7 @@ func main() {
 	workers := flag.Int("workers", 1, "worker count for enumeration and checking (output is identical for any count)")
 	timeout := flag.Duration("timeout", 0, "overall analysis budget; on expiry remaining candidates are reported as undecided (0 = none; must be >= 0)")
 	failFast := flag.Bool("fail-fast", false, "stop at the first contained unit failure instead of completing the batch")
-	budgetSteps := flag.Int64("budget-steps", 0, "per-candidate SAT decision budget; on exhaustion the verdict degrades to the zone/interval tiers (0 = unbounded; must be >= 0)")
-	budgetConflicts := flag.Int64("budget-conflicts", 0, "per-candidate SAT conflict budget (0 = unbounded; must be >= 0)")
+	budgetSteps := flag.Int64("budget-steps", 0, "per-candidate SAT decision budget; a candidate that exhausts it is reported undecided (0 = unbounded; must be >= 0)")
 	budgetDeadline := flag.Duration("budget-deadline", 0, "per-candidate wall-clock budget; every solve phase stops within a bounded interval of it (0 = none; must be >= 0)")
 	budgetHeap := flag.Int64("budget-heap", 0, "per-candidate formula-construction byte budget (0 = unbounded; must be >= 0)")
 	metrics := flag.String("metrics", "", "write a stable-ordered JSON metrics snapshot (counters, sched, wall_ns) to this file")
@@ -79,8 +78,8 @@ func main() {
 		workers: *workers, timeout: *timeout,
 		failFast: *failFast,
 		budget: engines.Budget{
-			Steps: *budgetSteps, Conflicts: *budgetConflicts,
-			Deadline: *budgetDeadline, MaxHeapDelta: *budgetHeap,
+			Steps: *budgetSteps, Deadline: *budgetDeadline,
+			MaxHeapDelta: *budgetHeap,
 		},
 		out: os.Stdout,
 	}
@@ -205,8 +204,6 @@ func checkNonNegative(cfg config) error {
 		return fmt.Errorf("-timeout must be >= 0, got %v", cfg.timeout)
 	case b.Steps < 0:
 		return fmt.Errorf("-budget-steps must be >= 0, got %d", b.Steps)
-	case b.Conflicts < 0:
-		return fmt.Errorf("-budget-conflicts must be >= 0, got %d", b.Conflicts)
 	case b.Deadline < 0:
 		return fmt.Errorf("-budget-deadline must be >= 0, got %v", b.Deadline)
 	case b.MaxHeapDelta < 0:
@@ -310,15 +307,10 @@ specs:
 				if cfg.showPaths {
 					fmt.Fprintf(cfg.out, "    path: %s\n", v.Cand.Path)
 				}
-			case sat.Unsat:
-				if v.Degraded {
-					fmt.Fprintf(cfg.out, "[%s] refuted at degraded %s tier after budget exhaustion: %s\n",
-						spec.Name, v.Tier, v.Cand.Path)
-				}
 			case sat.Unknown:
 				note := ""
 				if v.Degraded {
-					note = " (budget exhausted; degraded tiers could not refute)"
+					note = " (budget exhausted)"
 				}
 				fmt.Fprintf(cfg.out, "[%s] undecided within budget%s: %s\n", spec.Name, note, v.Cand.Path)
 			}

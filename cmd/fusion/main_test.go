@@ -149,11 +149,10 @@ func TestRunErrors(t *testing.T) {
 	// A negative budget or timeout is a usage error (exit 2): it used to
 	// mean "unbounded".
 	for flag, cfg := range map[string]config{
-		"-timeout":          {timeout: -time.Second},
-		"-budget-steps":     {budget: engines.Budget{Steps: -1}},
-		"-budget-conflicts": {budget: engines.Budget{Conflicts: -1}},
-		"-budget-deadline":  {budget: engines.Budget{Deadline: -time.Second}},
-		"-budget-heap":      {budget: engines.Budget{MaxHeapDelta: -1}},
+		"-timeout":         {timeout: -time.Second},
+		"-budget-steps":    {budget: engines.Budget{Steps: -1}},
+		"-budget-deadline": {budget: engines.Budget{Deadline: -time.Second}},
+		"-budget-heap":     {budget: engines.Budget{MaxHeapDelta: -1}},
 	} {
 		cfg.path, cfg.checker, cfg.engine, cfg.prelude, cfg.out = path, "null-deref", "fusion", true, &bytes.Buffer{}
 		if _, err := run(cfg); err == nil || !strings.Contains(err.Error(), flag) {
@@ -377,8 +376,8 @@ func TestRunFailFast(t *testing.T) {
 }
 
 // TestRunBudgetDegradation drives the CLI budget flags: a one-step SAT
-// budget exhausts the bit-precise tier and the output reports the
-// degraded-tier refutation and exit code 2.
+// budget exhausts the bit-precise tier, and the output reports the
+// candidate undecided with the exhausted budget, and exit code 2.
 func TestRunBudgetDegradation(t *testing.T) {
 	path := writeTemp(t, `
 fun f(a: int) {
@@ -403,7 +402,7 @@ fun f(a: int) {
 		t.Fatalf("degradation must not be a unit failure: %+v", res.failures)
 	}
 	s := out.String()
-	if !strings.Contains(s, "budget exhausted") && !strings.Contains(s, "budget exhaustion") {
+	if !strings.Contains(s, "] undecided within budget (budget exhausted): ") {
 		t.Errorf("output does not mention the exhausted budget:\n%s", s)
 	}
 	if !strings.Contains(s, "verdict(s) degraded after budget exhaustion") {

@@ -1,16 +1,15 @@
 // Faulttolerance: demonstrate the fault-isolated pipeline. One analysis
 // batch survives a forced mid-check crash (the crash becomes a structured
 // unit failure on its verdict slot), and a one-decision SAT budget shows
-// the degradation ladder refuting a guard at the cheaper zone/interval
-// tiers instead of giving up. Both behaviors are byte-identical for any
-// worker count.
+// what exhaustion leaves: a guard the engine's own abstract tier refutes
+// is still refuted, and the one that needed search is an Unknown tagged
+// degraded. Both behaviors are byte-identical for any worker count.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"fusion/internal/checker"
 	"fusion/internal/driver"
@@ -86,22 +85,22 @@ func main() {
 	}
 	faultinject.Reset()
 
-	// 2. Degradation ladder: an already-expired per-candidate deadline
-	// exhausts the bit-precise tier on every candidate. The contradictory
-	// guard is still refuted by the cheap zone/interval tiers; the
-	// satisfiable square-root guard stays an honest Unknown — each verdict
-	// tagged with the tier that answered.
-	fmt.Println("\n--- expired per-candidate deadline ---")
+	// 2. Budget exhaustion: a one-decision SAT budget with the engine's
+	// own abstract tier. The contradictory guard is refuted by that tier
+	// before any search; the satisfiable square-root guard needs search,
+	// exhausts the budget and ends a degraded Unknown.
+	fmt.Println("\n--- one-decision SAT budget ---")
 	p, cands = compile(budgetSrc)
 	eng = engines.NewFusion()
-	engines.SetBudget(eng, engines.Budget{Deadline: time.Nanosecond})
+	eng.Opts.Absint = p.Absint()
+	engines.SetBudget(eng, engines.Budget{Steps: 1})
 	for _, v := range eng.Check(context.Background(), p.Graph, cands) {
-		tag := ""
+		tag := fmt.Sprintf("  (%s tier)", v.Tier)
 		if v.Degraded {
-			tag = fmt.Sprintf("  (degraded to %s tier)", v.Tier)
+			tag = "  (degraded: budget exhausted)"
 		}
 		fmt.Printf("%-28s %s%s\n", engines.UnitLabel(v.Cand), v.Status, tag)
 	}
-	fmt.Println("\nThe ladder never claims Sat: a degraded verdict is either a sound")
-	fmt.Println("abstract refutation or an honest Unknown.")
+	fmt.Println("\nA degraded verdict is always Unknown: nothing decides a candidate")
+	fmt.Println("after its budget is spent.")
 }

@@ -113,13 +113,6 @@ type Cost struct {
 	// PrunedGuards is the subset that were branch conditions.
 	Simplified   int
 	PrunedGuards int
-	// Degraded counts verdicts whose bit-precise tier exhausted its
-	// budget; DegradedUnsat is the subset the fallback ladder still
-	// refuted (at the relational or interval tier). Degraded tiers are
-	// scored separately so precision comparisons stay honest about where
-	// each answer came from.
-	Degraded      int
-	DegradedUnsat int
 	// UnitFailures counts contained crashes (enumeration and checking);
 	// Failures carries their details in report order.
 	UnitFailures int
@@ -213,12 +206,6 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 			reportedLines[v.Cand.Sink.Pos.Line] = true
 		case sat.Unknown:
 			cost.Unknown++
-		}
-		if v.Degraded {
-			cost.Degraded++
-			if v.Status == sat.Unsat {
-				cost.DegradedUnsat++
-			}
 		}
 		if v.Failure != nil {
 			cost.Failures = append(cost.Failures, v.Failure)

@@ -178,10 +178,10 @@ func TestRunUnderInjectedPanic(t *testing.T) {
 }
 
 // TestRunMixedTiersUnderInjectedExhaustion: with solver-step exhaustion
-// armed, verdicts that needed the bit-precise tier degrade and are scored
-// separately, while absint-decided and preprocessed verdicts keep their
-// original tiers — the mixed-precision batch still completes and stays
-// deterministic across worker counts.
+// armed, verdicts that needed the bit-precise tier end Unknown, while
+// absint-decided and preprocessed verdicts keep their original tiers —
+// the mixed-precision batch still completes and stays deterministic
+// across worker counts.
 func TestRunMixedTiersUnderInjectedExhaustion(t *testing.T) {
 	ctx := context.Background()
 	sub, err := Compile(ctx, progen.Subjects[9], 0.05)
@@ -190,7 +190,7 @@ func TestRunMixedTiersUnderInjectedExhaustion(t *testing.T) {
 	}
 	budget := Budget{Time: time.Minute, CondBytes: 1 << 30}
 	clean := RunWorkers(ctx, sub, checker.NullDeref(), engines.NewFusion(), budget, 1)
-	if clean.Degraded != 0 || clean.UnitFailures != 0 {
+	if clean.Unknown != 0 || clean.UnitFailures != 0 {
 		t.Fatalf("clean run already impaired: %+v", clean)
 	}
 
@@ -203,8 +203,7 @@ func TestRunMixedTiersUnderInjectedExhaustion(t *testing.T) {
 	if seq.UnitFailures != 0 {
 		t.Errorf("exhaustion must degrade, not fail: %+v", seq.Failures)
 	}
-	if seq.Degraded != par.Degraded || seq.DegradedUnsat != par.DegradedUnsat ||
-		seq.Reports != par.Reports || seq.Unknown != par.Unknown {
+	if seq.Reports != par.Reports || seq.Unknown != par.Unknown {
 		t.Errorf("degradation not deterministic across workers:\nseq %+v\npar %+v", seq, par)
 	}
 	if seq.Reports > clean.Reports {

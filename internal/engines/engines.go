@@ -23,7 +23,6 @@ import (
 	"time"
 	"unsafe"
 
-	"fusion/internal/absint"
 	"fusion/internal/cond"
 	"fusion/internal/driver"
 	"fusion/internal/failure"
@@ -75,9 +74,8 @@ type Verdict struct {
 	ConditionSize int
 	// Tier is the precision tier that produced Status (see Tier).
 	Tier Tier
-	// Degraded reports the bit-precise tier exhausted its budget and
-	// Status came from the fallback ladder (or stayed Unknown when even
-	// the cheap tiers could not decide).
+	// Degraded reports the candidate exhausted its budget (see Budget):
+	// Status is then Unknown and Tier is TierUnknown.
 	Degraded bool
 	// Failure records a contained crash while checking this candidate;
 	// Status is then Unknown and every other field is zero.
@@ -129,8 +127,7 @@ func SortVerdicts(vs []Verdict) {
 
 // options renders the SAT-level part of a per-candidate budget.
 func options(b Budget) solver.Options {
-	return solver.Options{Timeout: callTimeout,
-		MaxConflicts: b.Conflicts, MaxDecisions: b.Steps}
+	return solver.Options{Timeout: callTimeout, MaxDecisions: b.Steps}
 }
 
 // --- Fusion ---
@@ -140,9 +137,9 @@ func options(b Budget) solver.Options {
 // independent, so checking parallelizes trivially — the paper runs its
 // analyses with fifteen threads.
 type Fusion struct {
-	// Budget is the per-candidate resource budget; on exhaustion inside
-	// the bit-precise tier the engine degrades to the zone-then-interval
-	// refuters instead of reporting bare Unknown.
+	// Budget is the per-candidate resource budget; a candidate that
+	// exhausts it, or the 10 s limit on each SAT call, ends a degraded
+	// Unknown.
 	Budget Budget
 	// Opts tunes the fused solver (ablations). Opts.Absint is the
 	// engine's abstract-interpretation tier, consulted before every
@@ -159,9 +156,6 @@ type Fusion struct {
 	Telemetry *telemetry.Recorder
 	mu        sync.Mutex
 	peak      int64
-	// fb is the lazily-built fallback analysis the degradation ladder
-	// consults when the engine runs without its own absint tier.
-	fb fallbackTier
 }
 
 // NewFusion returns the fused engine with default options.
@@ -172,22 +166,8 @@ func (e *Fusion) Name() string { return "fusion" }
 
 // Check implements Engine.
 func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	s := &supervised{
-		engine: e.Name(), rec: e.Telemetry,
-		attempt: e.attempt,
-		fallback: func(g *pdg.Graph) *absint.Analysis {
-			if an := e.Opts.Absint; an != nil {
-				return an
-			}
-			return e.fb.analysis(g)
-		},
-	}
-	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		return s.check(ctx, g, cands[i], w)
-	})
-	attachFailures(vs, fails, cands)
-	recordVerdicts(e.Telemetry, vs)
-	return vs
+	s := &supervised{engine: e.Name(), rec: e.Telemetry, workers: e.Parallel, attempt: e.attempt}
+	return s.checkAll(ctx, g, cands)
 }
 
 // solveOptions is the fused-solver configuration under the engine's
@@ -195,9 +175,7 @@ func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candida
 func (e *Fusion) solveOptions() fusioncore.Options {
 	opts := e.Opts
 	opts.Solver = options(e.Budget)
-	if e.Budget.MaxHeapDelta > 0 && opts.MaxHeapDelta == 0 {
-		opts.MaxHeapDelta = e.Budget.MaxHeapDelta
-	}
+	opts.MaxHeapDelta = e.Budget.MaxHeapDelta
 	return opts
 }
 
@@ -252,19 +230,8 @@ func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidat
 	}
 	// The per-candidate deadline firing (run still alive) is budget
 	// exhaustion too, even though the solver saw it as ctx cancellation.
-	exhausted := r.Exhausted ||
+	v.Degraded = r.Exhausted ||
 		(r.Status == sat.Unknown && ctx.Err() != nil && parent.Err() == nil)
-	if exhausted {
-		// Degradation ladder: when the engine's own absint tier already
-		// failed to refute before the solve, re-running it cannot help —
-		// the verdict stays Unknown but is tagged degraded. Without the
-		// tier, the cheap refuters get their first look now.
-		if opts.Absint != nil {
-			v.Degraded, v.Tier = true, TierUnknown
-		} else {
-			degradeVerdict(parent, e.fb.analysis, g, c, &v)
-		}
-	}
 	e.notePeak(b)
 	return v
 }
@@ -332,9 +299,6 @@ type Pinpoint struct {
 	cache *smt.Builder
 	// mu guards cache across concurrent candidates.
 	mu sync.Mutex
-	// fb is the lazily-built fallback analysis for the degradation
-	// ladder (the conventional design has no absint tier of its own).
-	fb fallbackTier
 }
 
 // NewPinpoint returns a conventional engine of the given variant.
@@ -353,17 +317,8 @@ func (e *Pinpoint) ConditionBytes() int64 { return e.cache.EstimatedBytes() }
 // (see checkOne): time queued behind another candidate's solve is not
 // charged to this one.
 func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	s := &supervised{
-		engine: e.Name(), rec: e.Telemetry,
-		attempt:  e.attempt,
-		fallback: e.fb.analysis,
-	}
-	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		return s.check(ctx, g, cands[i], w)
-	})
-	attachFailures(vs, fails, cands)
-	recordVerdicts(e.Telemetry, vs)
-	return vs
+	s := &supervised{engine: e.Name(), rec: e.Telemetry, workers: e.Parallel, attempt: e.attempt}
+	return s.checkAll(ctx, g, cands)
 }
 
 // attempt decides c under the run's context ctx on a session of its own;
@@ -392,9 +347,7 @@ func (e *Pinpoint) attempt(ctx context.Context, g *pdg.Graph, c sparse.Candidate
 		rec.Wall("solve.blast", r.BlastTime)
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
-	if r.Status == sat.Unknown && r.Exhausted {
-		degradeVerdict(ctx, e.fb.analysis, g, c, &v)
-	}
+	v.Degraded = r.Exhausted
 	return v
 }
 
@@ -693,9 +646,6 @@ func recordVerdicts(r *telemetry.Recorder, vs []Verdict) {
 		r.Count("simplify.guards", int64(v.PrunedGuards))
 		if v.Degraded {
 			r.Count("degraded.total", 1)
-			if v.Status == sat.Unsat {
-				r.Count("degraded.unsat", 1)
-			}
 		}
 		if v.Failure != nil {
 			r.Count("failures.total", 1)

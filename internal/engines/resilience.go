@@ -3,10 +3,8 @@ package engines
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"fusion/internal/absint"
 	"fusion/internal/driver"
 	"fusion/internal/failure"
 	"fusion/internal/pdg"
@@ -53,16 +51,14 @@ func (t Tier) String() string {
 	}
 }
 
-// Budget bounds the per-candidate work of the bit-precise tier. Unlike
-// a wall-clock timeout, Steps, Conflicts, and MaxHeapDelta are exact
-// counts, so exhaustion — and therefore the degradation ladder — is
-// deterministic across machines and worker counts. Zero fields are
-// unbounded.
+// Budget bounds the per-candidate work of the bit-precise tier. A
+// candidate that exhausts it ends Unknown with Verdict.Degraded set.
+// Unlike a wall-clock deadline, Steps and MaxHeapDelta are exact counts,
+// so exhausting them is deterministic across machines and worker counts.
+// Zero fields are unbounded.
 type Budget struct {
 	// Steps bounds SAT branching decisions per candidate.
 	Steps int64
-	// Conflicts bounds SAT conflicts per candidate.
-	Conflicts int64
 	// Deadline bounds each candidate's whole check by wall clock.
 	Deadline time.Duration
 	// MaxHeapDelta bounds the bytes of new formula a candidate's
@@ -128,110 +124,57 @@ func attachFailures(vs []Verdict, fails []*failure.UnitFailure, cands []sparse.C
 	}
 }
 
-// fallbackTier lazily builds one abstract interpretation per graph for
-// the degradation ladder of engines that do not already run the tier.
-type fallbackTier struct {
-	mu sync.Mutex
-	g  *pdg.Graph
-	an *absint.Analysis
-}
-
-func (f *fallbackTier) analysis(g *pdg.Graph) *absint.Analysis {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.g != g {
-		f.an = driver.Analyze(g, driver.AbsintOn)
-		f.g = g
-	}
-	return f.an
-}
-
-// degradeVerdict is the graceful-degradation ladder: after the
-// bit-precise tier exhausted its budget, re-check the candidate with
-// the zone-then-interval refuters for a best-effort verdict. A
-// refutation is sound at any tier (the domains over-approximate), so a
-// degraded Unsat is still a real Unsat — it is tagged with the tier
-// that earned it instead of collapsing to a bare Unknown. The ladder
-// never reports Sat: feasibility claims stay with the exact tier.
-//
-// The analysis comes from fallback(g), called only once ctx is known to
-// be live: building it is a whole-program fixpoint, which a cancelled run
-// must not pay for. ctx is the run's context, not the candidate's
-// deadline, which has already expired when this rung runs.
-func degradeVerdict(ctx context.Context, fallback func(*pdg.Graph) *absint.Analysis, g *pdg.Graph, c sparse.Candidate, v *Verdict) {
-	v.Degraded = true
-	v.Tier = TierUnknown
-	if ctx.Err() != nil {
-		return
-	}
-	an := fallback(g)
-	if an == nil {
-		return
-	}
-	sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
-	c.ApplyConstraint(sl, 0)
-	if refuted, byStride, byZone := an.RefuteSliceTieredCtx(ctx, sl); refuted {
-		v.Status = sat.Unsat
-		switch {
-		case byZone:
-			v.Tier = TierRelational
-		case byStride:
-			v.Tier = TierStride
-		default:
-			v.Tier = TierInterval
-		}
-	}
-}
-
-// supervised is how both solving engines run a candidate: one attempt
-// under panic containment. A crashed attempt records exactly one
-// UnitFailure, and the cheap refutation tiers get a last look, so a
-// crashing unit can still end with a sound Unsat.
+// supervised is how both solving engines run their candidates: one
+// attempt each, on up to workers goroutines. A crashed attempt is
+// contained by driver.ParallelCheckWorkers' per-item recover, and
+// attachFailures turns it into an Unknown verdict that carries exactly
+// one UnitFailure.
 type supervised struct {
-	engine string
-	rec    *telemetry.Recorder
+	engine  string
+	rec     *telemetry.Recorder
+	workers int
 	// attempt decides c under the run's context ctx; it derives its own
 	// per-candidate deadline.
 	attempt func(ctx context.Context, g *pdg.Graph, c sparse.Candidate) Verdict
-	// fallback returns the analysis the final degradation rung consults.
-	fallback func(g *pdg.Graph) *absint.Analysis
+}
+
+// checkAll decides every candidate, one verdict per candidate in input
+// order, and records the verdicts.
+func (s *supervised) checkAll(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
+	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), s.workers, func(i, w int) Verdict {
+		return s.check(ctx, g, cands[i], w)
+	})
+	attachFailures(vs, fails, cands)
+	recordVerdicts(s.rec, vs)
+	return vs
 }
 
 // check decides candidate c on worker w. It does not run the attempt
 // when ctx is already cancelled.
-func (s *supervised) check(ctx context.Context, g *pdg.Graph, c sparse.Candidate, w int) Verdict {
+func (s *supervised) check(ctx context.Context, g *pdg.Graph, c sparse.Candidate, w int) (v Verdict) {
 	unit := UnitLabel(c)
-	if s.rec != nil {
+	rec := s.rec
+	if rec != nil {
 		t0 := time.Now()
 		// The candidate span encloses the solve span on the same track, so
 		// the trace nests the solve under its candidate by containment.
-		defer func() { s.rec.Span(w+1, "candidate", unit, t0, time.Now()) }()
+		defer func() { rec.Span(w+1, "candidate", unit, t0, time.Now()) }()
 	}
 	if ctx.Err() != nil {
 		return Verdict{Cand: c, Status: sat.Unknown}
 	}
-	v, fail := driver.Contain(unit, "check", func() (v Verdict) {
+	if rec != nil {
+		t0 := time.Now()
 		// The solve span is recorded even when the attempt crashes (with
 		// an unknown status).
-		if rec := s.rec; rec != nil {
-			t0 := time.Now()
-			defer func() {
-				rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
-					Unit: unit, Engine: s.engine,
-					Tier: v.Tier.String(), Status: v.Status.String(),
-				})
-			}()
-		}
-		return s.attempt(ctx, g, c)
-	})
-	if fail == nil {
-		return v
+		defer func() {
+			rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
+				Unit: unit, Engine: s.engine,
+				Tier: v.Tier.String(), Status: v.Status.String(),
+			})
+		}()
 	}
-	v = Verdict{Cand: c, Status: sat.Unknown, Failure: fail}
-	// Final rung: the abstract refuters run outside the crashed solving
-	// stack and may still produce a sound Unsat.
-	degradeVerdict(ctx, s.fallback, g, c, &v)
-	return v
+	return s.attempt(ctx, g, c)
 }
 
 // withDeadline bounds ctx by d from now; d <= 0 leaves it unbounded.

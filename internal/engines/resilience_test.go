@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fusion/internal/absint"
 	"fusion/internal/checker"
 	"fusion/internal/driver"
 	"fusion/internal/faultinject"
@@ -109,7 +108,7 @@ func TestTierOf(t *testing.T) {
 }
 
 func TestSetBudget(t *testing.T) {
-	b := Budget{Steps: 7, Conflicts: 9, Deadline: time.Second, MaxHeapDelta: 11}
+	b := Budget{Steps: 7, Deadline: time.Second, MaxHeapDelta: 11}
 	if b.IsZero() || (Budget{}).IsZero() == false {
 		t.Fatal("IsZero misreports")
 	}
@@ -122,140 +121,39 @@ func TestSetBudget(t *testing.T) {
 	}
 }
 
-func TestDegradeVerdictLadder(t *testing.T) {
-	g := resGraph(t, resInfeasibleSrc)
-	c := resCands(t, g, 1)[0]
-	an := absint.Analyze(g)
-
-	v := Verdict{Cand: c, Status: sat.Unknown}
-	degradeVerdict(context.Background(), func(*pdg.Graph) *absint.Analysis { return an }, g, c, &v)
-	if !v.Degraded {
-		t.Fatal("ladder must tag the verdict degraded")
-	}
-	if v.Status != sat.Unsat {
-		t.Fatalf("contradictory guard must be refuted by the cheap tiers, got %s", v.Status)
-	}
-	if v.Tier != TierRelational && v.Tier != TierInterval {
-		t.Errorf("degraded refutation must carry an abstract tier, got %s", v.Tier)
-	}
-
-	// Without an analysis the verdict stays honest Unknown.
-	v2 := Verdict{Cand: c, Status: sat.Unknown}
-	degradeVerdict(context.Background(), func(*pdg.Graph) *absint.Analysis { return nil }, g, c, &v2)
-	if !v2.Degraded || v2.Status != sat.Unknown || v2.Tier != TierUnknown {
-		t.Errorf("nil analysis: %+v", v2)
-	}
-
-	// A cancelled context skips the re-check entirely.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	v3 := Verdict{Cand: c, Status: sat.Unknown}
-	degradeVerdict(ctx, func(*pdg.Graph) *absint.Analysis { return an }, g, c, &v3)
-	if !v3.Degraded || v3.Status != sat.Unknown {
-		t.Errorf("cancelled ctx: %+v", v3)
-	}
-}
-
-// TestDegradeCancelledNeverBuildsFallback: the fallback analysis is a
-// whole-program fixpoint, so a cancelled run must never build it — not
-// in degradeVerdict itself, and not in the final rung when the run is
-// cancelled while its attempt crashes.
-func TestDegradeCancelledNeverBuildsFallback(t *testing.T) {
-	g := resGraph(t, resInfeasibleSrc)
-	c := resCands(t, g, 1)[0]
-	built := 0
-	fallback := func(*pdg.Graph) *absint.Analysis {
-		built++
-		return absint.Analyze(g)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	v := Verdict{Cand: c, Status: sat.Unknown}
-	degradeVerdict(ctx, fallback, g, c, &v)
-	if built != 0 || !v.Degraded || v.Status != sat.Unknown {
-		t.Errorf("cancelled degradeVerdict: built %d fallback(s), verdict %+v", built, v)
-	}
-
-	run, stop := context.WithCancel(context.Background())
-	defer stop()
-	s := &supervised{
-		engine: "test",
-		attempt: func(context.Context, *pdg.Graph, sparse.Candidate) Verdict {
-			stop()
-			panic("crash while the run is torn down")
-		},
-		fallback: fallback,
-	}
-	v = s.check(run, g, c, 0)
-	if built != 0 {
-		t.Errorf("final rung built the fallback %d time(s) for a cancelled run", built)
-	}
-	if v.Failure == nil || v.Status != sat.Unknown {
-		t.Errorf("crashed attempt must leave an Unknown verdict with its failure: %+v", v)
-	}
-
-	// The live path still consults the fallback, exactly once.
-	s.attempt = func(context.Context, *pdg.Graph, sparse.Candidate) Verdict { panic("crash") }
-	if v = s.check(context.Background(), g, c, 0); built != 1 || v.Status != sat.Unsat {
-		t.Errorf("live final rung: built %d fallback(s), verdict %+v", built, v)
-	}
-}
-
-// TestDeadlineExhaustionDegrades drives the full ladder end to end: a
-// per-candidate deadline that expires immediately exhausts the
-// bit-precise tier, and the fallback refuters still decide the
-// contradictory guard — identically at any worker count.
+// TestDeadlineExhaustionDegrades: a per-candidate deadline that expires
+// at once exhausts every candidate, feasible or not, and each ends a
+// degraded Unknown at TierUnknown — in Fusion with and without its own
+// abstract tier and in Pinpoint, identically at any worker count.
+// Nothing decides a candidate after its budget is spent.
 func TestDeadlineExhaustionDegrades(t *testing.T) {
 	g := resGraph(t, resMixedSrc)
 	cands := resCands(t, g, 2)
-	type row struct {
-		st       sat.Status
-		tier     Tier
-		degraded bool
+	an := driver.Analyze(g, driver.AbsintOn)
+	mk := map[string]func() Engine{
+		"fusion": func() Engine { return NewFusion() },
+		"fusion+absint": func() Engine {
+			e := NewFusion()
+			e.Opts.Absint = an
+			return e
+		},
+		"pinpoint": func() Engine { return NewPinpoint(Plain) },
 	}
-	runs := map[int][]row{}
-	for _, workers := range []int{1, 8} {
-		e := NewFusion()
-		e.Budget.Deadline = time.Nanosecond
-		e.Parallel = workers
-		vs := e.Check(context.Background(), g, cands)
-		var rows []row
-		for _, v := range vs {
-			if v.Failure != nil {
-				t.Fatalf("workers=%d: unexpected failure %v", workers, v.Failure)
+	for name, fresh := range mk {
+		for _, workers := range []int{1, 8} {
+			e := fresh()
+			SetBudget(e, Budget{Deadline: time.Nanosecond})
+			SetParallel(e, workers)
+			for i, v := range e.Check(context.Background(), g, cands) {
+				if v.Failure != nil {
+					t.Fatalf("%s workers=%d: unexpected failure %v", name, workers, v.Failure)
+				}
+				if v.Status != sat.Unknown || v.Tier != TierUnknown || !v.Degraded {
+					t.Errorf("%s workers=%d slot %d: want a degraded Unknown at tier unknown, got %s/%s degraded=%v",
+						name, workers, i, v.Status, v.Tier, v.Degraded)
+				}
 			}
-			if !v.Degraded {
-				t.Errorf("workers=%d: expired deadline must degrade every candidate: %+v", workers, v)
-			}
-			rows = append(rows, row{v.Status, v.Tier, v.Degraded})
 		}
-		runs[workers] = rows
-	}
-	for i := range runs[1] {
-		if runs[1][i] != runs[8][i] {
-			t.Errorf("slot %d: workers=1 %+v vs workers=8 %+v", i, runs[1][i], runs[8][i])
-		}
-	}
-	// The contradictory candidate is refuted by a cheap tier even though
-	// the exact tier never ran; the feasible one stays Unknown (the
-	// ladder never claims Sat).
-	unsat, unknown := 0, 0
-	for _, r := range runs[1] {
-		switch r.st {
-		case sat.Unsat:
-			unsat++
-			if r.tier != TierRelational && r.tier != TierInterval {
-				t.Errorf("degraded refutation at tier %s", r.tier)
-			}
-		case sat.Unknown:
-			unknown++
-		case sat.Sat:
-			t.Error("ladder must never report Sat")
-		}
-	}
-	if unsat != 1 || unknown != 1 {
-		t.Errorf("got %d unsat / %d unknown, want 1 / 1", unsat, unknown)
 	}
 }
 
@@ -316,7 +214,7 @@ func TestInjectedPanicContained(t *testing.T) {
 
 // TestSolverExhaustInjection arms artificial step exhaustion for every
 // unit: the real budget machinery runs out on the first decision and the
-// degradation ladder takes over. The guard a*a == 1201² is satisfiable
+// candidate ends degraded. The guard a*a == 1201² is satisfiable
 // but needs genuine CDCL decisions: the 32-try concrete probe does not
 // guess a square root and unit propagation alone cannot build one, so
 // the injected one-decision budget reliably fires.

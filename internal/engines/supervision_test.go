@@ -3,12 +3,15 @@ package engines
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"fusion/internal/faultinject"
+	"fusion/internal/pdg"
 	"fusion/internal/sat"
+	"fusion/internal/sparse"
 )
 
 // resHardSrc guards its deref with a*a == 1201²: satisfiable, but the
@@ -42,8 +45,7 @@ func waitGoroutines(t *testing.T, before int) {
 // TestDeadlineReleasesStalledSolve wedges the search with stall.solve:
 // the wedge waits on the solve's own context, so the per-candidate
 // deadline alone must end it — long before the stall's safety cap —
-// and the candidate falls to the degradation ladder. Nothing outlives
-// the batch.
+// and the candidate ends degraded. Nothing outlives the batch.
 func TestDeadlineReleasesStalledSolve(t *testing.T) {
 	g := resGraph(t, resHardSrc)
 	cands := resCands(t, g, 1)
@@ -74,32 +76,31 @@ func TestDeadlineReleasesStalledSolve(t *testing.T) {
 
 // TestRepeatedPoisoningExhaustsLadder arms a panic that fires on every
 // check of the feasible unit: its one contained attempt yields exactly
-// one UnitFailure, and the final degradation rung — which consults the
-// fallback analysis, and cannot refute a feasible candidate — leaves it
-// Unknown, never Sat. The healthy unit is decided exactly as in a clean
+// one UnitFailure, and the slot is Verdict{Cand, Unknown, Failure} with
+// every other field zero — also when the run is cancelled while the
+// attempt crashes. The healthy unit is decided exactly as in a clean
 // run, and no goroutine outlives the batch.
 func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
 	g := resGraph(t, resMixedSrc)
 	cands := resCands(t, g, 2)
+	crashed := func(name string, v Verdict, c sparse.Candidate) {
+		t.Helper()
+		if v.Failure == nil {
+			t.Fatalf("%s: poisoned unit has no failure: %+v", name, v)
+		}
+		if want := (Verdict{Cand: c, Status: sat.Unknown, Failure: v.Failure}); !reflect.DeepEqual(v, want) {
+			t.Errorf("%s: crashed unit must be a bare Unknown with its failure: %+v", name, v)
+		}
+	}
 
 	mk := map[string]func() Engine{
 		"fusion":   func() Engine { return NewFusion() },
 		"pinpoint": func() Engine { return NewPinpoint(Plain) },
 	}
-	fallbackOf := func(e Engine) *fallbackTier {
-		if f, ok := e.(*Fusion); ok {
-			return &f.fb
-		}
-		return &e.(*Pinpoint).fb
-	}
 	clean := map[string][]Verdict{}
 	target := ""
 	for name, fresh := range mk {
-		e := fresh()
-		clean[name] = e.Check(context.Background(), g, cands)
-		if fallbackOf(e).an != nil {
-			t.Fatalf("%s: a clean run consulted the fallback", name)
-		}
+		clean[name] = fresh().Check(context.Background(), g, cands)
 		for _, v := range clean[name] {
 			if v.Status == sat.Sat {
 				target = UnitLabel(v.Cand)
@@ -129,22 +130,23 @@ func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
 					}
 					continue
 				}
-				if v.Failure == nil {
-					t.Fatalf("%s workers=%d: poisoned unit has no failure: %+v", name, workers, v)
-				}
 				failures++
-				if v.Status != sat.Unknown || !v.Degraded {
-					t.Errorf("%s workers=%d: crashed feasible unit must end degraded Unknown: %+v", name, workers, v)
-				}
+				crashed(fmt.Sprintf("%s workers=%d", name, workers), v, cands[i])
 			}
 			if failures != 1 {
 				t.Errorf("%s workers=%d: %d failed verdicts, want exactly 1", name, workers, failures)
 			}
-			if fb := fallbackOf(e); fb.g != g || fb.an == nil {
-				t.Errorf("%s workers=%d: the final rung did not consult the fallback", name, workers)
-			}
 		}
 	}
+
+	// A crash while the run is being cancelled ends the same way.
+	run, stop := context.WithCancel(context.Background())
+	defer stop()
+	s := &supervised{engine: "test", attempt: func(context.Context, *pdg.Graph, sparse.Candidate) Verdict {
+		stop()
+		panic("crash while the run is torn down")
+	}}
+	crashed("cancelled run", s.checkAll(run, g, cands[:1])[0], cands[0])
 	waitGoroutines(t, before)
 }
 

@@ -63,8 +63,8 @@ type Options struct {
 	// MaxHeapDelta, when positive, bounds how many bytes of new formula
 	// the residual construction may allocate in the shared builder. A
 	// query whose residual grows past the bound is not solved: the
-	// result reports Unknown with Exhausted set, so the caller can fall
-	// back to a cheaper tier instead of risking the batch's memory.
+	// result reports Unknown with Exhausted set instead of risking the
+	// batch's memory.
 	MaxHeapDelta int64
 }
 

@@ -88,8 +88,8 @@ type Result struct {
 	Clauses int
 	// Exhausted reports that the search hit its own resource budget
 	// (conflicts, decisions, or deadline) rather than being cancelled
-	// from outside. Callers use it to fall back to cheaper tiers: a
-	// cancelled run should stop, an exhausted one may still degrade.
+	// from outside; Status is then Unknown. Engines tag such a verdict
+	// degraded, while a cancelled run's Unknowns stay untagged.
 	Exhausted bool
 }
 
