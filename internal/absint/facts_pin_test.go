@@ -11,8 +11,12 @@ import (
 	"testing"
 
 	"fusion/internal/absint"
+	"fusion/internal/checker"
 	"fusion/internal/driver"
+	"fusion/internal/engines"
+	"fusion/internal/pdg"
 	"fusion/internal/progen"
+	"fusion/internal/sparse"
 	"fusion/internal/ssa"
 )
 
@@ -85,5 +89,57 @@ func factsDigest(t *testing.T) string {
 func TestAnalysisFactsPinned(t *testing.T) {
 	if got := factsDigest(t); got != factsPinSHA256 {
 		t.Fatalf("facts digest at scale %g = %s, pinned %s", factsPinScale, got, factsPinSHA256)
+	}
+}
+
+// refutationsPinSHA256 is the SHA-256 of the per-candidate refutation
+// dump of every progen subject at factsPinScale under AbsintOn,
+// AbsintNoStride and AbsintIntervals. A change that alters what the
+// oracle prunes or the refuter refutes on purpose must update it and say
+// so; any other change must leave it alone.
+const refutationsPinSHA256 = "d05a5cd8d40d5959d3e11fb10c322c2f8bf4445af61f1f8bc251f11b3d00910b"
+
+// refutationsDigest enumerates every null-deref, cwe-369 and cwe-125
+// candidate of every subject at factsPinScale, unpruned, and writes one
+// line per candidate and mode: its unit label, the oracle's PrunePath
+// answer, and the slice refuter's (refuted, byStride, byZone). It returns
+// the dump's SHA-256.
+func refutationsDigest(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	specs := []*sparse.Spec{checker.NullDeref(), checker.DivByZero(), checker.IndexOOB()}
+	for _, info := range progen.Subjects {
+		src, _, _ := info.Build(factsPinScale)
+		pr, err := driver.Compile(context.Background(), driver.Source{Name: info.Name, Text: src}, driver.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sparse.NewEngine(pr.Graph)
+		var cands []sparse.Candidate
+		for _, spec := range specs {
+			cands = append(cands, eng.Run(spec)...)
+		}
+		for _, m := range []driver.AbsintMode{driver.AbsintOn, driver.AbsintNoStride, driver.AbsintIntervals} {
+			an := driver.Analyze(pr.Graph, m)
+			for _, c := range cands {
+				sl := pdg.ComputeSlice(pr.Graph, []pdg.Path{c.Path})
+				c.ApplyConstraint(sl, 0)
+				refuted, byStride, byZone := an.RefuteSliceTiered(sl)
+				fmt.Fprintf(h, "%s %s %s %t %t %t %t\n", info.Name, m, engines.UnitLabel(c),
+					an.PrunePath(c.Path, c.Constraints(0)...), refuted, byStride, byZone)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestRefutationsPinned pins, per candidate, what the enumeration oracle
+// prunes and what the slice refuter refutes and at which tier. The facts
+// pin covers only the record pass, and the ablation baseline is a floor
+// on counts, so this is what holds each candidate's abstract verdict
+// fixed across a refactoring of the rules the two share.
+func TestRefutationsPinned(t *testing.T) {
+	if got := refutationsDigest(t); got != refutationsPinSHA256 {
+		t.Fatalf("refutations digest at scale %g = %s, pinned %s", factsPinScale, got, refutationsPinSHA256)
 	}
 }
