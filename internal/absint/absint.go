@@ -323,21 +323,16 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 	ref := newRefiner(local, localSt, a.zone && record, stride)
 
 	for _, v := range f.Values {
-		look := func(x *ssa.Value) Interval {
-			return ref.lookup(x, v.Guard)
-		}
+		env := ref.envFor(v.Guard)
 		var iv Interval
 		var st Stride
-		if v.Guard != nil && ref.contradicted(v.Guard) {
+		if v.Guard != nil && env.unreachable {
 			iv = Bottom() // the guard chain can never hold: dead code
 			st = BotStride()
 		} else {
-			iv = a.transfer(v, f, args, look, depth)
+			iv = a.transfer(v, args, env, depth)
 			if stride {
-				lookSt := func(x *ssa.Value) Stride {
-					return ref.lookupSt(x, v.Guard)
-				}
-				iv, st = reduce(iv, stFitWidth(a.strideTransfer(v, lookSt, look), width(v)))
+				iv, st = reduce(iv, stFitWidth(a.strideTransfer(v, env), width(v)))
 			}
 		}
 		local[v] = iv
@@ -368,50 +363,20 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 	return local[f.Ret]
 }
 
-// strideTransfer evaluates one vertex in the congruence domain; the
-// interval lookup supplies the no-overflow proofs the stride transfers
-// need. Operators outside the arithmetic fragment stay top.
-func (a *Analysis) strideTransfer(v *ssa.Value, lookSt func(*ssa.Value) Stride, look func(*ssa.Value) Interval) Stride {
+// strideTransfer evaluates one vertex in the congruence domain under its
+// guard environment.
+func (a *Analysis) strideTransfer(v *ssa.Value, env *refEnv) Stride {
 	switch v.Op {
-	case ssa.OpConst:
-		return SingleStride(SignExt(v.Const, width(v)))
-	case ssa.OpCopy, ssa.OpReturn, ssa.OpBranch:
-		return lookSt(v.Args[0])
-	case ssa.OpNeg:
-		return StNeg(lookSt(v.Args[0]), look(v.Args[0]))
-	case ssa.OpIte:
-		c := look(v.Args[0])
-		switch {
-		case c.IsBottom():
-			return BotStride()
-		case c.Lo == 1:
-			return lookSt(v.Args[1])
-		case c.Hi == 0:
-			return lookSt(v.Args[2])
-		default:
-			return lookSt(v.Args[1]).Join(lookSt(v.Args[2]))
-		}
 	case ssa.OpCall:
 		return a.strideSummaryOrTop(a.G.Callee(v))
 	case ssa.OpBin:
-		return a.strideBinTransfer(v, lookSt, look)
-	default:
-		return TopStride()
-	}
-}
-
-func (a *Analysis) strideBinTransfer(v *ssa.Value, lookSt func(*ssa.Value) Stride, look func(*ssa.Value) Interval) Stride {
-	x, y := v.Args[0], v.Args[1]
-	if x == y && v.BinOp == lang.OpSub {
-		// Same-operand identity; see binTransfer.
-		if lookSt(x).IsBottom() {
+		// The record pass keeps a same-operand subtraction of a dead
+		// operand dead; the refuter leaves that to the interval view.
+		if v.BinOp == lang.OpSub && v.Args[0] == v.Args[1] && env.stride(v.Args[0]).IsBottom() {
 			return BotStride()
 		}
-		return SingleStride(0)
 	}
-	sx, sy := lookSt(x), lookSt(y)
-	ix, iy := look(x), look(y)
-	return stBinOp(v.BinOp, sx, sy, ix, iy, width(v))
+	return strideOf(env, v)
 }
 
 // stBinOp is the width-parametric stride transfer dispatch. The wrapping
@@ -448,82 +413,25 @@ func (a *Analysis) strideSummaryOrTop(f *ssa.Function) Stride {
 	return TopStride()
 }
 
-// transfer evaluates one vertex given an operand-lookup function that
-// applies the vertex's guard-chain refinements.
-func (a *Analysis) transfer(v *ssa.Value, f *ssa.Function, args []Interval, look func(*ssa.Value) Interval, depth int) Interval {
+// transfer evaluates one vertex under its guard environment: a
+// parameter takes the instantiation's argument interval, a call
+// instantiates the callee, and every other equation is transferOf's.
+func (a *Analysis) transfer(v *ssa.Value, args []Interval, env *refEnv, depth int) Interval {
 	switch v.Op {
-	case ssa.OpConst:
-		return SingleW(v.Const, width(v))
 	case ssa.OpParam:
 		idx := pdg.ParamIndex(v)
 		if args != nil && idx >= 0 && idx < len(args) {
 			return args[idx]
 		}
 		return Top(width(v))
-	case ssa.OpCopy, ssa.OpReturn, ssa.OpBranch:
-		return look(v.Args[0])
-	case ssa.OpNot:
-		return NotBool(look(v.Args[0]))
-	case ssa.OpNeg:
-		return fitWidth(Neg(look(v.Args[0])), width(v))
-	case ssa.OpIte:
-		c := look(v.Args[0])
-		switch {
-		case c.IsBottom():
-			return Bottom()
-		case c.Lo == 1:
-			return look(v.Args[1])
-		case c.Hi == 0:
-			return look(v.Args[2])
-		default:
-			return look(v.Args[1]).Join(look(v.Args[2]))
-		}
 	case ssa.OpCall:
-		callee := a.G.Callee(v)
 		callArgs := make([]Interval, len(v.Args))
 		for i, x := range v.Args {
-			callArgs[i] = look(x)
+			callArgs[i] = env.interval(x)
 		}
-		return a.evalCall(callee, callArgs, depth)
-	case ssa.OpExtern:
-		return Top(width(v))
-	case ssa.OpBin:
-		return a.binTransfer(v, look)
-	default:
-		return Top(width(v))
+		return a.evalCall(a.G.Callee(v), callArgs, depth)
 	}
-}
-
-// binTransfer mirrors cond.BinTerm's operator semantics on intervals,
-// including the same-operand identities the bit-level encoding enjoys
-// (x - x = 0, x ^ x = 0, x == x, ...), which interval arithmetic cannot
-// see through correlation.
-func (a *Analysis) binTransfer(v *ssa.Value, look func(*ssa.Value) Interval) Interval {
-	x, y := v.Args[0], v.Args[1]
-	if x == y {
-		switch v.BinOp {
-		case lang.OpSub, lang.OpBitXor:
-			if look(x).IsBottom() {
-				return Bottom()
-			}
-			return Interval{0, 0}
-		case lang.OpEq, lang.OpLe, lang.OpGe:
-			if look(x).IsBottom() {
-				return Bottom()
-			}
-			return Interval{1, 1}
-		case lang.OpNe, lang.OpLt, lang.OpGt:
-			if look(x).IsBottom() {
-				return Bottom()
-			}
-			return Interval{0, 0}
-		case lang.OpAnd, lang.OpOr, lang.OpBitAnd, lang.OpBitOr:
-			return look(x)
-		}
-	}
-	l, r := look(x), look(y)
-	isBool := v.Type == lang.TypeBool && x.Type == lang.TypeBool
-	return binInterval(v.BinOp, l, r, isBool, width(v))
+	return transferOf(env, v)
 }
 
 // unsignedFlavored reports the operators whose interval transfers reason

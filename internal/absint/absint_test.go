@@ -400,7 +400,7 @@ fun f() {
 }`)
 	a := absint.Analyze(g)
 	for _, sl := range divCandidates(t, g) {
-		if !a.RefuteSlice(sl) {
+		if refuted, _, _ := a.RefuteSlice(context.Background(), sl); !refuted {
 			t.Error("mod-range divisor: want refuted")
 		}
 	}
@@ -419,7 +419,7 @@ fun f() {
 }`)
 	a := absint.Analyze(g)
 	for _, sl := range divCandidates(t, g) {
-		if !a.RefuteSlice(sl) {
+		if refuted, _, _ := a.RefuteSlice(context.Background(), sl); !refuted {
 			t.Error("contradictory guards: want refuted")
 		}
 	}
@@ -436,7 +436,7 @@ fun f() {
 }`)
 	a := absint.Analyze(g)
 	for _, sl := range divCandidates(t, g) {
-		if !a.RefuteSlice(sl) {
+		if refuted, _, _ := a.RefuteSlice(context.Background(), sl); !refuted {
 			t.Error("positive-guarded divisor: want refuted")
 		}
 	}
@@ -451,7 +451,7 @@ fun f() {
 }`)
 	a := absint.Analyze(g)
 	for _, sl := range divCandidates(t, g) {
-		if a.RefuteSlice(sl) {
+		if refuted, _, _ := a.RefuteSlice(context.Background(), sl); refuted {
 			t.Error("feasible divisor refuted: unsound")
 		}
 	}
@@ -473,12 +473,12 @@ fun f() {
 	a := absint.Analyze(g)
 	noStride := absint.AnalyzeWith(g, absint.Config{DisableStride: true})
 	for _, sl := range divCandidates(t, g) {
-		refuted, byStride, byZone := a.RefuteSliceTiered(sl)
+		refuted, byStride, byZone := a.RefuteSlice(context.Background(), sl)
 		if !refuted || !byStride || byZone {
 			t.Errorf("parity divisor: got (refuted=%v, byStride=%v, byZone=%v), want (true, true, false)",
 				refuted, byStride, byZone)
 		}
-		if noStride.RefuteSlice(sl) {
+		if refuted, _, _ := noStride.RefuteSlice(context.Background(), sl); refuted {
 			t.Error("parity divisor refuted without the stride domain: intervals+zone cannot prove this")
 		}
 	}
@@ -500,7 +500,7 @@ fun f() {
 	for _, c := range cands {
 		sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
 		c.ApplyConstraint(sl, 0)
-		if !a.RefuteSlice(sl) {
+		if refuted, _, _ := a.RefuteSlice(context.Background(), sl); !refuted {
 			t.Error("in-bounds index: want refuted")
 		}
 		if !a.PrunePath(c.Path, c.Constraints(0)...) {

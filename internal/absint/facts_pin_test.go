@@ -124,7 +124,7 @@ func refutationsDigest(t *testing.T) string {
 			for _, c := range cands {
 				sl := pdg.ComputeSlice(pr.Graph, []pdg.Path{c.Path})
 				c.ApplyConstraint(sl, 0)
-				refuted, byStride, byZone := an.RefuteSliceTiered(sl)
+				refuted, byStride, byZone := an.RefuteSlice(context.Background(), sl)
 				fmt.Fprintf(h, "%s %s %s %t %t %t %t\n", info.Name, m, engines.UnitLabel(c),
 					an.PrunePath(c.Path, c.Constraints(0)...), refuted, byStride, byZone)
 			}

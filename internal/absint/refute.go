@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fusion/internal/cond"
-	"fusion/internal/lang"
 	"fusion/internal/pdg"
 	"fusion/internal/poll"
 	"fusion/internal/ssa"
@@ -61,31 +60,16 @@ const (
 
 // RefuteSlice reports whether the query represented by the slice — its
 // paths' guard assertions plus its value constraints — is provably
-// unsatisfiable in the abstract (intervals, then the congruence tier,
-// then the zone relational tier when enabled). False decides nothing.
-func (a *Analysis) RefuteSlice(sl *pdg.Slice) bool {
-	refuted, _, _ := a.RefuteSliceTiered(sl)
-	return refuted
-}
-
-// RefuteSliceTiered runs the refutation tiers in ascending cost order:
-// the interval domain alone; then — when intervals fail and the
+// unsatisfiable in the abstract. It runs the tiers in ascending cost
+// order: the interval domain alone; then — when intervals fail and the
 // congruence domain is enabled — the interval×stride reduced product;
 // then the full product with the zone. byStride and byZone report which
-// tier was needed (at most one is set, and only on refutation), which
-// are the ablation's per-tier decision counts.
-func (a *Analysis) RefuteSliceTiered(sl *pdg.Slice) (refuted, byStride, byZone bool) {
-	return a.refuteTiered(sl, nil)
-}
-
-// RefuteSliceTieredCtx is RefuteSliceTiered with cooperative
-// cancellation: once ctx expires the refuter stops deriving and decides
-// nothing further (an incomplete refutation is simply a failed one).
-func (a *Analysis) RefuteSliceTieredCtx(ctx context.Context, sl *pdg.Slice) (refuted, byStride, byZone bool) {
-	return a.refuteTiered(sl, poll.Stop(ctx, 64))
-}
-
-func (a *Analysis) refuteTiered(sl *pdg.Slice, stop func() bool) (refuted, byStride, byZone bool) {
+// tier was needed (at most one is set, and only on refutation), which are
+// the ablation's per-tier decision counts. False decides nothing. Once
+// ctx is done the refuter stops deriving and decides nothing further (an
+// incomplete refutation is simply a failed one).
+func (a *Analysis) RefuteSlice(ctx context.Context, sl *pdg.Slice) (refuted, byStride, byZone bool) {
+	stop := poll.Stop(ctx, 64)
 	if a.refuteOnce(sl, false, false, stop) {
 		return true, false, false
 	}
@@ -151,7 +135,7 @@ func (r *refuter) run() bool {
 			if r.stop != nil && r.stop() {
 				return r.refuted
 			}
-			r.derive(g.gd, true, g.ctx, 0)
+			r.assertGuard(g.gd, g.ctx)
 			if r.refuted {
 				return true
 			}
@@ -169,6 +153,18 @@ func (r *refuter) run() bool {
 	return r.refuted
 }
 
+// assertGuard asserts a guard vertex in ctx. The formula defines the
+// branch vertex as a copy of its condition, so the refuter constrains the
+// branch itself and then derives its condition, where the record pass
+// derives the condition alone.
+func (r *refuter) assertGuard(gd *ssa.Value, ctx *cond.Ctx) {
+	f := ctxFacts{r: r, ctx: ctx}
+	f.constrain(gd, Interval{1, 1})
+	if !f.dead() && !f.opaque(gd) {
+		derive(f, gd.Args[0], true, 1)
+	}
+}
+
 // applyConstraint checks (and, for equalities, adopts) one value
 // constraint.
 func (r *refuter) applyConstraint(vc pdg.ValueConstraint, pathCtxs [][]*cond.Ctx) {
@@ -180,30 +176,17 @@ func (r *refuter) applyConstraint(vc pdg.ValueConstraint, pathCtxs [][]*cond.Ctx
 		return
 	}
 	v, ctx := p[vc.Step].V, pathCtxs[vc.Path][vc.Step]
+	f := ctxFacts{r: r, ctx: ctx}
 	switch vc.Kind {
 	case pdg.ConstraintOutOfBounds:
-		iv := r.eval(v, ctx, 0)
-		if r.zone != nil && !r.zone.dead {
-			if n, off, ok := r.ctxNode(v, ctx); ok {
-				iv = iv.Meet(r.zone.unary(n, off))
-			}
-		}
-		if r.stride {
-			// The reduction snaps the endpoints to the index's lattice
-			// points — an aligned index can be in bounds even when its
-			// raw interval hull is not.
-			var st Stride
-			iv, st = reduce(iv, r.evalSt(v, ctx, 0))
-			if st.IsBottom() {
-				r.refuted = true
-				return
-			}
-		}
-		if iv.Within(0, int64(int32(vc.Bound))-1) {
-			r.refuted = true // the index provably stays in bounds
+		// An index with no value left is a contradiction in the formula.
+		if in, empty := constInBounds(f, v, vc); in || empty {
+			r.refuted = true
 		}
 	case pdg.ConstraintOutOfBoundsDyn:
-		r.applyDynBound(v, ctx, vc)
+		if in, empty := dynInBounds(f, v, vc); in || empty {
+			r.refuted = true
+		}
 	default:
 		r.constrain(v, ctx, SingleW(vc.Value, width(v)))
 		if !r.refuted {
@@ -212,49 +195,6 @@ func (r *refuter) applyConstraint(vc pdg.ValueConstraint, pathCtxs [][]*cond.Ctx
 			// zero, say) bottoms out here.
 			r.constrainSt(v, ctx, SingleStride(SignExt(vc.Value, width(v))))
 		}
-	}
-}
-
-// applyDynBound handles a dynamic-bound sink: the constraint asserts the
-// index argument escapes [0, bound), where the bound is itself a sink
-// argument. The query is refuted when 0 ≤ idx and idx < bound are both
-// proven — the latter is where the zone earns its keep, since an interval
-// cannot relate an index to an unbounded runtime length.
-func (r *refuter) applyDynBound(v *ssa.Value, ctx *cond.Ctx, vc pdg.ValueConstraint) {
-	if vc.Arg < 0 || vc.Arg >= len(v.Args) || vc.BoundArg < 0 || vc.BoundArg >= len(v.Args) {
-		return
-	}
-	idx, bnd := v.Args[vc.Arg], v.Args[vc.BoundArg]
-	ii, ib := r.eval(idx, ctx, 0), r.eval(bnd, ctx, 0)
-	if r.refuted {
-		return
-	}
-	in, io, okI := r.ctxNode(idx, ctx)
-	bn, bo, okB := r.ctxNode(bnd, ctx)
-	if r.zone != nil && !r.zone.dead {
-		if okI {
-			ii = ii.Meet(r.zone.unary(in, io))
-		}
-		if okB {
-			ib = ib.Meet(r.zone.unary(bn, bo))
-		}
-	}
-	if r.stride {
-		ii, _ = reduce(ii, r.evalSt(idx, ctx, 0))
-	}
-	if ii.IsBottom() || ib.IsBottom() {
-		r.refuted = true
-		return
-	}
-	nonneg := ii.Lo >= 0
-	below := ii.Hi < ib.Lo
-	if r.zone != nil && !r.zone.dead && okI && okB {
-		if c, ok := r.zone.diff(in, io, bn, bo); ok && c <= -1 {
-			below = true
-		}
-	}
-	if nonneg && below {
-		r.refuted = true
 	}
 }
 
@@ -325,77 +265,28 @@ func (r *refuter) evalSt(v *ssa.Value, ctx *cond.Ctx, depth int) Stride {
 	return st
 }
 
-// stEquationOf mirrors equationOf in the congruence domain: vertices
-// outside the slice have no defining equation and stay free.
+// stEquationOf is equationOf in the congruence domain.
 func (r *refuter) stEquationOf(v *ssa.Value, ctx *cond.Ctx, depth int) Stride {
-	if v.Op == ssa.OpConst {
-		return SingleStride(SignExt(v.Const, width(v)))
-	}
-	if !r.sl.Values[v] {
+	f := ctxFacts{r, ctx, depth + 1}
+	switch {
+	case f.opaque(v):
 		return TopStride()
-	}
-	g := r.sl.G
-	switch v.Op {
-	case ssa.OpParam:
-		if ctx.Parent == nil {
-			return TopStride()
+	case v.Op == ssa.OpParam || v.Op == ssa.OpCall:
+		if x, xctx := r.binding(v, ctx); x != nil {
+			return r.evalSt(x, xctx, depth+1)
 		}
-		c := g.SiteCall[ctx.Site]
-		idx := pdg.ParamIndex(v)
-		if c == nil || idx < 0 || idx >= len(c.Args) {
-			return TopStride()
-		}
-		return r.evalSt(c.Args[idx], ctx.Parent, depth+1)
-	case ssa.OpCopy, ssa.OpReturn, ssa.OpBranch:
-		return r.evalSt(v.Args[0], ctx, depth+1)
-	case ssa.OpNeg:
-		return StNeg(r.evalSt(v.Args[0], ctx, depth+1), r.eval(v.Args[0], ctx, depth+1))
-	case ssa.OpIte:
-		thenIn, elseIn := r.sl.IteTaken(v)
-		switch {
-		case thenIn && elseIn:
-			c := r.eval(v.Args[0], ctx, depth+1)
-			switch {
-			case c.IsBottom():
-				return BotStride()
-			case c.Lo == 1:
-				return r.evalSt(v.Args[1], ctx, depth+1)
-			case c.Hi == 0:
-				return r.evalSt(v.Args[2], ctx, depth+1)
-			default:
-				return r.evalSt(v.Args[1], ctx, depth+1).Join(r.evalSt(v.Args[2], ctx, depth+1))
-			}
-		case thenIn:
-			return r.evalSt(v.Args[1], ctx, depth+1)
-		case elseIn:
-			return r.evalSt(v.Args[2], ctx, depth+1)
-		default:
+		return TopStride()
+	case v.Op == ssa.OpIte:
+		switch thenIn, elseIn := r.sl.IteTaken(v); {
+		case thenIn && !elseIn:
+			return f.stride(v.Args[1])
+		case elseIn && !thenIn:
+			return f.stride(v.Args[2])
+		case !thenIn && !elseIn:
 			return BotStride() // eval already refuted this shape
 		}
-	case ssa.OpCall:
-		callee := g.Callee(v)
-		if callee == nil || callee.Ret == nil {
-			return TopStride()
-		}
-		return r.evalSt(callee.Ret, r.tree.Child(ctx, v.Site), depth+1)
-	case ssa.OpBin:
-		return r.stBinEval(v, ctx, depth)
-	default:
-		return TopStride()
 	}
-}
-
-func (r *refuter) stBinEval(v *ssa.Value, ctx *cond.Ctx, depth int) Stride {
-	x, y := v.Args[0], v.Args[1]
-	if x == y && v.BinOp == lang.OpSub {
-		// Same-operand identity; see binEval.
-		return SingleStride(0)
-	}
-	sx := r.evalSt(x, ctx, depth+1)
-	sy := r.evalSt(y, ctx, depth+1)
-	ix := r.eval(x, ctx, depth+1)
-	iy := r.eval(y, ctx, depth+1)
-	return stBinOp(v.BinOp, sx, sy, ix, iy, width(v))
+	return strideOf(f, v)
 }
 
 // constrainSt meets a derived stride fact into (v, ctx), reducing the
@@ -422,16 +313,14 @@ func (r *refuter) constrainSt(v *ssa.Value, ctx *cond.Ctx, with Stride) {
 	r.constrain(v, ctx, iv) // the reduced interval is a fact too
 }
 
-// ctxNode normalizes a 32-bit instantiation to a DBM node plus constant
-// offset; constants fold into the distinguished zero node ctxVal{}.
-func (r *refuter) ctxNode(v *ssa.Value, ctx *cond.Ctx) (ctxVal, int64, bool) {
-	if width(v) != 32 {
-		return ctxVal{}, 0, false
+// ctxNode names x's zone operand in ctx; constants fold into the
+// distinguished zero node ctxVal{}.
+func ctxNode(x *ssa.Value, ctx *cond.Ctx) (ctxVal, int64, bool) {
+	n, off, ok := zoneOperand(x)
+	if n == nil {
+		return ctxVal{}, off, ok
 	}
-	if v.Op == ssa.OpConst {
-		return ctxVal{}, int64(int32(v.Const)), true
-	}
-	return ctxVal{v, ctx}, 0, true
+	return ctxVal{n, ctx}, off, ok
 }
 
 // zoneAdd records (xn + xo) − (yn + yo) ≤ c; a negative cycle means the
@@ -448,176 +337,82 @@ func (r *refuter) zoneAdd(xn ctxVal, xo int64, yn ctxVal, yo int64, c int64) {
 	}
 }
 
-// zoneDef mirrors refiner.noteDef context-sensitively: the zone edges
-// implied by v's defining equation in ctx. Copies, returns, parameter
-// bindings, and call results are exact equalities; machine addition and
-// subtraction contribute edges only when the operand intervals prove the
-// operation cannot wrap.
+// zoneDef records the zone edges implied by v's defining equation in ctx:
+// defEdges, plus the exact equalities of parameter bindings and call
+// results across contexts.
 func (r *refuter) zoneDef(v *ssa.Value, ctx *cond.Ctx, depth int) {
 	if r.refuted || v.Op == ssa.OpConst || width(v) != 32 || !r.sl.Values[v] {
 		return
 	}
-	vn := ctxVal{v, ctx}
-	eq := func(x *ssa.Value, xctx *cond.Ctx) {
-		xn, xo, ok := r.ctxNode(x, xctx)
-		if !ok {
-			return
-		}
+	x, xctx := r.binding(v, ctx)
+	if x == nil {
+		defEdges(ctxFacts{r, ctx, depth + 1}, v)
+		return
+	}
+	if xn, xo, ok := ctxNode(x, xctx); ok {
+		vn := ctxVal{v, ctx}
 		r.zoneAdd(vn, 0, xn, xo, 0)
 		r.zoneAdd(xn, xo, vn, 0, 0)
 	}
+}
+
+// binding returns the instantiation that a parameter or call result
+// equals in the emitted formula: a parameter, its argument at the call
+// site in the parent context; a call result, the callee's return in the
+// call's child context. x is nil for any other vertex or when the binding
+// is unknown.
+func (r *refuter) binding(v *ssa.Value, ctx *cond.Ctx) (x *ssa.Value, xctx *cond.Ctx) {
 	g := r.sl.G
 	switch v.Op {
 	case ssa.OpParam:
 		if ctx.Parent == nil {
-			return
+			return nil, nil
 		}
 		c := g.SiteCall[ctx.Site]
 		idx := pdg.ParamIndex(v)
 		if c == nil || idx < 0 || idx >= len(c.Args) {
-			return
+			return nil, nil
 		}
-		eq(c.Args[idx], ctx.Parent)
-	case ssa.OpCopy, ssa.OpReturn:
-		eq(v.Args[0], ctx)
+		return c.Args[idx], ctx.Parent
 	case ssa.OpCall:
 		callee := g.Callee(v)
 		if callee == nil || callee.Ret == nil {
-			return
+			return nil, nil
 		}
-		eq(callee.Ret, r.tree.Child(ctx, v.Site))
-	case ssa.OpBin:
-		x, y := v.Args[0], v.Args[1]
-		switch v.BinOp {
-		case lang.OpAdd:
-			ix, iy := r.eval(x, ctx, depth+1), r.eval(y, ctx, depth+1)
-			if ix.IsBottom() || iy.IsBottom() ||
-				ix.Lo+iy.Lo < minI32 || ix.Hi+iy.Hi > maxI32 {
-				return // may wrap: no integer edge is sound
-			}
-			if xn, xo, ok := r.ctxNode(x, ctx); ok {
-				r.zoneAdd(vn, 0, xn, xo, iy.Hi)
-				r.zoneAdd(xn, xo, vn, 0, -iy.Lo)
-			}
-			if yn, yo, ok := r.ctxNode(y, ctx); ok {
-				r.zoneAdd(vn, 0, yn, yo, ix.Hi)
-				r.zoneAdd(yn, yo, vn, 0, -ix.Lo)
-			}
-		case lang.OpSub:
-			if x == y {
-				return
-			}
-			ix, iy := r.eval(x, ctx, depth+1), r.eval(y, ctx, depth+1)
-			if ix.IsBottom() || iy.IsBottom() ||
-				ix.Lo-iy.Hi < minI32 || ix.Hi-iy.Lo > maxI32 {
-				return
-			}
-			if xn, xo, ok := r.ctxNode(x, ctx); ok {
-				r.zoneAdd(vn, 0, xn, xo, -iy.Lo)
-				r.zoneAdd(xn, xo, vn, 0, iy.Hi)
-			}
-		}
+		return callee.Ret, r.tree.Child(ctx, v.Site)
 	}
+	return nil, nil
 }
 
 // equationOf mirrors cond.Translator.Equation: vertices outside the slice
 // have no defining equation and stay free.
 func (r *refuter) equationOf(v *ssa.Value, ctx *cond.Ctx, depth int) Interval {
-	if v.Op == ssa.OpConst {
-		return SingleW(v.Const, width(v))
-	}
-	if !r.sl.Values[v] {
+	f := ctxFacts{r, ctx, depth + 1}
+	switch {
+	case f.opaque(v):
 		return Top(width(v))
-	}
-	g := r.sl.G
-	switch v.Op {
-	case ssa.OpParam:
-		if ctx.Parent == nil {
-			return Top(width(v))
+	case v.Op == ssa.OpParam || v.Op == ssa.OpCall:
+		if x, xctx := r.binding(v, ctx); x != nil {
+			return r.eval(x, xctx, depth+1)
 		}
-		c := g.SiteCall[ctx.Site]
-		idx := pdg.ParamIndex(v)
-		if c == nil || idx < 0 || idx >= len(c.Args) {
-			return Top(width(v))
-		}
-		return r.eval(c.Args[idx], ctx.Parent, depth+1)
-	case ssa.OpCopy, ssa.OpReturn, ssa.OpBranch:
-		return r.eval(v.Args[0], ctx, depth+1)
-	case ssa.OpNot:
-		return NotBool(r.eval(v.Args[0], ctx, depth+1))
-	case ssa.OpNeg:
-		return fitWidth(Neg(r.eval(v.Args[0], ctx, depth+1)), width(v))
-	case ssa.OpIte:
-		thenIn, elseIn := r.sl.IteTaken(v)
-		switch {
-		case thenIn && elseIn:
-			c := r.eval(v.Args[0], ctx, depth+1)
-			switch {
-			case c.IsBottom():
-				return Bottom()
-			case c.Lo == 1:
-				return r.eval(v.Args[1], ctx, depth+1)
-			case c.Hi == 0:
-				return r.eval(v.Args[2], ctx, depth+1)
-			default:
-				return r.eval(v.Args[1], ctx, depth+1).Join(r.eval(v.Args[2], ctx, depth+1))
-			}
-		case thenIn:
+		return Top(width(v))
+	case v.Op == ssa.OpIte:
+		switch thenIn, elseIn := r.sl.IteTaken(v); {
+		case thenIn && !elseIn:
 			// Rule (1) pruned the else edge: the equation additionally
 			// asserts the condition, which only strengthens — ignoring it
 			// here stays sound for refutation.
-			return r.eval(v.Args[1], ctx, depth+1)
-		case elseIn:
-			return r.eval(v.Args[2], ctx, depth+1)
-		default:
+			return f.interval(v.Args[1])
+		case elseIn && !thenIn:
+			return f.interval(v.Args[2])
+		case !thenIn && !elseIn:
 			// Both edges pruned by conflicting paths: the equation is
 			// literally false.
 			r.refuted = true
 			return Bottom()
 		}
-	case ssa.OpCall:
-		callee := g.Callee(v)
-		if callee == nil || callee.Ret == nil {
-			return Top(width(v))
-		}
-		return r.eval(callee.Ret, r.tree.Child(ctx, v.Site), depth+1)
-	case ssa.OpExtern:
-		return Top(width(v))
-	case ssa.OpBin:
-		return r.binEval(v, ctx, depth)
-	default:
-		return Top(width(v))
 	}
-}
-
-func (r *refuter) binEval(v *ssa.Value, ctx *cond.Ctx, depth int) Interval {
-	x, y := v.Args[0], v.Args[1]
-	if x == y {
-		// Same-operand identities; see binTransfer.
-		xv := r.eval(x, ctx, depth+1)
-		switch v.BinOp {
-		case lang.OpSub, lang.OpBitXor:
-			if xv.IsBottom() {
-				return Bottom()
-			}
-			return Interval{0, 0}
-		case lang.OpEq, lang.OpLe, lang.OpGe:
-			if xv.IsBottom() {
-				return Bottom()
-			}
-			return Interval{1, 1}
-		case lang.OpNe, lang.OpLt, lang.OpGt:
-			if xv.IsBottom() {
-				return Bottom()
-			}
-			return Interval{0, 0}
-		case lang.OpAnd, lang.OpOr, lang.OpBitAnd, lang.OpBitOr:
-			return xv
-		}
-	}
-	l, rr := r.eval(x, ctx, depth+1), r.eval(y, ctx, depth+1)
-	isBool := v.Type == lang.TypeBool && x.Type == lang.TypeBool
-	return binInterval(v.BinOp, l, rr, isBool, width(v))
+	return transferOf(f, v)
 }
 
 // constrain meets a derived fact into (v, ctx); an empty meet refutes the
@@ -640,139 +435,48 @@ func (r *refuter) constrain(v *ssa.Value, ctx *cond.Ctx, with Interval) {
 	}
 }
 
-// derive propagates "c evaluates to want in ctx" through the condition's
-// structure, mirroring refiner.derive but context-sensitively.
-func (r *refuter) derive(c *ssa.Value, want bool, ctx *cond.Ctx, depth int) {
-	if r.refuted || depth > maxDeriveDepth {
-		return
-	}
-	if want {
-		r.constrain(c, ctx, Interval{1, 1})
-	} else {
-		r.constrain(c, ctx, Interval{0, 0})
-	}
-	if r.refuted {
-		return
-	}
-	// Vertices outside the slice have no defining equation, so their
-	// structure is not in the formula.
-	if !r.sl.Values[c] && c.Op != ssa.OpConst {
-		return
-	}
-	switch c.Op {
-	case ssa.OpCopy, ssa.OpBranch:
-		r.derive(c.Args[0], want, ctx, depth+1)
-	case ssa.OpNot:
-		r.derive(c.Args[0], !want, ctx, depth+1)
-	case ssa.OpBin:
-		switch c.BinOp {
-		case lang.OpAnd:
-			if want {
-				r.derive(c.Args[0], true, ctx, depth+1)
-				r.derive(c.Args[1], true, ctx, depth+1)
-			}
-		case lang.OpOr:
-			if !want {
-				r.derive(c.Args[0], false, ctx, depth+1)
-				r.derive(c.Args[1], false, ctx, depth+1)
-			}
-		case lang.OpLt, lang.OpLe, lang.OpGt, lang.OpGe, lang.OpEq, lang.OpNe:
-			r.deriveCmp(c.BinOp, c.Args[0], c.Args[1], want, ctx)
-		}
+// ctxFacts is the refuter's fact store at one calling context: facts live
+// on (value, ctx) instantiations, and lookups evaluate the emitted
+// equations at the given depth.
+type ctxFacts struct {
+	r     *refuter
+	ctx   *cond.Ctx
+	depth int
+}
+
+func (f ctxFacts) interval(x *ssa.Value) Interval { return f.r.eval(x, f.ctx, f.depth) }
+func (f ctxFacts) stride(x *ssa.Value) Stride     { return f.r.evalSt(x, f.ctx, f.depth) }
+func (f ctxFacts) striding() bool                 { return f.r.stride }
+func (f ctxFacts) dead() bool                     { return f.r.refuted }
+func (f ctxFacts) kill()                          { f.r.refuted = true }
+
+func (f ctxFacts) constrain(x *ssa.Value, with Interval) { f.r.constrain(x, f.ctx, with) }
+func (f ctxFacts) constrainSt(x *ssa.Value, with Stride) { f.r.constrainSt(x, f.ctx, with) }
+
+// opaque holds for vertices outside the slice: they have no defining
+// equation, so their structure is not in the formula.
+func (f ctxFacts) opaque(c *ssa.Value) bool { return c.Op != ssa.OpConst && !f.r.sl.Values[c] }
+
+// disjoin derives nothing: the refuter does not join disjunctions.
+func (ctxFacts) disjoin(*ssa.Value, *ssa.Value, bool, int) {}
+
+func (f ctxFacts) relate(x, y *ssa.Value, c int64) {
+	xn, xo, okx := ctxNode(x, f.ctx)
+	yn, yo, oky := ctxNode(y, f.ctx)
+	if okx && oky {
+		f.r.zoneAdd(xn, xo, yn, yo, c)
 	}
 }
 
-func (r *refuter) deriveCmp(op lang.BinOp, x, y *ssa.Value, want bool, ctx *cond.Ctx) {
-	rl, swap := normalizeRel(op, want)
-	if swap {
-		x, y = y, x
-	}
-	cx, cy := r.eval(x, ctx, 0), r.eval(y, ctx, 0)
-	if r.refuted {
-		return
-	}
-	nx, ny := relConstraints(rl, cx, cy)
-	r.constrain(x, ctx, nx)
-	if r.refuted {
-		return
-	}
-	r.constrain(y, ctx, ny)
-	if r.refuted {
-		return
-	}
-	if r.stride {
-		switch rl {
-		case relEq:
-			// Equal values share a stride; a `%`-equality guard fixes
-			// the dividend's congruence class. See refiner.deriveCmp.
-			sx, sy := r.evalSt(x, ctx, 0), r.evalSt(y, ctx, 0)
-			if r.refuted {
-				return
-			}
-			r.constrainSt(x, ctx, sy)
-			r.constrainSt(y, ctx, sx)
-			r.deriveRemCtx(x, y, true, ctx)
-			r.deriveRemCtx(y, x, true, ctx)
-		case relNe:
-			r.deriveRemCtx(x, y, false, ctx)
-			r.deriveRemCtx(y, x, false, ctx)
-		}
-		if r.refuted {
-			return
-		}
-	}
-	if r.zone == nil {
-		return
-	}
-	// Record the relation itself as a zone edge; see refiner.deriveCmp.
-	xn, xo, okx := r.ctxNode(x, ctx)
-	yn, yo, oky := r.ctxNode(y, ctx)
-	if !okx || !oky {
-		return
-	}
-	switch rl {
-	case relLt:
-		r.zoneAdd(xn, xo, yn, yo, -1)
-	case relLe:
-		r.zoneAdd(xn, xo, yn, yo, 0)
-	case relEq:
-		r.zoneAdd(xn, xo, yn, yo, 0)
-		r.zoneAdd(yn, yo, xn, xo, 0)
-	}
-}
+func (f ctxFacts) zoneBound(x *ssa.Value) (Interval, bool) { return f.r.zone.bound(ctxNode(x, f.ctx)) }
 
-// deriveRemCtx mirrors refiner.deriveRem context-sensitively: the rem
-// expression's defining equation is only in the formula when the vertex
-// is sliced.
-func (r *refuter) deriveRemCtx(e, val *ssa.Value, eq bool, ctx *cond.Ctx) {
-	if r.refuted || e.Op != ssa.OpBin || e.BinOp != lang.OpRem || !r.sl.Values[e] {
-		return
+func (f ctxFacts) zoneDiff(x, y *ssa.Value) (int64, bool) {
+	xn, xo, okx := ctxNode(x, f.ctx)
+	yn, yo, oky := ctxNode(y, f.ctx)
+	if !okx || !oky || f.r.zone == nil || f.r.zone.dead {
+		return 0, false
 	}
-	kv := e.Args[1]
-	if kv.Op != ssa.OpConst {
-		return
-	}
-	k := SignExt(kv.Const, width(kv))
-	if k < 2 {
-		return
-	}
-	cv := r.eval(val, ctx, 0)
-	if r.refuted || cv.Lo != cv.Hi || cv.Lo < 0 || cv.Lo >= k {
-		return
-	}
-	rem := cv.Lo
-	d := e.Args[0]
-	if eq {
-		mod := gcd64(k, wrapModulus(width(d)))
-		if r.eval(d, ctx, 0).Lo >= 0 {
-			mod = k
-		}
-		r.constrainSt(d, ctx, mkStride(mod, rem))
-		return
-	}
-	if k == 2 {
-		r.constrainSt(d, ctx, mkStride(2, 1-rem))
-	}
+	return f.r.zone.diff(xn, xo, yn, yo)
 }
 
 // PrunePath reports whether a candidate path (with its sink constraints,
@@ -794,23 +498,14 @@ func (a *Analysis) PrunePath(p pdg.Path, vcs ...pdg.ValueConstraint) bool {
 		v := p[vc.Step].V
 		switch vc.Kind {
 		case pdg.ConstraintOutOfBounds:
-			// The sink only executes when its guard chain holds, so the
-			// facts of its guard environment — including zone bounds — are
-			// valid for any real hit on this path.
-			iv := a.invariantOf(v)
-			if z := a.zoneOf(v); z != nil && !z.dead {
-				if n, off, ok := zoneOperand(v); ok {
-					iv = iv.Meet(z.unary(n, off))
-				}
-			}
-			if a.stride {
-				iv, _ = reduce(iv, a.strideInvariantOf(v))
-			}
-			if iv.Within(0, int64(int32(vc.Bound))-1) {
+			// An index with no value left decides nothing here.
+			if in, _ := constInBounds(a.sinkFacts(v), v, vc); in {
 				return true
 			}
 		case pdg.ConstraintOutOfBoundsDyn:
-			if a.pruneDynBound(v, vc) {
+			// Nor does an empty index or bound: the invariants say the
+			// sink is unreachable-ish, which RefuteSlice decides.
+			if in, _ := dynInBounds(a.sinkFacts(v), v, vc); in {
 				return true
 			}
 		default:
@@ -839,36 +534,28 @@ func (a *Analysis) invariantOf(v *ssa.Value) Interval {
 	return Top(width(v))
 }
 
-// pruneDynBound mirrors refuter.applyDynBound against the whole-program
-// invariants and the sink's guard-environment zone.
-func (a *Analysis) pruneDynBound(v *ssa.Value, vc pdg.ValueConstraint) bool {
-	if vc.Arg < 0 || vc.Arg >= len(v.Args) || vc.BoundArg < 0 || vc.BoundArg >= len(v.Args) {
-		return false
+// sinkFacts is the oracle's read-only fact store at a sink: the
+// whole-program invariants, with the zone of the sink's guard
+// environment. The sink only executes when its guard chain holds, so
+// those zone facts are valid for any real hit.
+type sinkFacts struct {
+	a *Analysis
+	z *dbm[*ssa.Value] // nil when the domain is off
+}
+
+func (a *Analysis) sinkFacts(v *ssa.Value) sinkFacts { return sinkFacts{a, a.zoneOf(v)} }
+
+func (f sinkFacts) interval(x *ssa.Value) Interval { return f.a.invariantOf(x) }
+func (f sinkFacts) stride(x *ssa.Value) Stride     { return f.a.strideInvariantOf(x) }
+func (f sinkFacts) striding() bool                 { return f.a.stride }
+
+func (f sinkFacts) zoneBound(x *ssa.Value) (Interval, bool) { return f.z.bound(zoneOperand(x)) }
+
+func (f sinkFacts) zoneDiff(x, y *ssa.Value) (int64, bool) {
+	xn, xo, okx := zoneOperand(x)
+	yn, yo, oky := zoneOperand(y)
+	if !okx || !oky || f.z == nil || f.z.dead {
+		return 0, false
 	}
-	idx, bnd := v.Args[vc.Arg], v.Args[vc.BoundArg]
-	ii, ib := a.invariantOf(idx), a.invariantOf(bnd)
-	in, io, okI := zoneOperand(idx)
-	bn, bo, okB := zoneOperand(bnd)
-	z := a.zoneOf(v)
-	if z != nil && (z.dead || !okI || !okB) {
-		z = nil
-	}
-	if z != nil {
-		ii = ii.Meet(z.unary(in, io))
-		ib = ib.Meet(z.unary(bn, bo))
-	}
-	if a.stride {
-		ii, _ = reduce(ii, a.strideInvariantOf(idx))
-	}
-	if ii.IsBottom() || ib.IsBottom() {
-		return false // invariants say the sink is unreachable-ish; leave to RefuteSlice
-	}
-	nonneg := ii.Lo >= 0
-	below := ii.Hi < ib.Lo
-	if z != nil {
-		if c, ok := z.diff(in, io, bn, bo); ok && c <= -1 {
-			below = true
-		}
-	}
-	return nonneg && below
+	return f.z.diff(xn, xo, yn, yo)
 }

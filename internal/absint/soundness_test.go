@@ -42,7 +42,7 @@ func TestRefutationsAgreeWithSolver(t *testing.T) {
 			for i, c := range cands {
 				sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
 				c.ApplyConstraint(sl, 0)
-				if an.RefuteSlice(sl) {
+				if r, _, _ := an.RefuteSlice(context.Background(), sl); r {
 					refuted++
 					if plain[i].Status == sat.Sat {
 						t.Errorf("%s/%s: absint refuted a sat query (%s)",

@@ -16,7 +16,7 @@ import "fusion/internal/ssa"
 //
 // Soundness note: facts are over unbounded integers, so every edge added
 // for machine arithmetic (Add/Sub definitions) must carry a no-overflow
-// proof from the operand intervals — see refiner.noteDef. Comparison-
+// proof from the operand intervals — see defEdges. Comparison-
 // derived edges need no proof: the language's comparisons are signed and
 // wrap-free by definition.
 
@@ -128,6 +128,16 @@ func (d *dbm[N]) add(x, y N, c int64) bool {
 // reports whether the zone changed.
 func (d *dbm[N]) addNorm(xn N, xo int64, yn N, yo int64, c int64) bool {
 	return d.add(xn, yn, c-xo+yo)
+}
+
+// bound projects the zone's bounds onto an operand named by node n with
+// offset off, as unary does; ok is false when the zone is nil or dead, or
+// when named is false (the operand has no node).
+func (d *dbm[N]) bound(n N, off int64, named bool) (iv Interval, ok bool) {
+	if !named || d == nil || d.dead {
+		return Interval{}, false
+	}
+	return d.unary(n, off), true
 }
 
 // diff returns the proven upper bound on (xn + xo) − (yn + yo), if any.

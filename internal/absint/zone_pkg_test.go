@@ -97,11 +97,11 @@ fun f() {
 	cands, slices := oobSlices(t, g)
 	truth := engines.NewFusion().Check(context.Background(), g, cands)
 	for i, sl := range slices {
-		refuted, _, byZone := a.RefuteSliceTiered(sl)
+		refuted, _, byZone := a.RefuteSlice(context.Background(), sl)
 		if !refuted || !byZone {
 			t.Errorf("guarded dyn access: got (refuted=%v, byZone=%v), want (true, true)", refuted, byZone)
 		}
-		if r, _, _ := ivOnly.RefuteSliceTiered(sl); r {
+		if r, _, _ := ivOnly.RefuteSlice(context.Background(), sl); r {
 			t.Error("intervals-only tier refuted a relational query")
 		}
 		if truth[i].Status != sat.Unsat {
@@ -140,11 +140,11 @@ fun f(a: int) {
 	cands, slices := oobSlices(t, g)
 	truth := engines.NewFusion().Check(context.Background(), g, cands)
 	for i, sl := range slices {
-		refuted, _, byZone := a.RefuteSliceTiered(sl)
+		refuted, _, byZone := a.RefuteSlice(context.Background(), sl)
 		if !refuted || !byZone {
 			t.Errorf("cross-function dyn access: got (refuted=%v, byZone=%v), want (true, true)", refuted, byZone)
 		}
-		if r, _, _ := ivOnly.RefuteSliceTiered(sl); r {
+		if r, _, _ := ivOnly.RefuteSlice(context.Background(), sl); r {
 			t.Error("intervals-only tier refuted a relational query")
 		}
 		if truth[i].Status != sat.Unsat {
@@ -170,7 +170,7 @@ fun f() {
 	cands, slices := oobSlices(t, g)
 	truth := engines.NewFusion().Check(context.Background(), g, cands)
 	for i, sl := range slices {
-		if refuted, _, _ := a.RefuteSliceTiered(sl); refuted {
+		if refuted, _, _ := a.RefuteSlice(context.Background(), sl); refuted {
 			t.Error("feasible dyn access refuted: unsound")
 		}
 		c := cands[i]

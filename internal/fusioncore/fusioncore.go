@@ -183,7 +183,7 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 	// unsat without building a formula (and soundness tests hold it to
 	// that).
 	if opts.Absint != nil {
-		if refuted, byStride, byZone := opts.Absint.RefuteSliceTieredCtx(ctx, sl); refuted {
+		if refuted, byStride, byZone := opts.Absint.RefuteSlice(ctx, sl); refuted {
 			res.Status = sat.Unsat
 			res.DecidedByAbsint = true
 			res.DecidedByStride = byStride
