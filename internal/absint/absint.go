@@ -349,7 +349,7 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 		// The zones are valid for any arguments: the record pass runs with
 		// top parameters, so every recorded fact is a whole-program
 		// invariant under its guard chain.
-		a.rootZone[f] = ref.empty.z
+		a.rootZone[f] = ref.root.z
 		for g, env := range ref.envs {
 			a.guardZone[g] = env.z
 		}

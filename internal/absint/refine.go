@@ -17,8 +17,11 @@ type refiner struct {
 	local map[*ssa.Value]Interval
 	// localSt mirrors local in the congruence domain; nil when off.
 	localSt map[*ssa.Value]Stride
-	envs    map[*ssa.Value]*refEnv
-	empty   *refEnv
+	// envs holds the environment of each guard chain, created on demand;
+	// root is the unguarded one. Facts are only ever derived into a
+	// guard's environment, so root's refined and st maps stay nil.
+	envs map[*ssa.Value]*refEnv
+	root refEnv
 	// zone enables the relational (difference-bound) domain.
 	zone bool
 	// stride enables the congruence domain.
@@ -41,16 +44,12 @@ func newRefiner(local map[*ssa.Value]Interval, localSt map[*ssa.Value]Stride, zo
 	r := &refiner{
 		local:   local,
 		localSt: localSt,
-		envs:    map[*ssa.Value]*refEnv{},
 		zone:    zone,
 		stride:  stride,
 	}
-	r.empty = &refEnv{r: r, refined: map[*ssa.Value]Interval{}}
+	r.root.r = r
 	if zone {
-		r.empty.z = newDBM[*ssa.Value]()
-	}
-	if stride {
-		r.empty.st = map[*ssa.Value]Stride{}
+		r.root.z = newDBM[*ssa.Value]()
 	}
 	return r
 }
@@ -75,13 +74,16 @@ func (r *refiner) baseSt(x *ssa.Value) Stride {
 // envFor returns the environment of the guard chain ending at g.
 func (r *refiner) envFor(g *ssa.Value) *refEnv {
 	if g == nil {
-		return r.empty
+		return &r.root
 	}
 	if env, ok := r.envs[g]; ok {
 		return env
 	}
 	env := r.envFor(g.Guard).child()
 	derive(env, g.Args[0], true, 0)
+	if r.envs == nil {
+		r.envs = map[*ssa.Value]*refEnv{}
+	}
 	r.envs[g] = env
 	return env
 }
@@ -96,7 +98,7 @@ func (env *refEnv) child() *refEnv {
 	for v, iv := range env.refined {
 		c.refined[v] = iv
 	}
-	if env.st != nil {
+	if env.r.stride {
 		c.st = make(map[*ssa.Value]Stride, len(env.st)+2)
 		for v, st := range env.st {
 			c.st[v] = st

@@ -12,7 +12,7 @@ import (
 // calling context) instantiations with per-round memos. A third, read-only
 // store serves the enumeration oracle from the whole-program invariants.
 // The clients differ only in where a fact is stored and looked up; every
-// real difference between them is a method of the side that owns it.
+// real difference between them lives on the side that owns it.
 
 // facts is where a rule looks up what is known about a value at one
 // program point.

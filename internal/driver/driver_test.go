@@ -145,6 +145,36 @@ func TestParallelCheckContainsPanics(t *testing.T) {
 	}
 }
 
+// TestParallelCheckBoundaryInvariant: the same panic must produce the
+// same sanitized stack (and so the same digest) whether its item runs
+// inline (one worker) or on a pooled worker goroutine, or crash grouping
+// would depend on scheduling. The stack keeps the panicking closure and
+// ends at the containment boundary, so the caller's frames never reach
+// it.
+func TestParallelCheckBoundaryInvariant(t *testing.T) {
+	crash := func(i int) int {
+		if i == 1 {
+			panic("same crash")
+		}
+		return i
+	}
+	_, inline := driver.ParallelCheck(context.Background(), 2, 1, crash)
+	_, pooled := driver.ParallelCheck(context.Background(), 2, 2, crash)
+	if inline[1] == nil || pooled[1] == nil {
+		t.Fatalf("missing failure: inline=%v pooled=%v", inline[1], pooled[1])
+	}
+	if inline[1].Digest() != pooled[1].Digest() {
+		t.Errorf("digest differs between inline and pooled execution:\n%s\nvs\n%s",
+			inline[1].Stack, pooled[1].Stack)
+	}
+	if !strings.Contains(inline[1].Stack, "TestParallelCheckBoundaryInvariant") {
+		t.Errorf("panicking closure missing from stack:\n%s", inline[1].Stack)
+	}
+	if strings.Contains(inline[1].Stack, "testing.tRunner") {
+		t.Errorf("caller frames below the boundary leaked into stack:\n%s", inline[1].Stack)
+	}
+}
+
 func TestCompileContainsStagePanics(t *testing.T) {
 	for _, stage := range []string{"parse", "sema", "ssa", "pdg"} {
 		if err := faultinject.ArmSpec("panic." + stage); err != nil {

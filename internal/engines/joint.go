@@ -126,26 +126,31 @@ func jointUnitLabel(grp JointGroup) string {
 }
 
 // CheckJoint decides every multi-argument sink group with the given
-// engine, each in one attempt under panic containment like a candidate.
-// A cancelled ctx yields Unknown for the remaining groups.
+// engine, each in one attempt under panic containment like a candidate:
+// a crashed group ends Unknown with its failure, labelled with the group
+// and the joint stage. Once ctx is done the remaining groups are skipped
+// and stay Unknown.
 func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []sparse.Candidate) []JointVerdict {
 	groups := GroupBySink(cands)
-	out := make([]JointVerdict, 0, len(groups))
-	for _, grp := range groups {
-		paths := make([]pdg.Path, len(grp.Flows))
-		for i, f := range grp.Flows {
-			paths[i] = f.Path
+	out, fails := driver.ParallelCheck(ctx, len(groups), 1, func(i int) JointVerdict {
+		v := JointVerdict{Group: groups[i]}
+		if ctx.Err() != nil {
+			return v
+		}
+		paths := make([]pdg.Path, len(v.Group.Flows))
+		for j, f := range v.Group.Flows {
+			paths[j] = f.Path
 		}
 		t0 := time.Now()
-		// A crashed or never-run group keeps the zero status, Unknown.
-		var st sat.Status
-		var fail *failure.UnitFailure
-		if ctx.Err() == nil {
-			st, fail = driver.Contain(jointUnitLabel(grp), "joint", func() sat.Status {
-				return eng.CheckJointPaths(ctx, g, paths)
-			})
+		v.Status = eng.CheckJointPaths(ctx, g, paths)
+		v.Time = time.Since(t0)
+		return v
+	})
+	for i, f := range fails {
+		if f != nil {
+			f.Unit, f.Stage = jointUnitLabel(groups[i]), "joint"
+			out[i] = JointVerdict{Group: groups[i], Failure: f}
 		}
-		out = append(out, JointVerdict{Group: grp, Status: st, Time: time.Since(t0), Failure: fail})
 	}
 	return out
 }

@@ -66,9 +66,6 @@ type Budget struct {
 	MaxHeapDelta int64
 }
 
-// IsZero reports an entirely unbounded budget.
-func (b Budget) IsZero() bool { return b == Budget{} }
-
 // SetBudget configures the per-candidate budget on engines that have a
 // bit-precise tier; other engines are left unchanged.
 func SetBudget(e Engine, b Budget) {

@@ -109,9 +109,6 @@ func TestTierOf(t *testing.T) {
 
 func TestSetBudget(t *testing.T) {
 	b := Budget{Steps: 7, Deadline: time.Second, MaxHeapDelta: 11}
-	if b.IsZero() || (Budget{}).IsZero() == false {
-		t.Fatal("IsZero misreports")
-	}
 	f, p := NewFusion(), NewPinpoint(Plain)
 	SetBudget(f, b)
 	SetBudget(p, b)

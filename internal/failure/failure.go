@@ -73,8 +73,8 @@ func FromPanicAt(unit, stage string, v any, boundary string) *UnitFailure {
 
 // SanitizeStack rewrites a runtime.Stack dump into a deterministic
 // form: the "goroutine N [running]:" header and "created by" trailer go
-// away, each call frame keeps only the function name (hex argument
-// values vary run to run), and each source line keeps file:line but
+// away, each call frame keeps only the function name, receiver included
+// (hex argument values vary run to run), and each source line keeps file:line but
 // drops the "+0x..." program counter offset. Frames belonging to the
 // runtime's panic machinery and to this package are dropped so the
 // first line is the frame that actually panicked.
@@ -98,12 +98,13 @@ func sanitizeStack(s, boundary string) string {
 			continue
 		}
 		if !strings.HasPrefix(ln, "\t") {
-			// Function frame line: "pkg.fn(0x1, 0x2)" → "pkg.fn".
-			name := ln
-			if i := strings.IndexByte(name, '('); i > 0 {
+			// Function frame line: "pkg.(*T).fn(0x1, 0x2)" → "pkg.(*T).fn".
+			// Only the trailing argument list goes (argument words never
+			// hold parentheses); a method's receiver stays in the name.
+			name := strings.TrimSpace(ln)
+			if i := strings.LastIndexByte(name, '('); i > 0 && strings.HasSuffix(name, ")") {
 				name = name[:i]
 			}
-			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
 			}

@@ -61,4 +61,34 @@ func TestSanitizeStack(t *testing.T) {
 	if got != want {
 		t.Errorf("SanitizeStack:\n%q\nwant\n%q", got, want)
 	}
+
+	// A method frame keeps its receiver; only the argument list goes.
+	in = "goroutine 7 [running]:\n" +
+		"fusion/internal/sparse.(*Engine).fromSource(0xc000010250, {0x4f2a80?, 0x2})\n" +
+		"\t/home/u/repo/internal/sparse/sparse.go:300 +0x1a\n"
+	got = SanitizeStack(in)
+	want = "fusion/internal/sparse.(*Engine).fromSource\n\tsparse.go:300"
+	if got != want {
+		t.Errorf("SanitizeStack method frame:\n%q\nwant\n%q", got, want)
+	}
+
+	// A method boundary cuts the frames below the panic: the recovery
+	// closure above it stays, the caller's frames go.
+	in = "goroutine 7 [running]:\n" +
+		"fusion/internal/sparse.(*Engine).containedFromSource.func1()\n" +
+		"\t/home/u/repo/internal/sparse/sparse.go:231 +0x1a\n" +
+		"panic({0x4f2a80?, 0xc0000142d0?})\n" +
+		"\t/usr/local/go/src/runtime/panic.go:770 +0x132\n" +
+		"fusion/internal/sparse.(*Engine).fromSource(0xc000010250, 0x2)\n" +
+		"\t/home/u/repo/internal/sparse/sparse.go:300 +0x1a\n" +
+		"fusion/internal/sparse.(*Engine).containedFromSource(0xc000010250, 0x2)\n" +
+		"\t/home/u/repo/internal/sparse/sparse.go:238 +0x1a\n" +
+		"main.run(0x1)\n" +
+		"\t/home/u/repo/cmd/fusion/main.go:280 +0x1a\n"
+	got = sanitizeStack(in, "containedFromSource")
+	want = "fusion/internal/sparse.(*Engine).containedFromSource.func1\n\tsparse.go:231\n" +
+		"fusion/internal/sparse.(*Engine).fromSource\n\tsparse.go:300"
+	if got != want {
+		t.Errorf("sanitizeStack at a method boundary:\n%q\nwant\n%q", got, want)
+	}
 }

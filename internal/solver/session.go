@@ -19,6 +19,9 @@ import (
 	"fusion/internal/smt"
 )
 
+// maxConflicts bounds every SAT search a session runs.
+const maxConflicts = 4_000_000
+
 // Session is one candidate's solving stack. It is NOT safe for concurrent
 // use; callers create one per candidate and drop it when the candidate is
 // decided. Retained clauses and encodings change only the cost of a
@@ -120,11 +123,7 @@ func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 
 	t1 := time.Now()
 	s := ss.s
-	if opts.MaxConflicts > 0 {
-		s.MaxConflicts = opts.MaxConflicts
-	} else {
-		s.MaxConflicts = 4_000_000
-	}
+	s.MaxConflicts = maxConflicts
 	s.MaxDecisions = opts.MaxDecisions // also clears a previous query's bound
 	if opts.Timeout > 0 {
 		s.Deadline = time.Now().Add(opts.Timeout)

@@ -142,16 +142,16 @@ func TestSessionBudgetsPerCall(t *testing.T) {
 	x := b.Var("x", 8)
 	y := b.Var("y", 8)
 	z := b.Var("z", 8)
-	// Hard enough to exhaust one conflict: a multiplicative constraint mesh.
+	// Hard enough to exhaust one decision: a multiplicative constraint mesh.
 	phi := b.And(
 		b.Eq(b.Mul(b.Mul(x, y), z), b.Const(113, 8)),
 		b.And(b.Eq(b.URem(x, b.Const(2, 8)), b.Const(0, 8)),
 			b.Ult(b.Const(7, 8), z)))
-	opts := Options{NoProbe: true, Passes: NoPasses, MaxConflicts: 1}
+	opts := Options{NoProbe: true, Passes: NoPasses, MaxDecisions: 1}
 	r1 := ss.Solve(phi, opts)
 	// Whatever the verdict, a second call with a generous budget must not
 	// be constrained by the first call's tiny one.
-	opts.MaxConflicts = 4_000_000
+	opts.MaxDecisions = 0
 	r2 := ss.Solve(phi, opts)
 	if r2.Status == sat.Unknown {
 		t.Fatalf("second call still budget-bound: %+v then %+v", r1, r2)

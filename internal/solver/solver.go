@@ -22,8 +22,6 @@ type Options struct {
 	// Passes is the preprocessing pipeline; nil means smt.DefaultPasses. Use
 	// NoPasses to disable preprocessing entirely.
 	Passes []smt.Pass
-	// MaxConflicts bounds the SAT search; <= 0 means the default budget.
-	MaxConflicts int64
 	// MaxDecisions bounds the SAT search's branching decisions; <= 0
 	// means unbounded. Decisions are counted exactly, so unlike Timeout
 	// this budget exhausts deterministically on every machine.

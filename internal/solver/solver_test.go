@@ -192,7 +192,7 @@ func TestSolveBudgets(t *testing.T) {
 		b.Ult(x, y),
 	)
 	start := time.Now()
-	r := solver.Solve(b, phi, solver.Options{MaxConflicts: 50, NoProbe: true, Timeout: 5 * time.Second})
+	r := solver.Solve(b, phi, solver.Options{MaxDecisions: 50, NoProbe: true, Timeout: 5 * time.Second})
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("budget not honored: %v", elapsed)
 	}
