@@ -74,8 +74,8 @@ func FromPanicAt(unit, stage string, v any, boundary string) *UnitFailure {
 // SanitizeStack rewrites a runtime.Stack dump into a deterministic
 // form: the "goroutine N [running]:" header and "created by" trailer go
 // away, each call frame keeps only the function name, receiver included
-// (hex argument values vary run to run), and each source line keeps file:line but
-// drops the "+0x..." program counter offset. Frames belonging to the
+// (hex argument values vary run to run), and each source line keeps
+// file:line but drops the "+0x..." program counter offset. Frames belonging to the
 // runtime's panic machinery and to this package are dropped so the
 // first line is the frame that actually panicked.
 func SanitizeStack(s string) string { return sanitizeStack(s, "") }
