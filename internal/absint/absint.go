@@ -3,6 +3,7 @@ package absint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"fusion/internal/lang"
@@ -28,6 +29,14 @@ type Analysis struct {
 	instMemo map[instCacheKey]Interval
 	visiting map[*ssa.Function]bool
 	budget   int
+	// frames holds each evaluation depth's per-body state, reused by
+	// every pass at that depth. Passes nest strictly: the record pass
+	// runs at depth 0 and is never re-entered, and evalCall runs a
+	// callee's pass at depth+1 only while the caller's pass waits, up to
+	// maxInstDepth. So no two live passes ever share a frame.
+	frames [maxInstDepth + 1]frame
+	// keyBuf is the scratch buffer instantiation memo keys are built in.
+	keyBuf []byte
 
 	// zone enables the relational (difference-bound) domain; rootZone and
 	// guardZone record, per function root and per guard vertex, the zone
@@ -72,6 +81,13 @@ type Stats struct {
 	StrideFacts int
 }
 
+// frame is one evaluation depth's reusable state: the body's refiner and
+// the argument intervals of the call being instantiated from it.
+type frame struct {
+	ref      refiner
+	callArgs []Interval
+}
+
 type instCacheKey struct {
 	f    *ssa.Function
 	args string
@@ -95,9 +111,15 @@ func Analyze(g *pdg.Graph) *Analysis { return AnalyzeWith(g, Config{}) }
 
 // AnalyzeWith is Analyze with explicit domain configuration.
 func AnalyzeWith(g *pdg.Graph, cfg Config) *Analysis {
+	// Every value gets an interval, and a stride when the domain is on:
+	// sizing both tables up front saves rehashing them as they grow.
+	n := 0
+	for _, f := range g.Prog.Order {
+		n += len(f.Values)
+	}
 	a := &Analysis{
 		G:           g,
-		vals:        map[*ssa.Value]Interval{},
+		vals:        make(map[*ssa.Value]Interval, n),
 		summaries:   map[*ssa.Function]Interval{},
 		instMemo:    map[instCacheKey]Interval{},
 		visiting:    map[*ssa.Function]bool{},
@@ -108,6 +130,9 @@ func AnalyzeWith(g *pdg.Graph, cfg Config) *Analysis {
 		stride:      !cfg.DisableStride,
 		strides:     map[*ssa.Value]Stride{},
 		stSummaries: map[*ssa.Function]Stride{},
+	}
+	if a.stride {
+		a.strides = make(map[*ssa.Value]Stride, n)
 	}
 	// Bottom-up call-graph order.
 	done := map[*ssa.Function]bool{}
@@ -307,7 +332,6 @@ func zoneName(x *ssa.Value) string {
 // order and normalized programs are loop-free, so a single forward pass
 // reaches the fixpoint.
 func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, depth int) Interval {
-	local := make(map[*ssa.Value]Interval, len(f.Values))
 	// The zone and stride domains are only tracked in the record pass:
 	// instantiation passes re-evaluate intervals alone per call site, and
 	// their result is met with the top-parameter summary the record pass
@@ -316,11 +340,8 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 	// half: it closes a difference-bound matrix per guard environment,
 	// which the record pass keeps but an instantiation would discard.
 	stride := a.stride && record
-	var localSt map[*ssa.Value]Stride
-	if stride {
-		localSt = make(map[*ssa.Value]Stride, len(f.Values))
-	}
-	ref := newRefiner(local, localSt, a.zone && record, stride)
+	ref := &a.frames[depth].ref
+	ref.reset(f, a.zone && record, stride)
 
 	for _, v := range f.Values {
 		env := ref.envFor(v.Guard)
@@ -335,9 +356,8 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 				iv, st = reduce(iv, stFitWidth(a.strideTransfer(v, env), width(v)))
 			}
 		}
-		local[v] = iv
+		ref.define(v, iv, st)
 		if stride {
-			localSt[v] = st
 			a.strides[v] = st
 		}
 		ref.noteDef(v)
@@ -350,17 +370,19 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 		// top parameters, so every recorded fact is a whole-program
 		// invariant under its guard chain.
 		a.rootZone[f] = ref.root.z
-		for g, env := range ref.envs {
-			a.guardZone[g] = env.z
+		for id, env := range ref.envs {
+			if env != nil {
+				a.guardZone[f.Values[id]] = env.z
+			}
 		}
 	}
 	if stride && f.Ret != nil {
-		a.stSummaries[f] = localSt[f.Ret]
+		a.stSummaries[f] = ref.localSt[f.Ret.ID]
 	}
 	if f.Ret == nil {
 		return Top(32)
 	}
-	return local[f.Ret]
+	return ref.local[f.Ret.ID]
 }
 
 // strideTransfer evaluates one vertex in the congruence domain under its
@@ -425,11 +447,14 @@ func (a *Analysis) transfer(v *ssa.Value, args []Interval, env *refEnv, depth in
 		}
 		return Top(width(v))
 	case ssa.OpCall:
-		callArgs := make([]Interval, len(v.Args))
-		for i, x := range v.Args {
-			callArgs[i] = env.interval(x)
+		// The callee's pass runs one frame deeper, so it never touches
+		// this frame's argument buffer while reading its arguments.
+		fr := &a.frames[depth]
+		fr.callArgs = fr.callArgs[:0]
+		for _, x := range v.Args {
+			fr.callArgs = append(fr.callArgs, env.interval(x))
 		}
-		return a.evalCall(a.G.Callee(v), callArgs, depth)
+		return a.evalCall(a.G.Callee(v), fr.callArgs, depth)
 	}
 	return transferOf(env, v)
 }
@@ -533,14 +558,16 @@ func (a *Analysis) evalCall(callee *ssa.Function, args []Interval, depth int) In
 	if allTop {
 		return a.summaryOrTop(callee)
 	}
-	key := instCacheKey{f: callee, args: intervalKey(args)}
-	if iv, ok := a.instMemo[key]; ok {
+	a.keyBuf = appendIntervalKey(a.keyBuf[:0], args)
+	if iv, ok := a.instMemo[instCacheKey{f: callee, args: string(a.keyBuf)}]; ok {
 		a.Stats.CacheHits++
 		return iv
 	}
 	if a.budget <= 0 {
 		return a.summaryOrTop(callee)
 	}
+	// The callee's own calls reuse keyBuf, so copy the key out first.
+	key := instCacheKey{f: callee, args: string(a.keyBuf)}
 	a.budget--
 	a.Stats.Instantiations++
 	a.visiting[callee] = true
@@ -563,10 +590,13 @@ func (a *Analysis) summaryOrTop(f *ssa.Function) Interval {
 	return Top(32)
 }
 
-func intervalKey(args []Interval) string {
-	var b strings.Builder
+// appendIntervalKey appends the memo key of an argument list to b.
+func appendIntervalKey(b []byte, args []Interval) []byte {
 	for _, iv := range args {
-		fmt.Fprintf(&b, "%d:%d;", iv.Lo, iv.Hi)
+		b = strconv.AppendInt(b, iv.Lo, 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, iv.Hi, 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	return b
 }

@@ -63,17 +63,24 @@ func factEnd(x *ssa.Value) string {
 	return "v" + strconv.Itoa(x.ID)
 }
 
+// compileSubject builds one progen subject at the given scale.
+func compileSubject(t *testing.T, info progen.Subject, scale float64) *driver.Program {
+	t.Helper()
+	src, _, _ := info.Build(scale)
+	pr, err := driver.Compile(context.Background(), driver.Source{Name: info.Name, Text: src}, driver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
 // factsDigest dumps every subject's facts at factsPinScale under both
 // modes and returns the dump's SHA-256.
 func factsDigest(t *testing.T) string {
 	t.Helper()
 	h := sha256.New()
 	for _, info := range progen.Subjects {
-		src, _, _ := info.Build(factsPinScale)
-		pr, err := driver.Compile(context.Background(), driver.Source{Name: info.Name, Text: src}, driver.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr := compileSubject(t, info, factsPinScale)
 		for _, m := range []driver.AbsintMode{driver.AbsintOn, driver.AbsintNoStride} {
 			fmt.Fprintf(h, "# %s %s\n", info.Name, m)
 			dumpFacts(h, info.Name, pr.SSA, driver.Analyze(pr.Graph, m))
@@ -89,6 +96,39 @@ func factsDigest(t *testing.T) string {
 func TestAnalysisFactsPinned(t *testing.T) {
 	if got := factsDigest(t); got != factsPinSHA256 {
 		t.Fatalf("facts digest at scale %g = %s, pinned %s", factsPinScale, got, factsPinSHA256)
+	}
+}
+
+// budgetPinScale is the scale of the second facts pin. At it, v8's
+// instantiation passes spend the whole evalBudget, so which call sites
+// get a sharper instantiated result than the top-parameter summary
+// depends on the order in which the passes run; factsPinScale never
+// reaches the budget.
+const budgetPinScale = 0.01
+
+// budgetFactsPinSHA256 is the SHA-256 of v8's per-vertex fact dump at
+// budgetPinScale under AbsintOn. Like factsPinSHA256, only a change that
+// alters the tier's precision on purpose may update it.
+const budgetFactsPinSHA256 = "1ebb681884dea18c8a1321d2372ca96e00a23dd4840eb859237940ffda78f03c"
+
+// TestAnalysisFactsPinnedBudgetSpent pins the facts of a subject whose
+// record pass runs out of instantiation budget, so a change to how the
+// instantiation passes are ordered or reuse their state cannot silently
+// move the budget's cut-off.
+func TestAnalysisFactsPinnedBudgetSpent(t *testing.T) {
+	info, err := progen.SubjectByName("v8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := compileSubject(t, info, budgetPinScale)
+	an := driver.Analyze(pr.Graph, driver.AbsintOn)
+	if left := an.RemainingBudget(); left != 0 {
+		t.Fatalf("v8 at scale %g left %d of the instantiation budget; the pin needs it spent", budgetPinScale, left)
+	}
+	h := sha256.New()
+	dumpFacts(h, info.Name, pr.SSA, an)
+	if got := hex.EncodeToString(h.Sum(nil)); got != budgetFactsPinSHA256 {
+		t.Fatalf("v8 facts digest at scale %g = %s, pinned %s", budgetPinScale, got, budgetFactsPinSHA256)
 	}
 }
 
@@ -109,11 +149,7 @@ func refutationsDigest(t *testing.T) string {
 	h := sha256.New()
 	specs := []*sparse.Spec{checker.NullDeref(), checker.DivByZero(), checker.IndexOOB()}
 	for _, info := range progen.Subjects {
-		src, _, _ := info.Build(factsPinScale)
-		pr, err := driver.Compile(context.Background(), driver.Source{Name: info.Name, Text: src}, driver.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr := compileSubject(t, info, factsPinScale)
 		eng := sparse.NewEngine(pr.Graph)
 		var cands []sparse.Candidate
 		for _, spec := range specs {

@@ -14,14 +14,28 @@ import "fusion/internal/ssa"
 // edges, and a negative cycle marks the guard chain dead just like an
 // empty interval meet does.
 type refiner struct {
-	local map[*ssa.Value]Interval
-	// localSt mirrors local in the congruence domain; nil when off.
-	localSt map[*ssa.Value]Stride
-	// envs holds the environment of each guard chain, created on demand;
-	// root is the unguarded one. Facts are only ever derived into a
-	// guard's environment, so root's refined and st maps stay nil.
-	envs map[*ssa.Value]*refEnv
+	// fn is the function under evaluation; local and localSt are indexed
+	// by the ID of its values, which is the value's position in
+	// fn.Values. Values are evaluated in that order, so the first defined
+	// entries are exactly the values evaluated so far; every other value,
+	// or one of another function, reads as top.
+	fn      *ssa.Function
+	defined int
+	local   []Interval
+	// localSt mirrors local in the congruence domain; only read when
+	// stride is on.
+	localSt []Stride
+	// envs holds the environment of each guard chain, indexed by the
+	// guard's ID and created on demand; root is the unguarded one. Facts
+	// are only ever derived into a guard's environment, so root's refined
+	// and st stay empty.
+	envs []*refEnv
 	root refEnv
+	// pool holds every guard environment the refiner has made; the
+	// first pooled belong to the current pass, and child reuses the rest
+	// before it allocates.
+	pool   []*refEnv
+	pooled int
 	// zone enables the relational (difference-bound) domain.
 	zone bool
 	// stride enables the congruence domain.
@@ -31,32 +45,80 @@ type refiner struct {
 // refEnv is the record pass's fact store: the facts valid whenever one
 // guard chain holds.
 type refEnv struct {
-	r       *refiner
-	refined map[*ssa.Value]Interval
-	// st holds the guard chain's stride refinements; nil when off.
-	st map[*ssa.Value]Stride
+	r *refiner
+	// refined and st hold the guard chain's interval and stride
+	// refinements, one entry per value at most. Guard rules only derive
+	// facts about values of the body under evaluation, so an entry is
+	// keyed by the value's ID. st stays empty when the congruence domain
+	// is off.
+	refined []fact[Interval]
+	st      []fact[Stride]
 	// z is the environment's zone; nil when the domain is disabled.
 	z           *dbm[*ssa.Value]
 	unreachable bool // the guard chain is contradictory: code under it is unreachable
 }
 
-func newRefiner(local map[*ssa.Value]Interval, localSt map[*ssa.Value]Stride, zone, stride bool) *refiner {
-	r := &refiner{
-		local:   local,
-		localSt: localSt,
-		zone:    zone,
-		stride:  stride,
+// fact is one refinement held by a guard environment.
+type fact[T any] struct {
+	id int32
+	v  T
+}
+
+// lookup returns the fact fs holds on value id.
+func lookup[T any](fs []fact[T], id int) (T, bool) {
+	for _, f := range fs {
+		if int(f.id) == id {
+			return f.v, true
+		}
 	}
-	r.root.r = r
+	var none T
+	return none, false
+}
+
+// put sets the fact fs holds on value id.
+func put[T any](fs []fact[T], id int, v T) []fact[T] {
+	for i := range fs {
+		if int(fs[i].id) == id {
+			fs[i].v = v
+			return fs
+		}
+	}
+	return append(fs, fact[T]{int32(id), v})
+}
+
+// reset readies r for a pass over f's body, reusing its tables.
+func (r *refiner) reset(f *ssa.Function, zone, stride bool) {
+	n := len(f.Values)
+	if cap(r.local) < n {
+		r.local = make([]Interval, n)
+		r.envs = make([]*refEnv, n)
+	}
+	if stride && cap(r.localSt) < n {
+		r.localSt = make([]Stride, n)
+	}
+	r.fn, r.defined = f, 0
+	r.local, r.envs = r.local[:n], r.envs[:n]
+	clear(r.envs)
+	r.zone, r.stride = zone, stride
+	r.pooled = 0
+	r.root = refEnv{r: r}
 	if zone {
 		r.root.z = newDBM[*ssa.Value]()
 	}
-	return r
+}
+
+// define records v's facts; v must be the next value of r.fn.
+func (r *refiner) define(v *ssa.Value, iv Interval, st Stride) {
+	r.local[v.ID] = iv
+	if r.stride {
+		r.localSt[v.ID] = st
+	}
+	r.defined = v.ID + 1
 }
 
 func (r *refiner) base(x *ssa.Value) Interval {
-	if iv, ok := r.local[x]; ok {
-		return iv
+	if x.Fn == r.fn && x.ID < r.defined {
+		return r.local[x.ID]
 	}
 	return Top(width(x))
 }
@@ -65,8 +127,8 @@ func (r *refiner) baseSt(x *ssa.Value) Stride {
 	if x.Op == ssa.OpConst {
 		return SingleStride(SignExt(x.Const, width(x)))
 	}
-	if st, ok := r.localSt[x]; ok {
-		return st
+	if r.stride && x.Fn == r.fn && x.ID < r.defined {
+		return r.localSt[x.ID]
 	}
 	return TopStride()
 }
@@ -76,50 +138,47 @@ func (r *refiner) envFor(g *ssa.Value) *refEnv {
 	if g == nil {
 		return &r.root
 	}
-	if env, ok := r.envs[g]; ok {
+	if env := r.envs[g.ID]; env != nil {
 		return env
 	}
 	env := r.envFor(g.Guard).child()
 	derive(env, g.Args[0], true, 0)
-	if r.envs == nil {
-		r.envs = map[*ssa.Value]*refEnv{}
-	}
-	r.envs[g] = env
+	r.envs[g.ID] = env
 	return env
 }
 
 // child clones an environment: refined intervals, strides and the zone.
 func (env *refEnv) child() *refEnv {
-	c := &refEnv{
-		r:           env.r,
-		refined:     make(map[*ssa.Value]Interval, len(env.refined)+2),
-		unreachable: env.unreachable,
+	r := env.r
+	if r.pooled == len(r.pool) {
+		r.pool = append(r.pool, &refEnv{r: r})
 	}
-	for v, iv := range env.refined {
-		c.refined[v] = iv
-	}
-	if env.r.stride {
-		c.st = make(map[*ssa.Value]Stride, len(env.st)+2)
-		for v, st := range env.st {
-			c.st[v] = st
-		}
-	}
+	c := r.pool[r.pooled]
+	r.pooled++
+	c.refined = append(c.refined[:0], env.refined...)
+	c.st = append(c.st[:0], env.st...)
+	c.z = nil
 	if env.z != nil {
 		c.z = env.z.clone()
 	}
+	c.unreachable = env.unreachable
 	return c
 }
 
 func (env *refEnv) interval(x *ssa.Value) Interval {
-	if iv, ok := env.refined[x]; ok {
-		return iv
+	if x.Fn == env.r.fn {
+		if iv, ok := lookup(env.refined, x.ID); ok {
+			return iv
+		}
 	}
 	return env.r.base(x)
 }
 
 func (env *refEnv) stride(x *ssa.Value) Stride {
-	if st, ok := env.st[x]; ok {
-		return st
+	if x.Fn == env.r.fn {
+		if st, ok := lookup(env.st, x.ID); ok {
+			return st
+		}
 	}
 	return env.r.baseSt(x)
 }
@@ -145,8 +204,8 @@ func (env *refEnv) constrain(x *ssa.Value, with Interval) {
 			return
 		}
 		if x.Op != ssa.OpConst {
-			env.refined[x] = m
-			env.st[x] = st
+			env.refined = put(env.refined, x.ID, m)
+			env.st = put(env.st, x.ID, st)
 		}
 		return
 	}
@@ -155,7 +214,7 @@ func (env *refEnv) constrain(x *ssa.Value, with Interval) {
 		return
 	}
 	if x.Op != ssa.OpConst {
-		env.refined[x] = m
+		env.refined = put(env.refined, x.ID, m)
 	}
 }
 
@@ -173,8 +232,8 @@ func (env *refEnv) constrainSt(x *ssa.Value, with Stride) {
 		return
 	}
 	if x.Op != ssa.OpConst {
-		env.refined[x] = iv
-		env.st[x] = m2
+		env.refined = put(env.refined, x.ID, iv)
+		env.st = put(env.st, x.ID, m2)
 	}
 }
 
@@ -234,39 +293,34 @@ func (env *refEnv) disjoin(a, b *ssa.Value, want bool, depth int) {
 		env.unreachable = true
 		return
 	case ea.unreachable:
-		env.refined, env.st, env.z = eb.refined, eb.st, eb.z
+		env.adopt(eb)
 		return
 	case eb.unreachable:
-		env.refined, env.st, env.z = ea.refined, ea.st, ea.z
+		env.adopt(ea)
 		return
 	}
-	// Interval join over every key either branch refined. Both scratch
+	// Interval join over every value either branch refined. Both scratch
 	// environments start from env, so the join is never wider than the
 	// current fact and constrain's meet keeps the tighter of old and new.
-	keys := make(map[*ssa.Value]bool, len(ea.refined)+len(eb.refined))
-	for x := range ea.refined {
-		keys[x] = true
+	// The facts are independent, so their order does not matter.
+	for _, f := range ea.refined {
+		if env.joinInterval(f.id, ea, eb) {
+			return
+		}
 	}
-	for x := range eb.refined {
-		keys[x] = true
-	}
-	for x := range keys {
-		env.constrain(x, ea.interval(x).Join(eb.interval(x)))
-		if env.unreachable {
+	for _, f := range eb.refined {
+		if _, both := lookup(ea.refined, int(f.id)); !both && env.joinInterval(f.id, ea, eb) {
 			return
 		}
 	}
 	if env.r.stride {
-		stKeys := make(map[*ssa.Value]bool, len(ea.st)+len(eb.st))
-		for x := range ea.st {
-			stKeys[x] = true
+		for _, f := range ea.st {
+			if env.joinStride(f.id, ea, eb) {
+				return
+			}
 		}
-		for x := range eb.st {
-			stKeys[x] = true
-		}
-		for x := range stKeys {
-			env.constrainSt(x, ea.stride(x).Join(eb.stride(x)))
-			if env.unreachable {
+		for _, f := range eb.st {
+			if _, both := lookup(ea.st, int(f.id)); !both && env.joinStride(f.id, ea, eb) {
 				return
 			}
 		}
@@ -274,4 +328,28 @@ func (env *refEnv) disjoin(a, b *ssa.Value, want bool, depth int) {
 	if env.z != nil {
 		env.z = ea.z.join(eb.z)
 	}
+}
+
+// adopt replaces env's facts with a copy of o's. Pooled environments
+// must not share their fact slices.
+func (env *refEnv) adopt(o *refEnv) {
+	env.refined = append(env.refined[:0], o.refined...)
+	env.st = append(env.st[:0], o.st...)
+	env.z = o.z
+}
+
+// joinInterval constrains value id to the join of its intervals in ea
+// and eb, and reports whether env died.
+func (env *refEnv) joinInterval(id int32, ea, eb *refEnv) bool {
+	x := env.r.fn.Values[id]
+	env.constrain(x, ea.interval(x).Join(eb.interval(x)))
+	return env.unreachable
+}
+
+// joinStride constrains value id to the join of its strides in ea and
+// eb, and reports whether env died.
+func (env *refEnv) joinStride(id int32, ea, eb *refEnv) bool {
+	x := env.r.fn.Values[id]
+	env.constrainSt(x, ea.stride(x).Join(eb.stride(x)))
+	return env.unreachable
 }

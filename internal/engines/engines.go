@@ -220,6 +220,8 @@ func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidat
 		// Wall breakdown of the fused solve: residual construction vs the
 		// solver stages, so a trace plus snapshot attributes cost without
 		// per-candidate keys.
+		rec.Wall("solve.slice", r.SliceTime)
+		rec.Wall("solve.refute", r.RefuteTime)
 		rec.Wall("solve.raw_build", r.RawBuildTime)
 		rec.Wall("solve.build", r.BuildTime)
 		rec.Wall("solve.local_preprocess", r.LocalPreprocessTime)

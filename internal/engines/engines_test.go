@@ -12,6 +12,7 @@ import (
 	"fusion/internal/pdg"
 	"fusion/internal/sat"
 	"fusion/internal/sparse"
+	"fusion/internal/telemetry"
 )
 
 func buildGraph(t *testing.T, src string) *pdg.Graph {
@@ -303,6 +304,24 @@ func TestSortVerdictsStable(t *testing.T) {
 	for i := range vs {
 		if vs[i].Cand.Sink != rev[i].Cand.Sink || vs[i].Cand.Source != rev[i].Cand.Source {
 			t.Fatalf("sort not canonical at %d", i)
+		}
+	}
+}
+
+// TestFusionRecordsSliceAndRefuteTimes: a traced Fusion check attributes
+// the slice computation and the abstract refuter their own wall keys, so
+// they are not lost in the unattributed remainder of the solve.
+func TestFusionRecordsSliceAndRefuteTimes(t *testing.T) {
+	g := buildGraph(t, mixedSrc)
+	cands := candidates(t, g)
+	eng := engines.NewFusion()
+	eng.Opts.Absint = driver.Analyze(g, driver.AbsintOn)
+	eng.Telemetry = telemetry.New()
+	eng.Check(context.Background(), g, cands)
+	wall := eng.Telemetry.Snapshot().WallNS
+	for _, key := range []string{"solve.slice", "solve.refute"} {
+		if ns, ok := wall[key]; !ok || ns <= 0 {
+			t.Errorf("wall[%q] = %d (recorded %t), want a positive time", key, ns, ok)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"fusion/internal/cond"
 	"fusion/internal/driver"
@@ -114,7 +113,6 @@ func GroupBySink(cands []sparse.Candidate) []JointGroup {
 type JointVerdict struct {
 	Group  JointGroup
 	Status sat.Status
-	Time   time.Duration
 	// Failure records a contained crash; Status is then Unknown.
 	Failure *failure.UnitFailure
 }
@@ -141,9 +139,7 @@ func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []spa
 		for j, f := range v.Group.Flows {
 			paths[j] = f.Path
 		}
-		t0 := time.Now()
 		v.Status = eng.CheckJointPaths(ctx, g, paths)
-		v.Time = time.Since(t0)
 		return v
 	})
 	for i, f := range fails {

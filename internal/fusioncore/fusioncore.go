@@ -93,6 +93,11 @@ type Result struct {
 	// RawBuildTime is the wall time of the graph probe's raw-residual
 	// construction, its affordability check included.
 	RawBuildTime time.Duration
+	// SliceTime is the wall time of computing the paths' slice G[Π].
+	SliceTime time.Duration
+	// RefuteTime is the wall time of the abstract slice refuter; zero
+	// when the tier is off.
+	RefuteTime time.Duration
 	// DecidedByAbsint reports the query was refuted by the abstract
 	// interpretation before any formula was built.
 	DecidedByAbsint bool
@@ -170,9 +175,11 @@ type state struct {
 // cancelled ctx yields Unknown.
 func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, opts Options) Result {
 	opts.Solver.Ctx = ctx
-	sl := pdg.ComputeSlice(g, paths)
-	sl.Constraints = append(sl.Constraints, opts.Constraints...)
 	var res Result
+	ts := time.Now()
+	sl := pdg.ComputeSlice(g, paths)
+	res.SliceTime = time.Since(ts)
+	sl.Constraints = append(sl.Constraints, opts.Constraints...)
 	res.SliceSize = sl.Size()
 	if ctx.Err() != nil {
 		return res // Status zero value is Unknown
@@ -183,7 +190,10 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 	// unsat without building a formula (and soundness tests hold it to
 	// that).
 	if opts.Absint != nil {
-		if refuted, byStride, byZone := opts.Absint.RefuteSlice(ctx, sl); refuted {
+		tr := time.Now()
+		refuted, byStride, byZone := opts.Absint.RefuteSlice(ctx, sl)
+		res.RefuteTime = time.Since(tr)
+		if refuted {
 			res.Status = sat.Unsat
 			res.DecidedByAbsint = true
 			res.DecidedByStride = byStride
