@@ -125,6 +125,19 @@ func TestAnalysisFactsPinnedBudgetSpent(t *testing.T) {
 	if left := an.RemainingBudget(); left != 0 {
 		t.Fatalf("v8 at scale %g left %d of the instantiation budget; the pin needs it spent", budgetPinScale, left)
 	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Instantiations", an.Stats.Instantiations, 20000},
+		{"CacheHits", an.Stats.CacheHits, 13180},
+		{"ZoneEdges", an.Stats.ZoneEdges, 91938},
+		{"StrideFacts", an.Stats.StrideFacts, 36427},
+	} {
+		if c.got != c.want {
+			t.Errorf("v8 at scale %g: Stats.%s = %d, pinned %d", budgetPinScale, c.name, c.got, c.want)
+		}
+	}
 	h := sha256.New()
 	dumpFacts(h, info.Name, pr.SSA, an)
 	if got := hex.EncodeToString(h.Sum(nil)); got != budgetFactsPinSHA256 {
