@@ -92,11 +92,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *metrics != "" || *trace != "" || *pprofAddr != "" {
-		// SIGUSR1 dumps heap and goroutine profiles whenever any
-		// observability surface is requested.
-		telemetry.DumpOnSignal("")
-	}
 	res, err := run(cfg)
 	// The artifacts are written even for an impaired run: a crash's
 	// partial trace is exactly what one wants to look at.

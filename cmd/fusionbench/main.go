@@ -88,11 +88,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *metrics != "" || *trace != "" || *pprofAddr != "" {
-		// SIGUSR1 dumps heap and goroutine profiles whenever any
-		// observability surface is requested.
-		telemetry.DumpOnSignal("")
-	}
 	// Artifacts are written on every exit path past this point — an
 	// impaired run's partial trace is exactly what one wants to look at.
 	writeArtifacts := func() {

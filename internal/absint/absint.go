@@ -11,20 +11,15 @@ import (
 	"fusion/internal/ssa"
 )
 
-// Analysis holds the whole-program interval facts: one invariant interval
-// per PDG vertex (sound for every calling context, i.e. computed with top
-// parameters), plus per-function return summaries and a bounded cache of
-// call-site instantiations with sharper argument intervals.
+// Analysis holds the whole-program facts: one fact record per function
+// (sound for every calling context, i.e. computed with top parameters),
+// plus a bounded cache of call-site instantiations with sharper argument
+// intervals.
 type Analysis struct {
 	G *pdg.Graph
 
-	// vals is the context-insensitive invariant per vertex: the interval
-	// of every value the vertex can compute in any execution, assuming its
-	// guard chain holds (gated SSA only consumes a value under its guard).
-	vals map[*ssa.Value]Interval
-	// summaries maps each function to its return interval with top
-	// parameters.
-	summaries map[*ssa.Function]Interval
+	// facts holds each function's record, made by its record pass.
+	facts map[*ssa.Function]*fnFacts
 
 	instMemo map[instCacheKey]Interval
 	visiting map[*ssa.Function]bool
@@ -38,22 +33,32 @@ type Analysis struct {
 	// keyBuf is the scratch buffer instantiation memo keys are built in.
 	keyBuf []byte
 
-	// zone enables the relational (difference-bound) domain; rootZone and
-	// guardZone record, per function root and per guard vertex, the zone
-	// valid whenever that guard chain holds (computed in the record pass).
-	zone      bool
-	rootZone  map[*ssa.Function]*dbm[*ssa.Value]
-	guardZone map[*ssa.Value]*dbm[*ssa.Value]
-
-	// stride enables the congruence domain; strides holds the per-vertex
-	// invariant stride (reduced against the interval, valid whenever the
-	// vertex's guard chain holds) and stSummaries the per-function return
-	// stride with top parameters, both recorded in the record pass only.
-	stride      bool
-	strides     map[*ssa.Value]Stride
-	stSummaries map[*ssa.Function]Stride
+	// zone enables the relational (difference-bound) domain.
+	zone bool
+	// stride enables the congruence domain.
+	stride bool
 
 	Stats Stats
+}
+
+// fnFacts is one function's whole-program facts, made by its record pass
+// with top parameters, so each holds for any arguments. vals holds each
+// value's interval: everything the vertex can compute in any execution,
+// assuming its guard chain holds (gated SSA only consumes a value under
+// its guard); strides holds its stride, reduced against the interval.
+// Both are indexed by the value's ID. ret and retSt are the function's
+// return interval and stride. root is the zone valid on the unguarded
+// path, and zones, indexed by a guard's ID, the zone valid whenever that
+// guard's chain holds.
+type fnFacts struct {
+	vals []Interval
+	// strides is nil when the congruence domain is off.
+	strides []Stride
+	ret     Interval
+	retSt   Stride
+	// root and zones are nil when the zone domain is off.
+	root  *dbm[*ssa.Value]
+	zones []*dbm[*ssa.Value]
 }
 
 // Config tunes the analysis.
@@ -68,9 +73,6 @@ type Config struct {
 
 // Stats accounts for the analysis work and precision.
 type Stats struct {
-	Functions      int
-	Vertices       int
-	NonTrivial     int // vertices with an interval strictly below top
 	Instantiations int
 	CacheHits      int
 	// ZoneEdges is the total difference-bound fact count recorded across
@@ -111,34 +113,19 @@ func Analyze(g *pdg.Graph) *Analysis { return AnalyzeWith(g, Config{}) }
 
 // AnalyzeWith is Analyze with explicit domain configuration.
 func AnalyzeWith(g *pdg.Graph, cfg Config) *Analysis {
-	// Every value gets an interval, and a stride when the domain is on:
-	// sizing both tables up front saves rehashing them as they grow.
-	n := 0
-	for _, f := range g.Prog.Order {
-		n += len(f.Values)
-	}
 	a := &Analysis{
-		G:           g,
-		vals:        make(map[*ssa.Value]Interval, n),
-		summaries:   map[*ssa.Function]Interval{},
-		instMemo:    map[instCacheKey]Interval{},
-		visiting:    map[*ssa.Function]bool{},
-		budget:      evalBudget,
-		zone:        !cfg.DisableZone,
-		rootZone:    map[*ssa.Function]*dbm[*ssa.Value]{},
-		guardZone:   map[*ssa.Value]*dbm[*ssa.Value]{},
-		stride:      !cfg.DisableStride,
-		strides:     map[*ssa.Value]Stride{},
-		stSummaries: map[*ssa.Function]Stride{},
-	}
-	if a.stride {
-		a.strides = make(map[*ssa.Value]Stride, n)
+		G:        g,
+		facts:    map[*ssa.Function]*fnFacts{},
+		instMemo: map[instCacheKey]Interval{},
+		visiting: map[*ssa.Function]bool{},
+		budget:   evalBudget,
+		zone:     !cfg.DisableZone,
+		stride:   !cfg.DisableStride,
 	}
 	// Bottom-up call-graph order.
-	done := map[*ssa.Function]bool{}
 	var visit func(f *ssa.Function)
 	visit = func(f *ssa.Function) {
-		if done[f] || a.visiting[f] {
+		if a.facts[f] != nil || a.visiting[f] {
 			return
 		}
 		a.visiting[f] = true
@@ -148,31 +135,44 @@ func AnalyzeWith(g *pdg.Graph, cfg Config) *Analysis {
 			}
 		}
 		delete(a.visiting, f)
-		done[f] = true
-		a.summaries[f] = a.evalFunction(f, nil, true, 0)
-		a.Stats.Functions++
+		a.facts[f] = a.record(f)
 	}
 	for _, f := range g.Prog.Order {
 		visit(f)
 	}
-	for v, iv := range a.vals {
-		a.Stats.Vertices++
-		if !iv.IsTopFor(width(v)) {
-			a.Stats.NonTrivial++
-		}
-	}
-	for _, z := range a.rootZone {
-		a.Stats.ZoneEdges += len(z.edges)
-	}
-	for _, z := range a.guardZone {
-		a.Stats.ZoneEdges += len(z.edges)
-	}
-	for _, st := range a.strides {
-		if !st.IsTop() {
-			a.Stats.StrideFacts++
-		}
-	}
 	return a
+}
+
+// record runs f's record pass, with top parameters and every enabled
+// domain, and makes f's fact record from it: the pass's depth-0 tables
+// are handed over, so the next record pass allocates its own.
+func (a *Analysis) record(f *ssa.Function) *fnFacts {
+	ret := a.evalFunction(f, nil, true, 0)
+	ref := &a.frames[0].ref
+	fx := &fnFacts{vals: ref.local, ret: ret, retSt: TopStride()}
+	ref.local = nil
+	if a.stride {
+		fx.strides, ref.localSt = ref.localSt, nil
+		if f.Ret != nil {
+			fx.retSt = fx.strides[f.Ret.ID]
+		}
+		for _, st := range fx.strides {
+			if !st.IsTop() {
+				a.Stats.StrideFacts++
+			}
+		}
+	}
+	if a.zone {
+		fx.root, fx.zones = ref.root.z, make([]*dbm[*ssa.Value], len(f.Values))
+		a.Stats.ZoneEdges += len(fx.root.edges)
+		for id, env := range ref.envs {
+			if env != nil {
+				fx.zones[id] = env.z
+				a.Stats.ZoneEdges += len(env.z.edges)
+			}
+		}
+	}
+	return fx
 }
 
 // RemainingBudget exposes the instantiation budget left after analysis,
@@ -183,10 +183,14 @@ func (a *Analysis) RemainingBudget() int { return a.budget }
 // environment of v's innermost guard, or the function root zone for
 // unguarded vertices. Nil when the zone domain is disabled.
 func (a *Analysis) zoneOf(v *ssa.Value) *dbm[*ssa.Value] {
-	if v.Guard != nil {
-		return a.guardZone[v.Guard]
+	fx := a.facts[v.Fn]
+	if fx == nil || !a.zone {
+		return nil
 	}
-	return a.rootZone[v.Fn]
+	if v.Guard != nil {
+		return fx.zones[v.Guard.ID]
+	}
+	return fx.root
 }
 
 // ZoneFacts returns the difference-bound facts proven to hold whenever v's
@@ -225,16 +229,22 @@ func (a *Analysis) DiffBound(x, y *ssa.Value) (c int64, ok bool) {
 
 // IntervalOf returns the invariant interval of a vertex.
 func (a *Analysis) IntervalOf(v *ssa.Value) (Interval, bool) {
-	iv, ok := a.vals[v]
-	return iv, ok
+	fx := a.facts[v.Fn]
+	if fx == nil {
+		return Interval{}, false
+	}
+	return fx.vals[v.ID], true
 }
 
 // StrideOf returns the invariant stride of a vertex, valid whenever its
 // guard chain holds. ok is false when the congruence domain is disabled
 // or the vertex was never analyzed.
 func (a *Analysis) StrideOf(v *ssa.Value) (Stride, bool) {
-	st, ok := a.strides[v]
-	return st, ok
+	fx := a.facts[v.Fn]
+	if fx == nil || fx.strides == nil {
+		return Stride{}, false
+	}
+	return fx.strides[v.ID], true
 }
 
 // strideInvariantOf returns v's whole-program stride, defaulting to top.
@@ -242,7 +252,7 @@ func (a *Analysis) strideInvariantOf(v *ssa.Value) Stride {
 	if v.Op == ssa.OpConst {
 		return SingleStride(SignExt(v.Const, width(v)))
 	}
-	if st, ok := a.strides[v]; ok {
+	if st, ok := a.StrideOf(v); ok {
 		return st
 	}
 	return TopStride()
@@ -260,7 +270,7 @@ func (a *Analysis) StrideFact(v *ssa.Value) (m, r int64, ok bool) {
 	if width(v) == 1 || v.Op == ssa.OpConst {
 		return 0, 0, false
 	}
-	st, found := a.strides[v]
+	st, found := a.StrideOf(v)
 	if !found || st.IsBottom() || st.S < 2 {
 		return 0, 0, false
 	}
@@ -275,7 +285,7 @@ func (a *Analysis) Bounds(v *ssa.Value) (lo, hi int64, ok bool) {
 	if width(v) == 1 || v.Op == ssa.OpConst {
 		return 0, 0, false
 	}
-	iv, found := a.vals[v]
+	iv, found := a.IntervalOf(v)
 	if !found || iv.IsTopFor(width(v)) || iv.IsBottom() {
 		return 0, 0, false
 	}
@@ -289,11 +299,11 @@ func (a *Analysis) Bounds(v *ssa.Value) (lo, hi int64, ok bool) {
 // vertices without any fact.
 func (a *Analysis) Annotation(v *ssa.Value) string {
 	var parts []string
-	iv, ok := a.vals[v]
+	iv, ok := a.IntervalOf(v)
 	if ok && !iv.IsTopFor(width(v)) {
 		parts = append(parts, iv.String())
 	}
-	if st, ok := a.strides[v]; ok && !st.IsBottom() && st.S >= 2 {
+	if st, ok := a.StrideOf(v); ok && !st.IsBottom() && st.S >= 2 {
 		parts = append(parts, st.String())
 	}
 	if width(v) == 32 && v.Op != ssa.OpConst {
@@ -326,11 +336,10 @@ func zoneName(x *ssa.Value) string {
 	return fmt.Sprintf("v%d", x.ID)
 }
 
-// evalFunction evaluates f's body with the given argument intervals (nil
-// means all top). With record set, per-vertex results are stored as the
-// whole-program invariants. f.Values is in construction (topological)
-// order and normalized programs are loop-free, so a single forward pass
-// reaches the fixpoint.
+// evalFunction evaluates f's body in depth's frame with the given
+// argument intervals (nil means all top); record marks the record pass.
+// f.Values is in construction (topological) order and normalized
+// programs are loop-free, so a single forward pass reaches the fixpoint.
 func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, depth int) Interval {
 	// The zone and stride domains are only tracked in the record pass:
 	// instantiation passes re-evaluate intervals alone per call site, and
@@ -357,27 +366,7 @@ func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, d
 			}
 		}
 		ref.define(v, iv, st)
-		if stride {
-			a.strides[v] = st
-		}
 		ref.noteDef(v)
-		if record {
-			a.vals[v] = iv
-		}
-	}
-	if record && a.zone {
-		// The zones are valid for any arguments: the record pass runs with
-		// top parameters, so every recorded fact is a whole-program
-		// invariant under its guard chain.
-		a.rootZone[f] = ref.root.z
-		for id, env := range ref.envs {
-			if env != nil {
-				a.guardZone[f.Values[id]] = env.z
-			}
-		}
-	}
-	if stride && f.Ret != nil {
-		a.stSummaries[f] = ref.localSt[f.Ret.ID]
 	}
 	if f.Ret == nil {
 		return Top(32)
@@ -429,8 +418,8 @@ func stBinOp(op lang.BinOp, sx, sy Stride, ix, iy Interval, w int) Stride {
 }
 
 func (a *Analysis) strideSummaryOrTop(f *ssa.Function) Stride {
-	if st, ok := a.stSummaries[f]; ok {
-		return st
+	if fx := a.facts[f]; fx != nil {
+		return fx.retSt
 	}
 	return TopStride()
 }
@@ -581,8 +570,8 @@ func (a *Analysis) evalCall(callee *ssa.Function, args []Interval, depth int) In
 }
 
 func (a *Analysis) summaryOrTop(f *ssa.Function) Interval {
-	if iv, ok := a.summaries[f]; ok {
-		return iv
+	if fx := a.facts[f]; fx != nil {
+		return fx.ret
 	}
 	if f.Ret != nil {
 		return Top(width(f.Ret))

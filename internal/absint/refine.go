@@ -91,6 +91,8 @@ func (r *refiner) reset(f *ssa.Function, zone, stride bool) {
 	n := len(f.Values)
 	if cap(r.local) < n {
 		r.local = make([]Interval, n)
+	}
+	if cap(r.envs) < n {
 		r.envs = make([]*refEnv, n)
 	}
 	if stride && cap(r.localSt) < n {

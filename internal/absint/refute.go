@@ -214,7 +214,7 @@ func (r *refuter) eval(v *ssa.Value, ctx *cond.Ctx, depth int) Interval {
 		iv = iv.Meet(rv)
 	}
 	if r.asserted[vc] {
-		if inv, ok := r.a.vals[v]; ok {
+		if inv, ok := r.a.IntervalOf(v); ok {
 			iv = iv.Meet(inv)
 		}
 	}
@@ -251,7 +251,7 @@ func (r *refuter) evalSt(v *ssa.Value, ctx *cond.Ctx, depth int) Stride {
 		st = st.Meet(rv)
 	}
 	if r.asserted[vc] {
-		if inv, ok := r.a.strides[v]; ok {
+		if inv, ok := r.a.StrideOf(v); ok {
 			st = st.Meet(inv)
 		}
 	}
@@ -487,7 +487,7 @@ func (f ctxFacts) zoneDiff(x, y *ssa.Value) (int64, bool) {
 // cheaper than RefuteSlice since it needs no slice or context tree.
 func (a *Analysis) PrunePath(p pdg.Path, vcs ...pdg.ValueConstraint) bool {
 	for _, step := range p {
-		if iv, ok := a.vals[step.V]; ok && iv.IsBottom() {
+		if iv, ok := a.IntervalOf(step.V); ok && iv.IsBottom() {
 			return true
 		}
 	}
@@ -509,14 +509,12 @@ func (a *Analysis) PrunePath(p pdg.Path, vcs ...pdg.ValueConstraint) bool {
 				return true
 			}
 		default:
-			iv, ok := a.vals[v]
+			iv, ok := a.IntervalOf(v)
 			if ok && !iv.Contains(SignExt(vc.Value, width(v))) {
 				return true
 			}
-			if a.stride {
-				if st, found := a.strides[v]; found && !st.IsBottom() && !st.Contains(SignExt(vc.Value, width(v))) {
-					return true
-				}
+			if st, found := a.StrideOf(v); found && !st.IsBottom() && !st.Contains(SignExt(vc.Value, width(v))) {
+				return true
 			}
 		}
 	}
@@ -528,7 +526,7 @@ func (a *Analysis) invariantOf(v *ssa.Value) Interval {
 	if v.Op == ssa.OpConst {
 		return SingleW(v.Const, width(v))
 	}
-	if iv, ok := a.vals[v]; ok {
+	if iv, ok := a.IntervalOf(v); ok {
 		return iv
 	}
 	return Top(width(v))

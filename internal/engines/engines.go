@@ -385,7 +385,9 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 	if e.Variant == AR {
 		r, size = e.checkRefined(b, sl, opts, solve)
 	} else {
+		t0 := time.Now()
 		tr := cond.Translate(b, sl)
+		e.Telemetry.Wall("solve.translate", time.Since(t0))
 		phi := tr.Phi
 		switch e.Variant {
 		case QE:
@@ -460,7 +462,9 @@ func (e *Pinpoint) eliminate(ctx context.Context, b *smt.Builder, phi *smt.Term,
 func (e *Pinpoint) checkRefined(b *smt.Builder, sl *pdg.Slice, opts solver.Options, solve func(*smt.Term, solver.Options) solver.Result) (solver.Result, int) {
 	size := 0
 	for depth := 1; ; depth++ {
+		t0 := time.Now()
 		tr := cond.TranslateDepth(b, sl, depth)
+		e.Telemetry.Wall("solve.translate", time.Since(t0))
 		r := solve(tr.Phi, opts)
 		size = r.SizeBefore
 		if r.Status == sat.Unsat || r.Status == sat.Unknown || !tr.Truncated {

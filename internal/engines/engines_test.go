@@ -325,3 +325,19 @@ func TestFusionRecordsSliceAndRefuteTimes(t *testing.T) {
 		}
 	}
 }
+
+// TestPinpointRecordsTranslateTime: a traced Pinpoint check attributes
+// the condition's translation its own wall key, both for the one-shot
+// translation and for abstraction refinement's depth-bounded ones.
+func TestPinpointRecordsTranslateTime(t *testing.T) {
+	g := buildGraph(t, mixedSrc)
+	cands := candidates(t, g)
+	for _, v := range []engines.Variant{engines.Plain, engines.AR} {
+		eng := engines.NewPinpoint(v)
+		eng.Telemetry = telemetry.New()
+		eng.Check(context.Background(), g, cands)
+		if ns, ok := eng.Telemetry.Snapshot().WallNS["solve.translate"]; !ok || ns <= 0 {
+			t.Errorf("%s: wall[solve.translate] = %d (recorded %t), want a positive time", eng.Name(), ns, ok)
+		}
+	}
+}

@@ -64,27 +64,6 @@ type ValueConstraint struct {
 	BoundArg int    // ConstraintOutOfBoundsDyn: bound argument position
 }
 
-// Constrain records an equality constraint on a path step.
-func (s *Slice) Constrain(path, step int, value uint32) {
-	s.Constraints = append(s.Constraints, ValueConstraint{Path: path, Step: step, Value: value})
-}
-
-// ConstrainBounds records an out-of-bounds constraint on a path step.
-func (s *Slice) ConstrainBounds(path, step int, bound uint32) {
-	s.Constraints = append(s.Constraints, ValueConstraint{
-		Path: path, Step: step, Kind: ConstraintOutOfBounds, Bound: bound,
-	})
-}
-
-// ConstrainBoundsDyn records a dynamic-bound out-of-bounds constraint on a
-// path step: the step's call argument arg must miss [0, args[boundArg]).
-func (s *Slice) ConstrainBoundsDyn(path, step, arg, boundArg int) {
-	s.Constraints = append(s.Constraints, ValueConstraint{
-		Path: path, Step: step, Kind: ConstraintOutOfBoundsDyn,
-		Arg: arg, BoundArg: boundArg,
-	})
-}
-
 // ComputeSlice applies rules (1)-(3) to the paths and returns the slice.
 // Its running time is linear in the size of the resulting slice.
 func ComputeSlice(g *Graph, paths []Path) *Slice {

@@ -117,9 +117,6 @@ func simplifyOne(b *Builder, t *Term) *Term {
 	return t
 }
 
-// LFSPass wraps SimplifyLocal as a preprocessing pass.
-func LFSPass() Pass { return Pass{Name: "lfs", Run: SimplifyLocal} }
-
 // ContextSimplifier is the heavyweight formula simplification (HFS), the
 // analogue of Z3's "ctx-solver-simplify" tactic: each conjunct is tested
 // for redundancy under the rest of the formula by calling the solver, which

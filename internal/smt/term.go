@@ -672,14 +672,6 @@ func (b *Builder) Ite(cond, x, y *Term) *Term {
 	return b.intern(OpIte, x.Width, 0, "", []*Term{cond, x, y})
 }
 
-// Implies returns the boolean x -> y.
-func (b *Builder) Implies(x, y *Term) *Term {
-	if x.Width != 1 || y.Width != 1 {
-		panic("smt: implies requires width-1 operands")
-	}
-	return b.Or(b.Not(x), y)
-}
-
 // Size returns the number of distinct sub-terms of t (its DAG size).
 func (b *Builder) Size(t *Term) int {
 	s := b.take(t.ID + 1)

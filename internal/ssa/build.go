@@ -33,15 +33,6 @@ func Build(prog *lang.Program) (*Program, error) {
 	return p, nil
 }
 
-// MustBuild panics on error; for tests and examples.
-func MustBuild(prog *lang.Program) *Program {
-	p, err := Build(prog)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func computeUses(f *Function) {
 	for _, v := range f.Values {
 		for _, a := range v.Args {

@@ -66,14 +66,6 @@ type Value struct {
 	Uses   []*Value   // intra-procedural data-dependence successors
 }
 
-// IsConstBool reports whether v is a boolean constant with the given value.
-func (v *Value) IsConstBool(b bool) bool {
-	if v.Op != OpConst || v.Type != lang.TypeBool {
-		return false
-	}
-	return (v.Const != 0) == b
-}
-
 // String renders a value for debugging: "v12 = bin(+ v3, v4) [c]".
 func (v *Value) String() string {
 	var b strings.Builder

@@ -5,10 +5,6 @@ import (
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers the /debug/pprof handlers
-	"os"
-	"path/filepath"
-	"runtime/pprof"
-	"sync/atomic"
 )
 
 // EnablePprof serves the standard net/http/pprof handlers on addr
@@ -24,30 +20,4 @@ func EnablePprof(addr string) error {
 		_ = http.Serve(ln, nil)
 	}()
 	return nil
-}
-
-var dumpSeq atomic.Int64
-
-// dumpProfiles writes heap and goroutine profiles into dir, named by
-// pid and a sequence number so repeated signals never clobber earlier
-// dumps. Errors are reported on stderr, never fatal: a profile dump
-// must not take down the run it observes.
-func dumpProfiles(dir string) {
-	seq := dumpSeq.Add(1)
-	for _, kind := range []string{"heap", "goroutine"} {
-		name := filepath.Join(dir, fmt.Sprintf("fusion-%s-%d-%d.pprof", kind, os.Getpid(), seq))
-		f, err := os.Create(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry: pprof dump:", err)
-			continue
-		}
-		if err := pprof.Lookup(kind).WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry: pprof dump:", err)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry: pprof dump:", err)
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: wrote %s\n", name)
-	}
 }
