@@ -253,9 +253,10 @@ func run(cfg config) (outcome, error) {
 		engines.SetTelemetry(eng, cfg.rec)
 	}
 	// The abstract tier applies to the fused engine: it refutes queries
-	// before any formula is built, and its invariants prune provably-safe
-	// candidates during DFS enumeration. The analysis is computed once on
-	// the compiled program and shared between pruning and refutation.
+	// the graph probe leaves open before their residual is built, and its
+	// invariants prune provably-safe candidates during DFS enumeration.
+	// The analysis is computed once on the compiled program and shared
+	// between pruning and refutation.
 	useAbsint := false
 	if f, ok := eng.(*engines.Fusion); ok && cfg.absint != driver.AbsintOff {
 		f.Opts.Absint = prog.Absint()

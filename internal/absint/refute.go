@@ -9,8 +9,8 @@ import (
 	"fusion/internal/ssa"
 )
 
-// The refuter decides one slice query in the interval domain before any
-// formula is built. It models exactly the constraint system fusioncore
+// The refuter decides one slice query in the interval domain without
+// building its formula. It models exactly the constraint system fusioncore
 // emits — defining equations for sliced vertices (with rule (1)'s pruned
 // ite edges), the paths' guard-chain assertions, and the value
 // constraints — so "the abstract system has no solution" implies the SMT

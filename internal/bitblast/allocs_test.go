@@ -3,6 +3,7 @@
 package bitblast
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"fusion/internal/sat"
@@ -14,6 +15,10 @@ import (
 // TestGateTableAllocs: a gate lookup allocates nothing, and n insertions
 // cost O(log n) allocations, one per doubling of the table.
 func TestGateTableAllocs(t *testing.T) {
+	// The 2 MB of tables the insertions build can start a GC cycle, and
+	// the runtime's own allocations during it would be counted against
+	// the table's; with the GC paused only the table's are.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 1 << 16
 	var tab gateTable
 	allocs := testing.AllocsPerRun(1, func() {

@@ -44,7 +44,8 @@ type Verdict struct {
 	// Preprocessed reports the solve was decided during preprocessing.
 	Preprocessed bool
 	// DecidedByAbsint reports the query was refuted by the
-	// abstract-interpretation tier before any formula was built.
+	// abstract-interpretation tier, which runs only where the graph probe
+	// found no model, and before the preprocessed residual is built.
 	DecidedByAbsint bool
 	// DecidedByStride reports the refutation needed the congruence
 	// (stride) product but not the zone tier (implies DecidedByAbsint).

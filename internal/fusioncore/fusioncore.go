@@ -99,7 +99,9 @@ type Result struct {
 	// when the tier is off.
 	RefuteTime time.Duration
 	// DecidedByAbsint reports the query was refuted by the abstract
-	// interpretation before any formula was built.
+	// interpretation: after the graph probe found no model or was
+	// skipped, and before the preprocessed residual was built (before
+	// the eager translation under Unoptimized).
 	DecidedByAbsint bool
 	// DecidedByStride reports the refutation needed the congruence
 	// (stride) tier — the interval domain alone could not decide it.
@@ -169,10 +171,15 @@ type state struct {
 }
 
 // Solve decides the feasibility of a set of data-dependence paths directly
-// on the program dependence graph. It honors ctx cooperatively: the absint
-// refuters, the graph probe, local preprocessing, and every phase of the
-// residual's solve poll it, Solve checks it between those stages, and a
-// cancelled ctx yields Unknown.
+// on the program dependence graph. Its stages run in this order: the
+// graph probe on the raw residual, which finds a model for most feasible
+// candidates; then, only where the probe found none, was skipped as
+// unaffordable or is disabled, the absint slice refuter; then the
+// preprocessed residual's solve. Unoptimized has no graph probe and
+// refutes before its eager translation. Solve honors ctx cooperatively:
+// the graph probe, the absint refuters, local preprocessing, and every
+// phase of the residual's solve poll it, Solve checks it between those
+// stages, and a cancelled ctx yields Unknown.
 func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, opts Options) Result {
 	opts.Solver.Ctx = ctx
 	var res Result
@@ -185,25 +192,11 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		return res // Status zero value is Unknown
 	}
 
-	// Interval tier: the abstract interpretation models the very equation
-	// system emitted below, so an abstract contradiction proves the query
-	// unsat without building a formula (and soundness tests hold it to
-	// that).
-	if opts.Absint != nil {
-		tr := time.Now()
-		refuted, byStride, byZone := opts.Absint.RefuteSlice(ctx, sl)
-		res.RefuteTime = time.Since(tr)
-		if refuted {
-			res.Status = sat.Unsat
-			res.DecidedByAbsint = true
-			res.DecidedByStride = byStride
-			res.DecidedByZone = byZone
-			return res
-		}
-	}
-
 	if opts.Unoptimized {
 		// Algorithm 4: eager translation, then the conventional solver.
+		if refute(ctx, sl, opts, &res) {
+			return res
+		}
 		tr := cond.Translate(b, sl)
 		res.Result = solver.Solve(b, tr.Phi, opts.Solver)
 		res.Clones = tr.Clones
@@ -214,8 +207,8 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 	// local conditions keeps the graph's equational shape, which concrete-
 	// execution probing decides very effectively — value propagation on
 	// the dependence graph, in the spirit of §2's quick-path propagation.
-	// The raw residual is delayed-cloning sized, so this is cheap.
-	var graphProbeTime time.Duration
+	// The raw residual is delayed-cloning sized, so this is cheap. A
+	// failed probe's time stays in ProbeTime on every later return.
 	if !opts.DisableGraphProbe && !opts.Solver.NoProbe {
 		tr := time.Now()
 		rawSt, affordable := rawResidual(b, g, sl, opts)
@@ -226,20 +219,22 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 			}
 			t0 := time.Now()
 			_, ok := solver.Probe(ctx, b, rawSt.phi, 32)
-			graphProbeTime = time.Since(t0)
+			res.ProbeTime = time.Since(t0)
 			if ok {
 				res.Status = sat.Sat
 				res.DecidedByProbe = true
-				res.ProbeTime = graphProbeTime
 				res.Phi = rawSt.phi
 				res.Clones = len(rawSt.st.emitted)
 				return res
 			}
 			if ctx.Err() != nil {
-				res.ProbeTime = graphProbeTime
 				return res
 			}
 		}
+	}
+
+	if refute(ctx, sl, opts, &res) {
+		return res
 	}
 
 	heapBefore := b.EstimatedBytes()
@@ -261,14 +256,36 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		return res
 	}
 	if ctx.Err() != nil {
-		res.ProbeTime = graphProbeTime
 		return res
 	}
+	graphProbeTime := res.ProbeTime
 	res.Result = solver.Solve(b, r.phi, opts.Solver)
 	res.ProbeTime += graphProbeTime
 	res.Clones = len(r.st.emitted)
 	res.QuickPaths = r.st.quickUses
 	return res
+}
+
+// refute runs the absint slice refuter when the tier is on, recording its
+// time in res; on a refutation it decides res unsat and reports true. The
+// interval tier models the very equation system the residual emits, so an
+// abstract contradiction proves the query unsat without building that
+// formula (and soundness tests hold it to that).
+func refute(ctx context.Context, sl *pdg.Slice, opts Options, res *Result) bool {
+	if opts.Absint == nil {
+		return false
+	}
+	tr := time.Now()
+	refuted, byStride, byZone := opts.Absint.RefuteSlice(ctx, sl)
+	res.RefuteTime = time.Since(tr)
+	if !refuted {
+		return false
+	}
+	res.Status = sat.Unsat
+	res.DecidedByAbsint = true
+	res.DecidedByStride = byStride
+	res.DecidedByZone = byZone
+	return true
 }
 
 // GraphProbeFormula returns the formula Solve's graph-level probe runs on

@@ -340,3 +340,47 @@ fun f() {
 		t.Fatalf("expected both flows; candidates: %d", len(cands))
 	}
 }
+
+// safeDivSrc divides by n % 13 + 1, which is never zero: the graph probe
+// finds no model for its zero-divisor query, and the interval tier
+// refutes it.
+const safeDivSrc = `
+fun f() {
+    var n: int = user_input();
+    var d: int = n % 13 + 1;
+    var q: int = n / d;
+    send(q);
+}
+`
+
+// TestFailedProbeTimeKept: the graph probe runs before the refuter, and a
+// failed probe's time stays in ProbeTime whether the refuter or the heap
+// bound ends the solve.
+func TestFailedProbeTimeKept(t *testing.T) {
+	g := buildGraph(t, safeDivSrc)
+	cands := sparse.NewEngine(g).Run(checker.DivByZero())
+	if len(cands) != 1 {
+		t.Fatalf("%d candidates, want 1", len(cands))
+	}
+	c := cands[0]
+	path := []pdg.Path{c.Path}
+	an := driver.Analyze(g, driver.AbsintOn)
+
+	refuted := fusioncore.Solve(context.Background(), smt.NewBuilder(), g, path,
+		fusioncore.Options{Absint: an, Constraints: c.Constraints(0)})
+	if refuted.Status != sat.Unsat || !refuted.DecidedByAbsint {
+		t.Fatalf("got %s (absint %t), want unsat by absint", refuted.Status, refuted.DecidedByAbsint)
+	}
+	if refuted.ProbeTime <= 0 || refuted.RefuteTime <= 0 {
+		t.Errorf("refuted: ProbeTime %v, RefuteTime %v, want both positive", refuted.ProbeTime, refuted.RefuteTime)
+	}
+
+	exhausted := fusioncore.Solve(context.Background(), smt.NewBuilder(), g, path,
+		fusioncore.Options{MaxHeapDelta: 1, Constraints: c.Constraints(0)})
+	if exhausted.Status != sat.Unknown || !exhausted.Exhausted {
+		t.Fatalf("got %s (exhausted %t), want unknown after heap exhaustion", exhausted.Status, exhausted.Exhausted)
+	}
+	if exhausted.ProbeTime <= 0 {
+		t.Errorf("exhausted: ProbeTime %v, want the failed graph probe's time", exhausted.ProbeTime)
+	}
+}
