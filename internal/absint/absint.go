@@ -208,25 +208,6 @@ func (a *Analysis) ZoneFacts(v *ssa.Value) []DiffFact {
 	return out
 }
 
-// DiffBound returns the tightest proven upper bound on x − y valid under
-// the guard chains of both vertices, consulting the zone of each. ok is
-// false when the domain is off or no bound is known.
-func (a *Analysis) DiffBound(x, y *ssa.Value) (c int64, ok bool) {
-	if x == y || x.Op == ssa.OpConst || y.Op == ssa.OpConst ||
-		width(x) != 32 || width(y) != 32 {
-		return 0, false
-	}
-	for _, z := range [2]*dbm[*ssa.Value]{a.zoneOf(x), a.zoneOf(y)} {
-		if z == nil || z.dead {
-			continue
-		}
-		if d, found := z.diff(x, 0, y, 0); found && (!ok || d < c) {
-			c, ok = d, true
-		}
-	}
-	return c, ok
-}
-
 // IntervalOf returns the invariant interval of a vertex.
 func (a *Analysis) IntervalOf(v *ssa.Value) (Interval, bool) {
 	fx := a.facts[v.Fn]
@@ -256,40 +237,6 @@ func (a *Analysis) strideInvariantOf(v *ssa.Value) Stride {
 		return st
 	}
 	return TopStride()
-}
-
-// StrideFact returns the exportable congruence of an integer vertex:
-// v ≡ r (mod m) with m >= 2 and 0 <= r < m, over the MATHEMATICAL value
-// of v. ok is false for constants, top, bottom, and singleton strides
-// (singletons already export as bounds). Encoding the fact over machine
-// arithmetic as URem(v, m) == r is exact only when m divides 2^bits —
-// with m below 2^bits, or v would reduce modulo zero — or v is proven
-// non-negative with m in range; the caller must add those side
-// conditions at v's own width (see fusioncore's residual export).
-func (a *Analysis) StrideFact(v *ssa.Value) (m, r int64, ok bool) {
-	if width(v) == 1 || v.Op == ssa.OpConst {
-		return 0, 0, false
-	}
-	st, found := a.StrideOf(v)
-	if !found || st.IsBottom() || st.S < 2 {
-		return 0, 0, false
-	}
-	return st.S, st.B, true
-}
-
-// Bounds returns the exportable signed bounds of an integer vertex at its
-// own width: ok is false for booleans, constants, unanalyzed or top
-// vertices (top judged per width), and for bottom (unreachable) vertices,
-// which the refutation tier handles.
-func (a *Analysis) Bounds(v *ssa.Value) (lo, hi int64, ok bool) {
-	if width(v) == 1 || v.Op == ssa.OpConst {
-		return 0, 0, false
-	}
-	iv, found := a.IntervalOf(v)
-	if !found || iv.IsTopFor(width(v)) || iv.IsBottom() {
-		return 0, 0, false
-	}
-	return iv.Lo, iv.Hi, true
 }
 
 // Annotation renders a vertex's abstract facts for graph dumps: the

@@ -189,7 +189,7 @@ func (d *dbm[N]) join(o *dbm[N]) *dbm[N] {
 	return nd
 }
 
-// DiffFact is one exported difference-bound fact X − Y ≤ C; a nil endpoint
+// DiffFact is one difference-bound fact X − Y ≤ C; a nil endpoint
 // stands for the constant zero.
 type DiffFact struct {
 	X, Y *ssa.Value

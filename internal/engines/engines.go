@@ -70,9 +70,6 @@ type Verdict struct {
 	// blasted (see solver.Result), cost-only like Conflicts.
 	Vars    int
 	Clauses int
-	// ConditionSize is the DAG size of the condition solved (0 when the
-	// engine never materializes one).
-	ConditionSize int
 	// Tier is the precision tier that produced Status (see Tier).
 	Tier Tier
 	// Degraded reports the candidate exhausted its budget (see Budget):
@@ -214,8 +211,8 @@ func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidat
 		Props:           r.Props,
 		Vars:            r.Vars,
 		Clauses:         r.Clauses,
-		SolveTime:       time.Since(t0), ConditionSize: r.SizeBefore,
-		Tier: tierOf(r.Status, r.DecidedByAbsint, r.DecidedByStride, r.DecidedByZone),
+		SolveTime:       time.Since(t0),
+		Tier:            tierOf(r.Status, r.DecidedByAbsint, r.DecidedByStride, r.DecidedByZone),
 	}
 	if rec := e.Telemetry; rec != nil {
 		// Wall breakdown of the fused solve: residual construction vs the
@@ -333,7 +330,7 @@ func (e *Pinpoint) attempt(ctx context.Context, g *pdg.Graph, c sparse.Candidate
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	t0 := time.Now()
-	r, size := e.checkOne(ctx, g, c)
+	r := e.checkOne(ctx, g, c)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		Conflicts: r.Conflicts,
@@ -341,8 +338,8 @@ func (e *Pinpoint) attempt(ctx context.Context, g *pdg.Graph, c sparse.Candidate
 		Props:     r.Props,
 		Vars:      r.Vars,
 		Clauses:   r.Clauses,
-		SolveTime: time.Since(t0), ConditionSize: size,
-		Tier: tierOf(r.Status, false, false, false),
+		SolveTime: time.Since(t0),
+		Tier:      tierOf(r.Status, false, false, false),
 	}
 	if rec := e.Telemetry; rec != nil {
 		rec.Wall("solve.preprocess", r.PreprocessTime)
@@ -358,7 +355,7 @@ func (e *Pinpoint) attempt(ctx context.Context, g *pdg.Graph, c sparse.Candidate
 // per-candidate deadline is derived from it once the cache lock is held,
 // so time spent queued behind other candidates' solves is not charged to
 // this one.
-func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate) (solver.Result, int) {
+func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate) solver.Result {
 	sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
 	c.ApplyConstraint(sl, 0)
 
@@ -382,9 +379,8 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 	solve := solver.NewSession(b).Solve
 
 	var r solver.Result
-	var size int
 	if e.Variant == AR {
-		r, size = e.checkRefined(b, sl, opts, solve)
+		r = e.checkRefined(b, sl, opts, solve)
 	} else {
 		t0 := time.Now()
 		tr := cond.Translate(b, sl)
@@ -405,7 +401,6 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 			phi = cs.Simplify(b, phi)
 		}
 		r = solve(phi, opts)
-		size = r.SizeBefore
 	}
 	// The per-candidate deadline firing (parent still alive) counts as
 	// budget exhaustion, not outside cancellation.
@@ -413,7 +408,7 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 		ctx.Err() != nil && parent.Err() == nil {
 		r.Exhausted = true
 	}
-	return r, size
+	return r
 }
 
 // eliminate projects the condition onto the root functions' variables —
@@ -460,22 +455,20 @@ func (e *Pinpoint) eliminate(ctx context.Context, b *smt.Builder, phi *smt.Term,
 // truncated at increasing context depths, stopping early on unsat (the
 // truncation over-approximates) and refining on sat until nothing was
 // truncated.
-func (e *Pinpoint) checkRefined(b *smt.Builder, sl *pdg.Slice, opts solver.Options, solve func(*smt.Term, solver.Options) solver.Result) (solver.Result, int) {
-	size := 0
+func (e *Pinpoint) checkRefined(b *smt.Builder, sl *pdg.Slice, opts solver.Options, solve func(*smt.Term, solver.Options) solver.Result) solver.Result {
 	for depth := 1; ; depth++ {
 		t0 := time.Now()
 		tr := cond.TranslateDepth(b, sl, depth)
 		e.Telemetry.Wall("solve.translate", time.Since(t0))
 		r := solve(tr.Phi, opts)
-		size = r.SizeBefore
 		if r.Status == sat.Unsat || r.Status == sat.Unknown || !tr.Truncated {
-			return r, size
+			return r
 		}
 		if depth > 64 {
 			// Refinement ran out of depth: the truncated Sat answers are
 			// inconclusive, which is a budget-shaped outcome.
 			r.Status, r.Preprocessed, r.Exhausted = sat.Unknown, false, true
-			return r, size
+			return r
 		}
 	}
 }

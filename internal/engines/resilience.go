@@ -62,7 +62,7 @@ type Budget struct {
 	// Deadline bounds each candidate's whole check by wall clock.
 	Deadline time.Duration
 	// MaxHeapDelta bounds the bytes of new formula a candidate's
-	// residual construction may allocate in the shared builder.
+	// residual construction may allocate in its own builder.
 	MaxHeapDelta int64
 }
 

@@ -32,7 +32,10 @@ import (
 // Options configure the fused solve.
 type Options struct {
 	// Solver configures the final standalone solve on the residual
-	// formula.
+	// formula, which never probes: the graph probe has already run or
+	// been skipped. NoProbe turns the graph probe off too, so that Fusion
+	// does not probe at all; under Unoptimized it governs the eager
+	// translation's solve, whose probe is the only one on that path.
 	Solver solver.Options
 	// DisableQuickPaths turns off inter-procedural propagation of closed
 	// return forms (ablation).
@@ -43,28 +46,25 @@ type Options struct {
 	// Unoptimized selects Algorithm 4: eager cloning with no local or
 	// inter-procedural preprocessing.
 	Unoptimized bool
-	// DisableGraphProbe turns off the graph-level concrete-execution probe
-	// that runs on the raw residual before Algorithm 6 (ablation).
-	DisableGraphProbe bool
 	// Constraints pins path-step values in the condition (see
 	// pdg.ValueConstraint), e.g. the zero divisor of a division-by-zero
 	// candidate.
 	Constraints []pdg.ValueConstraint
-	// Absint, when set, adds the interval abstract interpretation as the
-	// first preprocessing tier: queries it refutes are decided unsat with
-	// no formula built at all, its decided singletons pre-simplify the
-	// per-function local conditions, and its invariant bounds on
-	// path-step vertices are exported as extra conjuncts of the residual.
+	// Absint, when set, adds the abstract interpretation as a tier:
+	// queries its slice refuter refutes are decided unsat before the
+	// preprocessed residual is built, and its decided singletons
+	// pre-simplify the per-function local conditions. Beyond that
+	// pre-simplification it leaves the residual formula unchanged.
 	Absint *absint.Analysis
 	// DisableAbsintSimplify turns off the absint-guided pre-simplification
 	// of local conditions (the `-absint=nosimplify` ablation); refutation
-	// and fact export stay on.
+	// stays on.
 	DisableAbsintSimplify bool
 	// MaxHeapDelta, when positive, bounds how many bytes of new formula
-	// the residual construction may allocate in the shared builder. A
+	// the residual construction may allocate in the query's builder. A
 	// query whose residual grows past the bound is not solved: the
 	// result reports Unknown with Exhausted set instead of risking the
-	// batch's memory.
+	// run's memory.
 	MaxHeapDelta int64
 }
 
@@ -109,36 +109,17 @@ type Result struct {
 	// DecidedByZone reports the refutation needed the zone relational
 	// tier — neither intervals nor the congruence tier could decide it.
 	DecidedByZone bool
-	// AbsintBounds counts the invariant bound conjuncts exported into the
-	// residual formula.
-	AbsintBounds int
-	// AbsintDiffs counts the difference-bound conjuncts exported into the
-	// residual formula by the zone domain.
-	AbsintDiffs int
-	// AbsintStrides counts the congruence conjuncts exported into the
-	// residual formula by the stride domain.
-	AbsintStrides int
 	// Simplified counts vertices whose decided singleton invariants were
 	// folded into the local conditions by the pre-simplification pass.
 	Simplified int
 	// PrunedGuards counts decided branch conditions among them — guards
 	// the pass rewrote to literals before the quick-path search.
 	PrunedGuards int
-	// Phi is the residual formula handed to the final solve (after
-	// emission, before its global preprocessing), for inspection.
-	Phi *smt.Term
 }
 
 // instKey identifies a materialized (function, context) instance.
 type instKey struct {
 	f   *ssa.Function
-	ctx *cond.Ctx
-}
-
-// boundKey identifies a vertex instantiation whose invariant bounds were
-// exported.
-type boundKey struct {
-	v   *ssa.Value
 	ctx *cond.Ctx
 }
 
@@ -161,25 +142,24 @@ type state struct {
 	sliceVals map[*ssa.Function][]*ssa.Value
 	// forcedSites are call sites the paths pass through; their callee
 	// instances are materialized regardless of quick paths.
-	forcedSites   map[int]bool
-	localPrep     time.Duration
-	absintBounds  int
-	absintDiffs   int
-	absintStrides int
-	simplified    int
-	prunedGuards  int
+	forcedSites  map[int]bool
+	localPrep    time.Duration
+	simplified   int
+	prunedGuards int
 }
 
 // Solve decides the feasibility of a set of data-dependence paths directly
-// on the program dependence graph. Its stages run in this order: the
-// graph probe on the raw residual, which finds a model for most feasible
-// candidates; then, only where the probe found none, was skipped as
-// unaffordable or is disabled, the absint slice refuter; then the
-// preprocessed residual's solve. Unoptimized has no graph probe and
-// refutes before its eager translation. Solve honors ctx cooperatively:
-// the graph probe, the absint refuters, local preprocessing, and every
-// phase of the residual's solve poll it, Solve checks it between those
-// stages, and a cancelled ctx yields Unknown.
+// on the program dependence graph. Each stage does one job, in this
+// order: the graph probe on the raw residual finds models; then, only
+// where it found none, was skipped as unaffordable or is disabled, the
+// absint slice refuter refutes; absint pre-simplification folds decided
+// singletons into the local conditions of the preprocessed residual; and
+// the probe-free solve of that residual decides whatever is left.
+// Unoptimized has no graph probe and refutes before its eager
+// translation, whose solve keeps the solver's own probe. Solve honors
+// ctx cooperatively: the graph probe, the absint refuters, local
+// preprocessing, and every phase of the residual's solve poll it, Solve
+// checks it between those stages, and a cancelled ctx yields Unknown.
 func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, opts Options) Result {
 	opts.Solver.Ctx = ctx
 	var res Result
@@ -209,7 +189,7 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 	// the dependence graph, in the spirit of §2's quick-path propagation.
 	// The raw residual is delayed-cloning sized, so this is cheap. A
 	// failed probe's time stays in ProbeTime on every later return.
-	if !opts.DisableGraphProbe && !opts.Solver.NoProbe {
+	if !opts.Solver.NoProbe {
 		tr := time.Now()
 		rawSt, affordable := rawResidual(b, g, sl, opts)
 		res.RawBuildTime = time.Since(tr)
@@ -223,7 +203,6 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 			if ok {
 				res.Status = sat.Sat
 				res.DecidedByProbe = true
-				res.Phi = rawSt.phi
 				res.Clones = len(rawSt.st.emitted)
 				return res
 			}
@@ -242,12 +221,8 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 	r := buildResidual(b, g, sl, opts)
 	res.BuildTime = time.Since(tb)
 	res.LocalPreprocessTime = r.st.localPrep
-	res.AbsintBounds = r.st.absintBounds
-	res.AbsintDiffs = r.st.absintDiffs
-	res.AbsintStrides = r.st.absintStrides
 	res.Simplified = r.st.simplified
 	res.PrunedGuards = r.st.prunedGuards
-	res.Phi = r.phi
 	if opts.MaxHeapDelta > 0 && b.EstimatedBytes()-heapBefore > opts.MaxHeapDelta {
 		res.Status = sat.Unknown
 		res.Exhausted = true
@@ -259,8 +234,9 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		return res
 	}
 	graphProbeTime := res.ProbeTime
+	opts.Solver.NoProbe = true // the graph probe has run or been skipped
 	res.Result = solver.Solve(b, r.phi, opts.Solver)
-	res.ProbeTime += graphProbeTime
+	res.ProbeTime = graphProbeTime
 	res.Clones = len(r.st.emitted)
 	res.QuickPaths = r.st.quickUses
 	return res
@@ -299,9 +275,9 @@ func GraphProbeFormula(b *smt.Builder, g *pdg.Graph, paths []pdg.Path, opts Opti
 }
 
 // rawResidual builds the graph probe's formula: the residual over raw
-// (unpreprocessed) local conditions, without exported bound conjuncts,
-// which only slow the concrete execution down. ok is false, and nothing
-// is built, when rawProbeAffordable rejects the slice.
+// local conditions, neither preprocessed nor absint pre-simplified. ok
+// is false, and nothing is built, when rawProbeAffordable rejects the
+// slice.
 func rawResidual(b *smt.Builder, g *pdg.Graph, sl *pdg.Slice, opts Options) (r residual, ok bool) {
 	if !rawProbeAffordable(sl) {
 		return residual{}, false
@@ -334,8 +310,10 @@ type residual struct {
 }
 
 // buildResidual runs Algorithm 6's condition construction: per-function
-// local conditions (preprocessed unless disabled), instance emission with
-// delayed cloning, and the paths' assertions.
+// local conditions (absint pre-simplified and preprocessed unless
+// disabled), instance emission with delayed cloning, and the paths'
+// assertions. The residual is the slice's own conditions and nothing
+// more.
 func buildResidual(b *smt.Builder, g *pdg.Graph, sl *pdg.Slice, opts Options) residual {
 	st := &state{
 		b: b, g: g, sl: sl, opts: opts,
@@ -371,123 +349,12 @@ func buildResidual(b *smt.Builder, g *pdg.Graph, sl *pdg.Slice, opts Options) re
 	}
 
 	// Emit instances needed by the paths' guard assertions, pulling in
-	// callee and caller instances on demand (delayed cloning). When absint
-	// ran, its invariant bounds on path-step vertices become extra
-	// conjuncts: the invariants hold exactly under the guard chains
-	// asserted here, so they are implied facts that sharpen the residual
-	// for the probe-free solve without changing satisfiability.
+	// callee and caller instances on demand (delayed cloning).
 	var asserts []*smt.Term
-	// exportBounds reports whether v's interval endpoints were (or already
-	// had been) asserted at this instantiation: stride and diff exports
-	// use the bounds as their no-wrap / non-negativity side condition and
-	// must not fire when the endpoints were inexpressible at v's width.
-	boundDone := map[boundKey]bool{}
-	exportBounds := func(v *ssa.Value, ctx *cond.Ctx) bool {
-		if opts.Absint == nil {
-			return false
-		}
-		if done, seen := boundDone[boundKey{v, ctx}]; seen {
-			return done
-		}
-		boundDone[boundKey{v, ctx}] = false
-		lo, hi, ok := opts.Absint.Bounds(v)
-		if !ok {
-			return false
-		}
-		bits := pdg.TypeBits(v.Type)
-		loC, hiC, ok := exportableBounds(lo, hi, bits)
-		if !ok {
-			return false
-		}
-		term := st.tr.Var(v, ctx)
-		asserts = append(asserts,
-			b.Sle(b.Const(loC, bits), term),
-			b.Sle(term, b.Const(hiC, bits)))
-		st.absintBounds++
-		boundDone[boundKey{v, ctx}] = true
-		return true
-	}
-	// Difference facts from the zone domain are exported alongside the
-	// unary bounds: x − y ≤ c becomes x ≤s y + c, which is only faithful
-	// to the integer fact when y + c cannot wrap — guaranteed by also
-	// asserting y's interval bounds and checking [lo+c, hi+c] stays in
-	// the signed range of x's own width (exportableDiff).
-	// Congruence facts from the stride domain join the unary bounds:
-	// v ≡ r (mod m) becomes URem(v, m) == r. The invariant is over the
-	// MATHEMATICAL value while URem sees the unsigned machine view; the
-	// two agree exactly when m divides 2^bits (a power of two below the
-	// width bound), and otherwise only for non-negative v — so for
-	// non-power-of-two moduli the export requires a proven non-negative
-	// lower bound and asserts the interval bounds as the side condition.
-	// All of it is judged at v's own width (exportableStride): a modulus
-	// at or above 2^bits would be masked into a different constant.
-	strideDone := map[boundKey]bool{}
-	exportStride := func(v *ssa.Value, ctx *cond.Ctx) {
-		if opts.Absint == nil || strideDone[boundKey{v, ctx}] {
-			return
-		}
-		strideDone[boundKey{v, ctx}] = true
-		m, r, ok := opts.Absint.StrideFact(v)
-		if !ok {
-			return
-		}
-		bits := pdg.TypeBits(v.Type)
-		mC, rC, needNonneg, ok := exportableStride(m, r, bits)
-		if !ok {
-			return
-		}
-		if needNonneg {
-			lo, _, okB := opts.Absint.Bounds(v)
-			if !okB || lo < 0 || !exportBounds(v, ctx) {
-				return
-			}
-		}
-		asserts = append(asserts, b.Eq(
-			b.URem(st.tr.Var(v, ctx), b.Const(mC, bits)),
-			b.Const(rC, bits)))
-		st.absintStrides++
-	}
-	diffDone := map[[2]boundKey]bool{}
-	exportDiff := func(x, y *ssa.Value, ctx *cond.Ctx) {
-		if opts.Absint == nil || x == y {
-			return
-		}
-		k := [2]boundKey{{x, ctx}, {y, ctx}}
-		if diffDone[k] {
-			return
-		}
-		diffDone[k] = true
-		c, ok := opts.Absint.DiffBound(x, y)
-		if !ok {
-			return
-		}
-		lo, hi, ok := opts.Absint.Bounds(y)
-		if !ok {
-			return
-		}
-		bits := pdg.TypeBits(x.Type)
-		cC, ok := exportableDiff(c, lo, hi, bits)
-		if !ok {
-			return
-		}
-		if !exportBounds(y, ctx) {
-			return // the no-wrap side condition needs y's range asserted
-		}
-		asserts = append(asserts, b.Sle(
-			st.tr.Var(x, ctx),
-			b.Add(st.tr.Var(y, ctx), b.Const(cC, bits))))
-		st.absintDiffs++
-	}
 	for _, p := range sl.Paths {
 		ctxs := cond.AssignContexts(st.tr.T, p)
 		for i, step := range p {
 			st.emit(step.V.Fn, ctxs[i])
-			exportBounds(step.V, ctxs[i])
-			exportStride(step.V, ctxs[i])
-			if i > 0 && ctxs[i] == ctxs[i-1] {
-				exportDiff(p[i-1].V, step.V, ctxs[i])
-				exportDiff(step.V, p[i-1].V, ctxs[i])
-			}
 			for gd := step.V.Guard; gd != nil; gd = gd.Guard {
 				asserts = append(asserts, st.tr.Var(gd, ctxs[i]))
 			}
@@ -500,26 +367,6 @@ func buildResidual(b *smt.Builder, g *pdg.Graph, sl *pdg.Slice, opts Options) re
 				}
 			}
 		}
-	}
-	// Dynamic-bound sinks relate two call arguments; seed the residual
-	// with their bounds and any proven difference between them.
-	for _, vc := range sl.Constraints {
-		if vc.Kind != pdg.ConstraintOutOfBoundsDyn ||
-			vc.Path >= len(sl.Paths) || vc.Step >= len(sl.Paths[vc.Path]) {
-			continue
-		}
-		p := sl.Paths[vc.Path]
-		v := p[vc.Step].V
-		if vc.Arg < 0 || vc.Arg >= len(v.Args) || vc.BoundArg < 0 || vc.BoundArg >= len(v.Args) {
-			continue
-		}
-		ctxs := cond.AssignContexts(st.tr.T, p)
-		idx, bnd := v.Args[vc.Arg], v.Args[vc.BoundArg]
-		exportBounds(idx, ctxs[vc.Step])
-		exportBounds(bnd, ctxs[vc.Step])
-		exportStride(idx, ctxs[vc.Step])
-		exportDiff(idx, bnd, ctxs[vc.Step])
-		exportDiff(bnd, idx, ctxs[vc.Step])
 	}
 	asserts = append(asserts, st.tr.ValueConstraints()...)
 	st.conjs = append(st.conjs, asserts...)

@@ -73,14 +73,16 @@ func TestFigure1QuickPath(t *testing.T) {
 	if res[0].Status != sat.Sat {
 		t.Fatalf("got %s, want sat", res[0].Status)
 	}
-	// Observe Algorithm 6 itself: disable the raw-residual graph probe,
-	// which would otherwise decide this satisfiable instance first.
-	g0 := buildGraph(t, fig1Src)
-	cands0 := sparse.NewEngine(g0).Run(checker.NullDeref())
-	r := fusioncore.Solve(context.Background(), smt.NewBuilder(), g0, []pdg.Path{cands0[0].Path},
-		fusioncore.Options{DisableGraphProbe: true})
-	if r.Status != sat.Sat {
-		t.Fatalf("got %s, want sat", r.Status)
+	// Observe Algorithm 6 itself: with probing off, the raw-residual graph
+	// probe no longer decides this satisfiable instance first, and
+	// preprocessing alone must decide the Figure 1 condition (the paper's
+	// §2 claim).
+	g := buildGraph(t, fig1Src)
+	cands := sparse.NewEngine(g).Run(checker.NullDeref())
+	r := fusioncore.Solve(context.Background(), smt.NewBuilder(), g, []pdg.Path{cands[0].Path},
+		fusioncore.Options{Solver: solver.Options{NoProbe: true}})
+	if r.Status != sat.Sat || !r.Preprocessed {
+		t.Fatalf("without probing, preprocessing should decide sat: %+v", r.Result)
 	}
 	// bar collapses to ret = 2x, so both call edges are quick paths and
 	// bar is never cloned: only foo's root instance materializes.
@@ -89,19 +91,6 @@ func TestFigure1QuickPath(t *testing.T) {
 	}
 	if r.Clones != 1 {
 		t.Errorf("clones: got %d, want 1 (foo only)", r.Clones)
-	}
-
-	// With the concrete-execution probe disabled, preprocessing alone must
-	// decide the Figure 1 condition (the paper's §2 claim).
-	g := buildGraph(t, fig1Src)
-	cands := sparse.NewEngine(g).Run(checker.NullDeref())
-	b := smt.NewBuilder()
-	r2 := fusioncore.Solve(context.Background(), b, g, []pdg.Path{cands[0].Path}, fusioncore.Options{
-		Solver:            solver.Options{NoProbe: true},
-		DisableGraphProbe: true,
-	})
-	if r2.Status != sat.Sat || !r2.Preprocessed {
-		t.Errorf("without probing, preprocessing should decide: %+v", r2.Result)
 	}
 }
 
@@ -228,7 +217,7 @@ fun f0(a: int) {
 
 	fb := smt.NewBuilder()
 	fused := fusioncore.Solve(context.Background(), fb, g, []pdg.Path{cands[0].Path},
-		fusioncore.Options{DisableGraphProbe: true})
+		fusioncore.Options{Solver: solver.Options{NoProbe: true}})
 	if fused.Status != sat.Sat {
 		t.Fatalf("fused: got %s, want sat", fused.Status)
 	}

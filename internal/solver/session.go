@@ -72,7 +72,6 @@ func modelCovers(m smt.Assignment, phi *smt.Term) bool {
 
 func (ss *Session) solveOnce(phi *smt.Term, opts Options) Result {
 	var res Result
-	res.SizeBefore = ss.b.Size(phi)
 	if cancelled(opts.Ctx) {
 		return res // Status zero value is Unknown
 	}

@@ -59,9 +59,8 @@ type Result struct {
 	// Model holds satisfying values for the formula's free variables when
 	// Status is Sat and the SAT solver ran.
 	Model smt.Assignment
-	// SizeBefore and SizeAfter are the formula DAG sizes around
-	// preprocessing.
-	SizeBefore, SizeAfter int
+	// SizeAfter is the formula's DAG size after preprocessing.
+	SizeAfter int
 	// ProbeTime is the cost of the concrete-execution probe, reported
 	// separately so a probe-decided query no longer hides its price in
 	// (or zeroes out) the search accounting.
