@@ -281,8 +281,8 @@ func BenchmarkAbsintBuild(b *testing.B) {
 
 // BenchmarkProbe measures the concrete-execution model probe alone: one
 // op probes every formula of bench.ProbeCorpus at scale 0.002 — each
-// null-deref and div-by-zero candidate's cond.Translate condition and
-// Fusion's raw residual — the corpus TestProbeResultsPinned pins.
+// null-deref and div-by-zero candidate's cond.Translate condition — the
+// corpus TestProbeResultsPinned pins.
 func BenchmarkProbe(b *testing.B) {
 	qs, err := bench.ProbeCorpus(context.Background(), 0.002)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"fusion/internal/progen"
 	"fusion/internal/sat"
 	"fusion/internal/smt"
-	"fusion/internal/solver"
 	"fusion/internal/sparse"
 )
 
@@ -48,14 +47,9 @@ func TestProbeModelsNotRefuted(t *testing.T) {
 	probed, refuted := 0, 0
 	forEachCandidate(t, func(unit string, g *pdg.Graph, an *absint.Analysis, c sparse.Candidate) {
 		paths := []pdg.Path{c.Path}
-		b := smt.NewBuilder()
-		phi, affordable := fusioncore.GraphProbeFormula(b, g, paths, fusioncore.Options{Constraints: c.Constraints(0)})
-		found := false
-		if affordable {
-			_, found = solver.Probe(ctx, b, phi, 32)
-		}
 		sl := pdg.ComputeSlice(g, paths)
 		c.ApplyConstraint(sl, 0)
+		_, _, found := fusioncore.GraphProbe(ctx, sl)
 		isRefuted, byStride, byZone := an.RefuteSlice(ctx, sl)
 		if found && isRefuted {
 			t.Errorf("%s: the graph probe found a model, yet the slice refuter refuted the slice", unit)
@@ -63,7 +57,7 @@ func TestProbeModelsNotRefuted(t *testing.T) {
 
 		r := fusioncore.Solve(ctx, smt.NewBuilder(), g, paths, fusioncore.Options{Absint: an, Constraints: c.Constraints(0)})
 		if r.DecidedByProbe != found {
-			t.Errorf("%s: Solve DecidedByProbe = %t, the probe on GraphProbeFormula found a model: %t", unit, r.DecidedByProbe, found)
+			t.Errorf("%s: Solve DecidedByProbe = %t, GraphProbe found a model: %t", unit, r.DecidedByProbe, found)
 		}
 		if r.DecidedByProbe && r.RefuteTime != 0 {
 			t.Errorf("%s: decided by the graph probe, yet the refuter ran for %v", unit, r.RefuteTime)

@@ -16,9 +16,14 @@ import (
 // ProbeCorpus at scale 0.002 (see probeDigest). It was computed with the
 // map-memoized smt.Eval evaluator that the compiled slot program
 // replaced, so the compiled probe returns byte-identical (model, ok) on
-// every formula both engines probe. A change to the probe's search must
-// update it and say so; a change to its cost must leave it alone.
-const probePinDigest = "5fe7aafc2199ce6962e797157d6dd23ec086f4c644ee29def4908d758eb00569"
+// every formula it is handed as terms. A change to the probe's search
+// must update it and say so; a change to its cost must leave it alone.
+//
+// It last changed when Fusion's raw residuals left the corpus, because
+// its graph probe stopped building them; the corpus is now the 218
+// cond.Translate conditions alone. The code before that change, run on
+// this corpus, gives this very digest, so no Translate answer moved.
+const probePinDigest = "ba09cda61dce1f80c732b382569cc2063c5efeebfc697e9238fedb89173cffe2"
 
 // probeDigest hashes, per formula in corpus order, whether the probe
 // found a model and the model's values sorted by variable name.

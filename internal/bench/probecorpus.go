@@ -5,7 +5,6 @@ import (
 
 	"fusion/internal/checker"
 	"fusion/internal/cond"
-	"fusion/internal/fusioncore"
 	"fusion/internal/pdg"
 	"fusion/internal/progen"
 	"fusion/internal/smt"
@@ -20,12 +19,12 @@ type CorpusQuery struct {
 	Phi *smt.Term
 }
 
-// ProbeCorpus returns the formulas both engines hand the model probe on
+// ProbeCorpus returns the formulas the model probe is handed as terms on
 // the progen subjects at scale, for every null-deref and div-by-zero
-// candidate, in a fixed order: the candidate's cond.Translate condition
-// (Pinpoint's solver input) and, where Fusion's graph probe affords it,
-// Fusion's raw residual. Each candidate's formulas live in a builder of
-// their own.
+// candidate, in a fixed order: the candidate's cond.Translate condition,
+// Pinpoint's solver input. (Fusion's graph probe runs on a program
+// compiled from the slice, with no formula.) Each candidate's formula
+// lives in a builder of its own.
 func ProbeCorpus(ctx context.Context, scale float64) ([]CorpusQuery, error) {
 	subs, err := CompileAll(ctx, progen.Subjects, scale, 2)
 	if err != nil {
@@ -39,11 +38,6 @@ func ProbeCorpus(ctx context.Context, scale float64) ([]CorpusQuery, error) {
 				sl := pdg.ComputeSlice(sub.Graph, []pdg.Path{c.Path})
 				c.ApplyConstraint(sl, 0)
 				out = append(out, CorpusQuery{b, cond.Translate(b, sl).Phi})
-				raw, ok := fusioncore.GraphProbeFormula(b, sub.Graph, []pdg.Path{c.Path},
-					fusioncore.Options{Constraints: c.Constraints(0)})
-				if ok {
-					out = append(out, CorpusQuery{b, raw})
-				}
 			}
 		}
 	}

@@ -232,21 +232,24 @@ func (e *Fusion) attempt(parent context.Context, g *pdg.Graph, c sparse.Candidat
 	// exhaustion too, even though the solver saw it as ctx cancellation.
 	v.Degraded = r.Exhausted ||
 		(r.Status == sat.Unknown && ctx.Err() != nil && parent.Err() == nil)
-	e.notePeak(b)
+	e.notePeak(b, r)
 	return v
 }
 
-// notePeak folds a candidate's builder into the memory figure.
-func (e *Fusion) notePeak(b *smt.Builder) {
+// notePeak folds a candidate's builder and graph-probe program into the
+// memory figure.
+func (e *Fusion) notePeak(b *smt.Builder, r fusioncore.Result) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.peak = max(e.peak, b.EstimatedBytes())
+	e.peak = max(e.peak, b.EstimatedBytes()+r.ProbeBytes)
 }
 
 // ConditionBytes implements Engine: the fused design caches nothing, so
-// the figure is the largest builder any one candidate (or joint query)
-// filled — the estimated bytes of every term its solve built, in a
-// builder created for it alone.
+// the figure is the largest condition any one candidate (or joint query)
+// held — the estimated bytes of every term its solve built, in a builder
+// created for it alone, plus the bytes of its graph probe's program
+// (smt.Program.Bytes: the capacities of its instruction, operand, slot
+// and constant tables).
 func (e *Fusion) ConditionBytes() int64 { return e.peak }
 
 // --- Pinpoint ---

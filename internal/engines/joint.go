@@ -37,7 +37,7 @@ func (e *Fusion) CheckJointPaths(parent context.Context, g *pdg.Graph, paths []p
 	defer cancel()
 	b := smt.NewBuilder()
 	r := fusioncore.Solve(ctx, b, g, paths, e.solveOptions())
-	e.notePeak(b)
+	e.notePeak(b, r)
 	return r.Status
 }
 

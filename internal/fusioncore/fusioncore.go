@@ -32,10 +32,11 @@ import (
 // Options configure the fused solve.
 type Options struct {
 	// Solver configures the final standalone solve on the residual
-	// formula, which never probes: the graph probe has already run or
-	// been skipped. NoProbe turns the graph probe off too, so that Fusion
-	// does not probe at all; under Unoptimized it governs the eager
-	// translation's solve, whose probe is the only one on that path.
+	// formula, which never probes: the graph probe has already run on the
+	// slice's program, or found it unaffordable. NoProbe turns the graph
+	// probe off too, so that Fusion does not probe at all; under
+	// Unoptimized it governs the eager translation's solve, whose probe
+	// is the only one on that path.
 	Solver solver.Options
 	// DisableQuickPaths turns off inter-procedural propagation of closed
 	// return forms (ablation).
@@ -90,9 +91,12 @@ type Result struct {
 	// emission through local preprocessing), reported separately so the
 	// telemetry layer can attribute translate cost apart from search cost.
 	BuildTime time.Duration
-	// RawBuildTime is the wall time of the graph probe's raw-residual
-	// construction, its affordability check included.
+	// RawBuildTime is the wall time of compiling the slice into the graph
+	// probe's program (cond.CompileSlice), its bound check included.
 	RawBuildTime time.Duration
+	// ProbeBytes is the heap the graph probe's program held
+	// (smt.Program.Bytes); zero when the probe did not run.
+	ProbeBytes int64
 	// SliceTime is the wall time of computing the paths' slice G[Π].
 	SliceTime time.Duration
 	// RefuteTime is the wall time of the abstract slice refuter; zero
@@ -150,9 +154,10 @@ type state struct {
 
 // Solve decides the feasibility of a set of data-dependence paths directly
 // on the program dependence graph. Each stage does one job, in this
-// order: the graph probe on the raw residual finds models; then, only
-// where it found none, was skipped as unaffordable or is disabled, the
-// absint slice refuter refutes; absint pre-simplification folds decided
+// order: the graph probe executes the slice, compiled into a program of
+// one slot per (value, context), and finds models; then, only where it
+// found none, found the slice unaffordable or is disabled, the absint
+// slice refuter refutes; absint pre-simplification folds decided
 // singletons into the local conditions of the preprocessed residual; and
 // the probe-free solve of that residual decides whatever is left.
 // Unoptimized has no graph probe and refutes before its eager
@@ -183,32 +188,19 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		return res
 	}
 
-	// Graph-level model probing: the residual over *raw* (unpreprocessed)
-	// local conditions keeps the graph's equational shape, which concrete-
-	// execution probing decides very effectively — value propagation on
-	// the dependence graph, in the spirit of §2's quick-path propagation.
-	// The raw residual is delayed-cloning sized, so this is cheap. A
-	// failed probe's time stays in ProbeTime on every later return.
+	// Graph-level model probing: the slice itself, executed forward from
+	// its free inputs, decides most satisfiable queries without a term
+	// built. A failed probe's time stays in ProbeTime on every later
+	// return.
 	if !opts.Solver.NoProbe {
-		tr := time.Now()
-		rawSt, affordable := rawResidual(b, g, sl, opts)
-		res.RawBuildTime = time.Since(tr)
-		if affordable {
-			if ctx.Err() != nil {
-				return res
-			}
-			t0 := time.Now()
-			_, ok := solver.Probe(ctx, b, rawSt.phi, 32)
-			res.ProbeTime = time.Since(t0)
-			if ok {
-				res.Status = sat.Sat
-				res.DecidedByProbe = true
-				res.Clones = len(rawSt.st.emitted)
-				return res
-			}
-			if ctx.Err() != nil {
-				return res
-			}
+		if sp, _, ok := graphProbe(ctx, sl, &res); ok {
+			res.Status = sat.Sat
+			res.DecidedByProbe = true
+			res.Clones = sp.Instances()
+			return res
+		}
+		if ctx.Err() != nil {
+			return res
 		}
 	}
 
@@ -264,43 +256,32 @@ func refute(ctx context.Context, sl *pdg.Slice, opts Options, res *Result) bool 
 	return true
 }
 
-// GraphProbeFormula returns the formula Solve's graph-level probe runs on
-// for paths under opts (see rawResidual); ok is false where Solve skips
-// the probe as unaffordable.
-func GraphProbeFormula(b *smt.Builder, g *pdg.Graph, paths []pdg.Path, opts Options) (phi *smt.Term, ok bool) {
-	sl := pdg.ComputeSlice(g, paths)
-	sl.Constraints = append(sl.Constraints, opts.Constraints...)
-	r, ok := rawResidual(b, g, sl, opts)
-	return r.phi, ok
+// GraphProbe runs Solve's graph probe on sl: it compiles the slice into a
+// program (cond.CompileSlice) and probes it (solver.ProbeProgram). sp is
+// nil where the slice is unaffordable; in holds the raw input values of
+// a model the probe found, and the program computes every other slot
+// from them.
+func GraphProbe(ctx context.Context, sl *pdg.Slice) (sp *cond.SliceProgram, in []uint32, ok bool) {
+	return graphProbe(ctx, sl, &Result{})
 }
 
-// rawResidual builds the graph probe's formula: the residual over raw
-// local conditions, neither preprocessed nor absint pre-simplified. ok
-// is false, and nothing is built, when rawProbeAffordable rejects the
-// slice.
-func rawResidual(b *smt.Builder, g *pdg.Graph, sl *pdg.Slice, opts Options) (r residual, ok bool) {
-	if !rawProbeAffordable(sl) {
-		return residual{}, false
+// graphProbe is GraphProbe, recording the compile and probe times and
+// the program's bytes in res.
+func graphProbe(ctx context.Context, sl *pdg.Slice, res *Result) (*cond.SliceProgram, []uint32, bool) {
+	tc := time.Now()
+	sp, affordable := cond.CompileSlice(ctx, sl)
+	res.RawBuildTime = time.Since(tc)
+	res.ProbeBytes = sp.Prog.Bytes()
+	if !affordable || ctx.Err() != nil {
+		return nil, nil, false
 	}
-	opts.DisableLocalPreprocess = true
-	opts.Absint = nil
-	return buildResidual(b, g, sl, opts), true
-}
-
-// rawProbeAffordable bounds the raw-residual probe: without quick paths,
-// emission instantiates one clone per calling context, which explodes on
-// deep call chains — exactly the cloning problem Algorithm 6 avoids. The
-// probe is only worth its cost when the context tree is small.
-func rawProbeAffordable(sl *pdg.Slice) bool {
-	fcs := cond.FuncContexts(cond.NewCtxTree(), sl)
-	total := 0
-	for _, cs := range fcs {
-		total += len(cs)
-		if total > 256 {
-			return false
-		}
-	}
-	return true
+	tp := time.Now()
+	// The seed is a stable property of the slice: no formula term exists
+	// to take an ID from.
+	in, ok := solver.ProbeProgram(ctx, sp.Prog, int64(sl.Size()), 32)
+	res.ProbeTime = time.Since(tp)
+	res.ProbeBytes = sp.Prog.Bytes() // the probe appends spans
+	return sp, in, ok
 }
 
 // residual is the outcome of summarization and emission.
@@ -604,7 +585,7 @@ func (st *state) emit(f *ssa.Function, ctx *cond.Ctx) {
 	local := st.summary[f]
 	if ctx != tr.T.Root && local != nil && !local.IsTrue() {
 		local = smt.RenameVars(b, local, func(name string) string {
-			return renameIntoCtx(name, f.Name, ctx)
+			return renameIntoCtx(name, ctx)
 		})
 	}
 	if local != nil && !local.IsTrue() {
@@ -640,11 +621,11 @@ func (st *state) emit(f *ssa.Function, ctx *cond.Ctx) {
 	}
 }
 
-// renameIntoCtx maps a root-context variable name of function fn into ctx.
-// Only the function's own variables are renamed; fresh preprocessing
-// variables (u!N) must be renamed too, since each clone makes independent
+// renameIntoCtx maps a root-context variable name of a summary into ctx.
+// Every variable is renamed: the function's own, and the fresh ones (u!N)
+// that preprocessing introduced, since each clone makes independent
 // choices.
-func renameIntoCtx(name, fn string, ctx *cond.Ctx) string {
+func renameIntoCtx(name string, ctx *cond.Ctx) string {
 	return name + "@" + ctxSuffix(ctx)
 }
 

@@ -2,6 +2,8 @@ package fusioncore_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"fusion/internal/checker"
@@ -371,5 +373,52 @@ func TestFailedProbeTimeKept(t *testing.T) {
 	}
 	if exhausted.ProbeTime <= 0 {
 		t.Errorf("exhausted: ProbeTime %v, want the failed graph probe's time", exhausted.ProbeTime)
+	}
+}
+
+// doublingChainSrc is a call chain of the given depth in which every f_i
+// calls f_{i+1} twice: eager cloning needs 2^depth instances of the
+// deepest function, while quick paths collapse the chain.
+func doublingChainSrc(depth int) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "fun f%d(x: int): int { return x + 1; }\n", depth)
+	for i := depth - 1; i >= 1; i-- {
+		fmt.Fprintf(&sb, "fun f%d(x: int): int { return f%d(x) + f%d(x + 1); }\n", i, i+1, i+1)
+	}
+	sb.WriteString(`fun f0(a: int) {
+    var p: ptr = null;
+    var r: int = f1(a);
+    if (r > 0) {
+        deref(p);
+    }
+}
+`)
+	return sb.String()
+}
+
+// TestGraphProbeBoundedOnDeepChains: the graph probe's bound is checked
+// while its program is emitted, so on a doubling call chain the probe
+// stage allocates about as much at depth 18 as at depth 14, where
+// enumerating every context first would grow 16-fold. Solve still
+// decides the candidate sat through quick paths.
+func TestGraphProbeBoundedOnDeepChains(t *testing.T) {
+	stage := func(depth int) float64 {
+		g := buildGraph(t, doublingChainSrc(depth))
+		cands := sparse.NewEngine(g).Run(checker.NullDeref())
+		if len(cands) != 1 {
+			t.Fatalf("depth %d: %d candidates, want 1", depth, len(cands))
+		}
+		paths := []pdg.Path{cands[0].Path}
+		r := fusioncore.Solve(context.Background(), smt.NewBuilder(), g, paths, fusioncore.Options{})
+		if r.Status != sat.Sat || r.QuickPaths == 0 {
+			t.Errorf("depth %d: got %s with %d quick paths, want sat via quick paths", depth, r.Status, r.QuickPaths)
+		}
+		sl := pdg.ComputeSlice(g, paths)
+		return testing.AllocsPerRun(2, func() { fusioncore.GraphProbe(context.Background(), sl) })
+	}
+	shallow, deep := stage(14), stage(18)
+	t.Logf("graph-probe stage: %.0f allocs at depth 14, %.0f at depth 18", shallow, deep)
+	if deep > 1.5*shallow {
+		t.Errorf("graph-probe stage: %.0f allocs at depth 18, want at most 1.5x the %.0f at depth 14", deep, shallow)
 	}
 }

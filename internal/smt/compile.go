@@ -1,6 +1,9 @@
 package smt
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Program is a term DAG compiled to straight-line code over one flat
 // []uint32 of slots, for callers that evaluate the same formula under many
@@ -16,8 +19,13 @@ import "fmt"
 // (Op, Width, Args, Const, Input) without a term-keyed lookup.
 //
 // Run reads the variables from a separate inputs array: in[i] holds the
-// raw value of Vars()[i], which the variable's instruction masks to its
-// width on read, exactly as Eval reads a[t].
+// raw value of input i — Vars()[i] for a compiled Program — which the
+// variable's instruction masks to its width on read, exactly as Eval
+// reads a[t].
+//
+// A Program need not come from terms: NewProgram starts an empty one,
+// AddVar, AddConst and AddOp append slots in post-order, and SetRoots
+// closes its full pass. Such a Program has inputs but no Vars.
 type Program struct {
 	code []instr
 	// args holds And and Or operand slots, indexed by instr.x[0:2].
@@ -26,6 +34,7 @@ type Program struct {
 	// to -1-k, its entry in consts.
 	at     []int32
 	vars   []*Term
+	nin    int32 // inputs
 	consts []constSlot
 	roots  []int32
 	all    Span
@@ -127,17 +136,16 @@ func (c *compiler) visit(t *Term) int32 {
 	p := c.p
 	slot := int32(len(p.at))
 	c.s.count[t.ID] = slot
-	if t.Op == OpConst {
-		p.at = append(p.at, -1-int32(len(p.consts)))
-		p.consts = append(p.consts, constSlot{slot, t.Const, uint8(t.Width)})
-		return slot
+	switch t.Op {
+	case OpConst:
+		return p.AddConst(t.Const, t.Width)
+	case OpVar:
+		p.vars = append(p.vars, t)
+		return p.AddVar(t.Width)
 	}
 	p.at = append(p.at, int32(len(p.code)))
 	in := instr{op: uint8(t.Op), w: uint8(t.Width), dst: slot}
 	switch t.Op {
-	case OpVar:
-		in.x[0] = int32(len(p.vars))
-		p.vars = append(p.vars, t)
 	case OpAnd, OpOr:
 		in.x[0] = int32(len(p.args))
 		for _, a := range t.Args {
@@ -159,6 +167,85 @@ func (c *compiler) visit(t *Term) int32 {
 	}
 	p.code = append(p.code, in)
 	return slot
+}
+
+// NewProgram returns an empty Program to append slots to.
+func NewProgram() *Program { return &Program{} }
+
+// AddVar appends input NumInputs() of width w and returns its slot.
+func (p *Program) AddVar(w int) int32 {
+	slot := int32(len(p.at))
+	p.at = append(p.at, int32(len(p.code)))
+	p.code = append(p.code, instr{op: uint8(OpVar), w: uint8(w), dst: slot, x: [3]int32{p.nin}})
+	p.nin++
+	return slot
+}
+
+// AddConst appends the w-bit constant v (truncated to w bits) and returns
+// its slot.
+func (p *Program) AddConst(v uint32, w int) int32 {
+	slot := int32(len(p.at))
+	p.at = append(p.at, -1-int32(len(p.consts)))
+	p.consts = append(p.consts, constSlot{slot, mask(v, w), uint8(w)})
+	return slot
+}
+
+// AddOp appends op over the argument slots, which must already exist,
+// and returns its slot. The width follows the Builder's constructors:
+// comparisons are width 1, an Ite has its branches' width, an And or Or
+// without operands is true, and every other node has its first operand's
+// width. And and Or take any number of operands, Not and Neg one, Ite
+// three and every other operator two.
+func (p *Program) AddOp(op Op, args ...int32) int32 {
+	in := instr{op: uint8(op), dst: int32(len(p.at))}
+	switch op {
+	case OpAnd, OpOr:
+		in.w = 1
+		if len(args) > 0 {
+			in.w = uint8(p.Width(args[0]))
+		}
+		in.x[0] = int32(len(p.args))
+		p.args = append(p.args, args...)
+		in.x[1] = int32(len(p.args))
+	case OpNot, OpNeg:
+		in.w = uint8(p.Width(args[0]))
+		in.x[0] = args[0]
+	case OpIte:
+		in.w = uint8(p.Width(args[1]))
+		copy(in.x[:], args[:3])
+	default:
+		aw := p.Width(args[0])
+		if _, ok := foldBinary(op, 0, 0, aw); !ok {
+			panic(fmt.Sprintf("smt: program: unhandled operator %s", op))
+		}
+		in.w, in.aw = uint8(aw), uint8(aw)
+		switch op {
+		case OpEq, OpUlt, OpUle, OpSlt, OpSle:
+			in.w = 1
+		}
+		in.x[0], in.x[1] = args[0], args[1]
+	}
+	p.at = append(p.at, int32(len(p.code)))
+	p.code = append(p.code, in)
+	return in.dst
+}
+
+// SetRoots names the roots of a Program built with AddVar, AddConst and
+// AddOp, and makes its full pass, All, every instruction appended so far.
+func (p *Program) SetRoots(roots ...int32) {
+	p.roots = roots
+	p.all = Span{0, int32(len(p.code))}
+}
+
+// NumInputs returns the number of inputs Run reads.
+func (p *Program) NumInputs() int { return int(p.nin) }
+
+// Bytes returns the heap held by the Program's instruction, operand,
+// slot and constant tables, by capacity.
+func (p *Program) Bytes() int64 {
+	return int64(cap(p.code))*int64(unsafe.Sizeof(instr{})) +
+		int64(cap(p.args)+cap(p.at))*int64(unsafe.Sizeof(int32(0))) +
+		int64(cap(p.consts))*int64(unsafe.Sizeof(constSlot{}))
 }
 
 // Len returns the number of slots; slots are numbered in post-order.
@@ -224,7 +311,8 @@ func (p *Program) Args(s int32) []int32 {
 }
 
 // Vars returns the compiled DAG's free variables in first-occurrence
-// order; Run reads Vars()[i]'s raw value from in[i].
+// order; Run reads Vars()[i]'s raw value from in[i]. A Program built
+// without terms has none.
 func (p *Program) Vars() []*Term { return p.vars }
 
 // Slots returns a fresh slot array with the constants written; Run never

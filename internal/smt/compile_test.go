@@ -238,3 +238,54 @@ func TestProgramMatchesEval(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltProgramMatchesCompiled: a Program appended slot by slot with
+// AddVar, AddConst and AddOp, replaying a compiled Program's slots, gets
+// the same widths, inputs and values under every assignment, so AddOp
+// derives each width as the Builder's constructors do.
+func TestBuiltProgramMatchesCompiled(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for iter := 0; iter < 200; iter++ {
+		g := &termGen{b: smt.NewBuilder(), rng: rng, vars: map[int][]*smt.Term{}}
+		for _, w := range genWidths {
+			for i := 0; i < 3; i++ {
+				g.vars[w] = append(g.vars[w], g.b.Var(fmt.Sprintf("v%d_%d", w, i), w))
+			}
+		}
+		root := g.term(genWidths[rng.Intn(len(genWidths))], 5)
+		p := g.b.Compile(root)
+		q := smt.NewProgram()
+		for s := int32(0); s < int32(p.Len()); s++ {
+			var got int32
+			switch p.Op(s) {
+			case smt.OpConst:
+				got = q.AddConst(p.Const(s), p.Width(s))
+			case smt.OpVar:
+				got = q.AddVar(p.Width(s))
+			default:
+				got = q.AddOp(p.Op(s), p.Args(s)...)
+			}
+			if got != s || q.Width(s) != p.Width(s) {
+				t.Fatalf("iter %d: slot %d rebuilt as slot %d of width %d, want width %d", iter, s, got, q.Width(s), p.Width(s))
+			}
+		}
+		q.SetRoots(p.Root(0))
+		if q.NumInputs() != p.NumInputs() || q.Vars() != nil || q.Bytes() <= 0 {
+			t.Fatalf("iter %d: %d inputs (vars %v, %d bytes), want %d inputs and no vars", iter, q.NumInputs(), q.Vars(), q.Bytes(), p.NumInputs())
+		}
+		in := make([]uint32, p.NumInputs())
+		pv, qv := p.Slots(), q.Slots()
+		for round := 0; round < 4; round++ {
+			for i := range in {
+				in[i] = g.value()
+			}
+			p.Run(in, pv, p.All())
+			q.Run(in, qv, q.All())
+			for s := range pv {
+				if pv[s] != qv[s] {
+					t.Fatalf("iter %d: slot %d is %#x compiled, %#x built", iter, s, pv[s], qv[s])
+				}
+			}
+		}
+	}
+}

@@ -16,23 +16,45 @@ import (
 // satisfiable instances instantly. Sample values are seeded with the
 // constants appearing near each input, which makes guards like "x == 37"
 // reachable. A returned model is always verified by evaluation, so probing
-// is sound. phi, which b must have built, is compiled once
-// (b.Compile), and both the set-up and every try run over its slots in
-// flat arrays; an smt.Assignment is built only for a returned model.
-//
-// Probe polls ctx before every try and every local-search move (one try
-// is at most tens of milliseconds on the largest progen conditions); once
-// it is cancelled Probe gives up with (nil, false), which is sound for
-// the same reason: the probe only ever claims Sat with a verified model.
+// is sound. phi, which b must have built, is compiled once (b.Compile)
+// and probed by ProbeProgram; an smt.Assignment is built only for a
+// returned model.
 func Probe(ctx context.Context, b *smt.Builder, phi *smt.Term, tries int) (smt.Assignment, bool) {
-	stop := poll.Stop(ctx, 1)
 	prog := b.Compile(phi)
-	if n := len(prog.Vars()); n == 0 || n > 1<<16 {
+	if prog.NumInputs() == 0 {
 		return nil, false
 	}
+	in, ok := ProbeProgram(ctx, prog, int64(phi.ID), tries)
+	if !ok {
+		return nil, false
+	}
+	m := make(smt.Assignment, len(in))
+	for i, v := range prog.Vars() {
+		m[v] = in[i]
+	}
+	return m, true
+}
+
+// ProbeProgram is Probe over a Program whose root 0 is the formula: it
+// returns the raw values of the inputs of a model, which the Program
+// evaluates to 1, or false. seed fixes the sampling; tries is the number
+// of sampled tries before the hint rounds and local search. Set-up and
+// every try run over the Program's slots in flat arrays. A Program of
+// more than 1<<16 inputs is not probed.
+//
+// ProbeProgram polls ctx before every try and every local-search move
+// (one try is at most tens of milliseconds on the largest progen
+// conditions); once it is cancelled it gives up with (nil, false), which
+// is sound for the same reason: the probe only ever claims a model it has
+// verified.
+func ProbeProgram(ctx context.Context, prog *smt.Program, seed int64, tries int) ([]uint32, bool) {
+	if prog.NumInputs() > 1<<16 {
+		return nil, false
+	}
+	stop := poll.Stop(ctx, 1)
 	c := newCompiled(prog)
 
-	rng := rand.New(rand.NewSource(int64(phi.ID)*2654435761 + 12345))
+	rng := rand.New(rand.NewSource(seed*2654435761 + 12345))
 	for try := 0; try < tries+2*len(c.hints); try++ {
 		if stop != nil && stop() {
 			return nil, false
@@ -59,7 +81,7 @@ func Probe(ctx context.Context, b *smt.Builder, phi *smt.Term, tries int) (smt.A
 		}
 		c.compute()
 		if c.vals[c.phi] == 1 {
-			return c.model(), true
+			return c.in, true
 		}
 	}
 
@@ -73,14 +95,14 @@ func Probe(ctx context.Context, b *smt.Builder, phi *smt.Term, tries int) (smt.A
 	return nil, false
 }
 
-// compiled is a probed formula compiled to slots (smt.Program), with its
-// variables grouped into alias classes: a try writes the input classes'
-// values into the variables' inputs, applies the definitions, and reads
-// phi and every conjunct off one pass. A class is named by its
-// representative, an index into prog.Vars().
+// compiled is a probed Program, with its inputs grouped into alias
+// classes: a try writes the input classes' values into the inputs,
+// applies the definitions, and reads phi and every conjunct off one pass.
+// A class is named by its representative, an input index.
+// A model is returned as in itself: the probe drops c once it has one.
 type compiled struct {
 	prog  *smt.Program
-	in    []uint32 // raw variable values, indexed like prog.Vars()
+	in    []uint32 // raw input values
 	vals  []uint32
 	phi   int32
 	conjs []int32 // phi's conjuncts' slots
@@ -96,7 +118,7 @@ type compiled struct {
 	def    []int32
 	defs   []defn    // in dependency order, contiguous for the try loop
 	steps  []invStep // the definitions' chains
-	inputs []int32   // representatives without a definition, by term ID
+	inputs []int32   // undefined representatives: by term ID, or index without Vars
 	pool   []uint32  // sample values
 	hints  []hint
 
@@ -125,7 +147,7 @@ type hint struct {
 // a pre-order walk of the term DAG: both are leaves or have only leaf
 // operands, so no such node is visited while another is still open.
 func newCompiled(prog *smt.Program) *compiled {
-	nv := len(prog.Vars())
+	nv := prog.NumInputs()
 	phi := prog.Root(0)
 	c := &compiled{
 		prog: prog, in: make([]uint32, nv), vals: prog.Slots(), phi: phi,
@@ -248,8 +270,9 @@ func (c *compiled) findDefs(neq int) []defn {
 			c.inputs = append(c.inputs, int32(r))
 		}
 	}
-	vars := p.Vars()
-	slices.SortFunc(c.inputs, func(x, y int32) int { return vars[x].ID - vars[y].ID })
+	if vars := p.Vars(); vars != nil {
+		slices.SortFunc(c.inputs, func(x, y int32) int { return vars[x].ID - vars[y].ID })
+	}
 	return found
 }
 
@@ -467,15 +490,6 @@ func (c *compiled) compute() {
 	c.prog.Run(c.in, c.vals, c.prog.All())
 }
 
-// model returns the current assignment of every variable.
-func (c *compiled) model() smt.Assignment {
-	m := make(smt.Assignment, len(c.in))
-	for i, v := range c.prog.Vars() {
-		m[v] = c.in[i]
-	}
-	return m
-}
-
 // score counts the satisfied conjuncts as of the last compute.
 func (c *compiled) score() int {
 	n := 0
@@ -523,7 +537,7 @@ func (c *compiled) classInputs(r int32) {
 // conjunct, pick an input class it depends on, and move it to the value
 // that satisfies the most conjuncts. A non-nil stop is polled before every
 // move.
-func (c *compiled) localSearch(rng *rand.Rand, stop func() bool) (smt.Assignment, bool) {
+func (c *compiled) localSearch(rng *rand.Rand, stop func() bool) ([]uint32, bool) {
 	if len(c.inputs) == 0 {
 		return nil, false
 	}
@@ -587,7 +601,7 @@ func (c *compiled) localSearch(rng *rand.Rand, stop func() bool) (smt.Assignment
 			cur = bestScore
 		}
 		if cur == len(conjs) && c.vals[c.phi] == 1 {
-			return c.model(), true
+			return c.in, true
 		}
 	}
 	return nil, false
